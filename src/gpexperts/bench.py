@@ -165,6 +165,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "order": [int(v) for v in graph.order],
             "selected": [int(v) for v in graph.selected],
             "graph_seconds": graph_seconds,
+            "glasso_steps": graph.steps,
+            "glasso_converged": graph.converged,
+            "components": graph.components,
         }
 
     for name in config.methods:

@@ -94,7 +94,7 @@ def synth_dataset(
 
 
 def _parse_table(path):
-    rows = []
+    rows, linenos = [], []
     delimiter = None
     first_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -126,9 +126,18 @@ def _parse_table(path):
                     f"expected {len(rows[0])}"
                 )
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    table = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))  # float() accepts nan and inf
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(table[row, col])!r} at line "
+            f"{linenos[row]}, column {col}"
+        )
+    return table
 
 
 def load_delimited(

@@ -42,8 +42,8 @@ class PredictiveDist:
     def __post_init__(self):
         if self.means.shape != self.variances.shape:
             raise ValueError("means and variances must have equal length")
-        if np.any(self.variances < 0):
-            raise ValueError("variances must be non-negative")
+        if not np.all(self.variances >= 0):
+            raise ValueError("variances must be non-negative, not NaN")
 
     def __len__(self) -> int:
         return self.means.shape[0]
@@ -73,6 +73,8 @@ def _prepare_xy(x, y):
         raise ValueError(f"{x.shape[0]} rows of inputs but {y.shape[0]} targets")
     if x.shape[0] == 0:
         raise ValueError("empty training set")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("training inputs and targets must be finite")
     return x, y
 
 

@@ -44,7 +44,12 @@ class Hyperparams:
         return self.lengthscales.shape[0]
 
     def to_log_vector(self) -> np.ndarray:
-        """Pack as [log signal_variance, log lengthscales..., log noise_variance]."""
+        """Pack as [log signal_variance, log lengthscales..., log noise_variance].
+
+        Zero noise (legal for kernel-only use) has no log and is rejected.
+        """
+        if self.noise_variance == 0:
+            raise ValueError("zero noise variance has no log-space value")
         return np.log(
             np.concatenate(
                 [[self.signal_variance], self.lengthscales, [self.noise_variance]]

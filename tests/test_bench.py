@@ -67,6 +67,13 @@ def test_selection_metadata_present_for_starred_methods(basic_report):
     assert set(sel["selected"]) <= set(sel["order"])
 
 
+def test_selection_metadata_reports_graph_solver(basic_report):
+    sel = basic_report.selection
+    assert isinstance(sel["glasso_steps"], int) and sel["glasso_steps"] >= 0
+    assert sel["glasso_converged"] is True
+    assert 1 <= sel["components"] <= 3
+
+
 def test_poe_and_gpoe_share_the_posterior_mean(basic_report):
     rows = {r.method: r for r in basic_report.results}
     # uniform weights rescale variances only, so mean metrics agree

@@ -124,6 +124,18 @@ def test_load_reports_bad_cell_location(tmp_path):
         load_delimited(path)
 
 
+def test_load_rejects_non_finite_cells(tmp_path):
+    rows = ten_rows()
+    rows[3][2] = float("nan")
+    path = tmp_path / "nan_target.csv"
+    write_csv(path, rows, header="a,b,target")
+    with pytest.raises(ValueError, match="non-finite value nan at line 5, column 2"):
+        load_delimited(path)
+    path.write_text("1.0,2.0\n3.0,inf\n4.0,5.0\n")
+    with pytest.raises(ValueError, match="line 2, column 1"):
+        load_delimited(path)
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0,3.0\n1.0,2.0\n")

@@ -187,6 +187,20 @@ def test_predictive_dist_validation():
     assert len(PredictiveDist(np.zeros(4), np.ones(4))) == 4
 
 
+def test_predictive_dist_rejects_nan_variances():
+    with pytest.raises(ValueError, match="NaN"):
+        PredictiveDist(np.zeros(2), np.array([0.1, np.nan]))
+
+
+def test_training_data_must_be_finite():
+    hp = Hyperparams(1.0, [1.0], 0.1)
+    x = np.linspace(0.0, 1.0, 4)[:, None]
+    with pytest.raises(ValueError, match="finite"):
+        log_marginal_likelihood(x, np.array([0.0, np.nan, 1.0, 2.0]), hp)
+    with pytest.raises(ValueError, match="finite"):
+        fit(np.array([[0.0], [np.inf], [1.0]]), np.zeros(3))
+
+
 def test_shape_validation():
     hp = Hyperparams(1.0, [1.0], 0.1)
     with pytest.raises(ValueError):

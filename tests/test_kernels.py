@@ -134,6 +134,11 @@ def test_hyperparams_must_be_positive():
     assert Hyperparams(1.0, [1.0], 0.0).noise_variance == 0.0
 
 
+def test_zero_noise_has_no_log_vector():
+    with pytest.raises(ValueError, match="zero noise"):
+        Hyperparams(1.0, [1.0], 0.0).to_log_vector()
+
+
 def test_log_vector_round_trip():
     hp = Hyperparams(2.0, [0.3, 0.9, 4.0], 0.01)
     theta = hp.to_log_vector()

@@ -1,9 +1,12 @@
 """Expert dependency graph: sparse precision, ranking, and pruning."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gpexperts import (
+    Hyperparams,
     expert_graph,
     expert_predict,
     graphical_lasso,
@@ -11,6 +14,7 @@ from gpexperts import (
     rank_importance,
     save_graph,
     select_experts,
+    synth_f,
 )
 from gpexperts.selection import _penalized_objective
 
@@ -21,6 +25,30 @@ def random_correlation(m, seed):
     a = b @ b.T + m * np.eye(m)
     d = 1.0 / np.sqrt(np.diagonal(a))
     return a * np.outer(d, d)
+
+
+def rank_deficient_expert_cov(seed=0):
+    """S of 40 local GP experts seen at 25 test points, so rank(S) < 40."""
+    from conftest import manual_ensemble
+
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, size=1200))
+    y = synth_f(x) + rng.normal(0.0, 0.2, size=1200)
+    blocks = [
+        (xb[:, None], yb)
+        for xb, yb in zip(np.split(x, 40), np.split((y - y.mean()) / y.std(), 40))
+    ]
+    ens = manual_ensemble(blocks, Hyperparams(1.0, [0.03], 0.04))
+    return prediction_covariance(ens, np.linspace(-0.1, 1.1, 25)[:, None])
+
+
+def two_interleaved_blocks():
+    """S with blocks on the even and odd indices and zeros between them."""
+    s = np.zeros((9, 9))
+    even, odd = np.arange(0, 9, 2), np.arange(1, 9, 2)
+    s[np.ix_(even, even)] = random_correlation(5, 8)
+    s[np.ix_(odd, odd)] = random_correlation(4, 9)
+    return s, even, odd
 
 
 def test_covariance_matches_double_loop(small_ensemble, small_grid):
@@ -133,6 +161,72 @@ def test_glasso_input_validation():
         graphical_lasso(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.1)
     with pytest.raises(ValueError):
         graphical_lasso(np.eye(2), -0.1)
+
+
+def test_glasso_kkt_on_rank_deficient_cov():
+    s = rank_deficient_expert_cov()
+    m = s.shape[0]
+    assert np.linalg.matrix_rank(s) < m
+    lam, tol = 0.1, 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega = graphical_lasso(s, lam, tol=tol)
+    gap = np.linalg.inv(omega) - s
+    off = ~np.eye(m, dtype=bool)
+    edges = off & (omega != 0.0)
+    assert edges.any()
+    bound = tol * lam + 1e-10  # plus rounding of inv against LAPACK's inverse
+    assert np.max(np.abs(np.diagonal(gap))) <= bound
+    assert np.max(np.abs(gap[off])) <= lam + bound
+    assert np.max(np.abs(gap[edges] - lam * np.sign(omega[edges]))) <= bound
+
+
+def test_glasso_block_diagonal_matches_blocks_solved_alone():
+    s, even, odd = two_interleaved_blocks()
+    lam = 0.05
+    omega = graphical_lasso(s, lam)
+    for idx in (even, odd):
+        block = np.ix_(idx, idx)
+        alone = graphical_lasso(s[block], lam)
+        assert np.count_nonzero(np.triu(alone, 1)) > 0
+        np.testing.assert_allclose(omega[block], alone, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(omega[np.ix_(even, odd)], 0.0)
+
+
+def test_glasso_isolated_experts_get_exact_inverse_variance():
+    s = random_correlation(6, 10)
+    lam = 0.1
+    for i, scale in ((1, 3.7), (4, 0.3)):
+        s[i, :] = s[:, i] = np.clip(s[:, i], -lam, lam)
+        s[i, i] = scale
+    omega = graphical_lasso(s, lam)
+    for i, scale in ((1, 3.7), (4, 0.3)):
+        assert omega[i, i] == 1.0 / scale
+        np.testing.assert_array_equal(np.delete(omega[i], i), 0.0)
+    assert np.count_nonzero(np.triu(omega, 1)) > 0  # the others stay coupled
+
+
+def test_glasso_history_rises_across_components():
+    s, _, _ = two_interleaved_blocks()
+    s[8, :] = s[:, 8] = 0.0  # an isolated expert as a third component
+    s[8, 8] = 2.0
+    lam = 0.05
+    omega, history = graphical_lasso(s, lam, return_history=True)
+    assert len(history) > 2
+    assert np.all(np.diff(history) >= 0.0)
+    # each entry is the objective of the whole matrix, not of one block
+    assert history[-1] == pytest.approx(_penalized_objective(s, omega, lam), rel=1e-12)
+
+
+def test_expert_graph_reports_solver_diagnostics(small_ensemble, small_grid):
+    graph = expert_graph(small_ensemble, small_grid, lam=0.05)
+    _, history = graphical_lasso(graph.sample_cov, 0.05, return_history=True)
+    assert graph.steps == len(history) > 1
+    assert graph.converged
+    assert 1 <= graph.components < small_ensemble.n_experts
+    with pytest.warns(RuntimeWarning, match="converge"):
+        capped = expert_graph(small_ensemble, small_grid, lam=0.05, max_iter=1)
+    assert capped.steps == 1 and not capped.converged
 
 
 def test_rank_importance_hand_example():
