@@ -4,7 +4,10 @@ Method names: fullgp, poe, gpoe, bcm, rbcm, grbcm, npae.  Every aggregation
 method also has a starred form (e.g. ``npae*``) that runs on the subset of
 experts kept by graph-based selection.  Reports carry SMSE, MSLL, and MAE on
 the normalized target scale plus wall-clock training and prediction times,
-and serialize to JSON or CSV.  MSLL scores the predictive distribution of
+and serialize to JSON or CSV.  The JSON report's ``training`` block records,
+for the ensemble and for ``fullgp``, the optimizer's evaluation and
+iteration counts, whether it converged, how many restarts failed, and the
+factorization jitter.  MSLL scores the predictive distribution of
 the held-out observation, so the trained noise variance is added to the
 latent predictive variances before scoring.
 
@@ -83,6 +86,7 @@ class ExperimentReport:
     config: dict
     results: list = field(default_factory=list)
     selection: dict | None = None
+    training: dict = field(default_factory=dict)
 
 
 def _method_kind(name: str) -> str:
@@ -157,6 +161,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         full_seconds = clock() - t0
 
     report = ExperimentReport(config=asdict(config))
+    if ensemble is not None:
+        report.training["ensemble"] = {
+            **asdict(ensemble.training),
+            "jitter": [e.jitter for e in ensemble.experts],
+        }
+    if full_model is not None:
+        report.training["fullgp"] = {
+            **asdict(full_model.training),
+            "jitter": full_model.jitter,
+        }
     if graph is not None:
         report.selection = {
             "penalty": config.penalty,
@@ -236,6 +250,7 @@ def render_report(report: ExperimentReport, fmt: str = "json") -> str:
         payload = {
             "config": report.config,
             "selection": report.selection,
+            "training": report.training,
             "results": [asdict(r) for r in report.results],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -109,13 +109,14 @@ def grbcm_aggregate(
 
         precision = sum_i beta_i / var_{b,i} + (1 - sum_i beta_i) / var_b
 
-    The first augmented expert always gets beta = 1; later ones get the
-    information-gain weights 0.5 * (log var_b - log var_{b,i}).
+    The augmented expert with the lowest index always gets beta = 1; the
+    others get the information-gain weights 0.5 * (log var_b - log var_{b,i}).
+    The subset is taken in index order, so its given order does not matter.
 
     base_choice is "random" (seeded) or "top_importance", which takes the
     head of ``order`` (an expert ranking, most important first).
     """
-    subset = ensemble.subset_or_all(subset)
+    subset = np.sort(ensemble.subset_or_all(subset))
     if ensemble.n_experts < 2 or subset.size < 2:
         raise ValueError("need at least two experts, one of which becomes the base")
     if base_choice == "random":

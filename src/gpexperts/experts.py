@@ -10,7 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import PredictiveDist, _optimize_shared, _predict_latent, _prepare_xy, default_init
+from .gp import (
+    PredictiveDist,
+    TrainingInfo,
+    _optimize_shared,
+    _predict_latent,
+    _prepare_xy,
+    default_init,
+)
 from .kernels import Hyperparams, kernel_matrix
 from .linalg import chol_with_jitter, solve_spd
 from .partition import Partitioning
@@ -18,7 +25,10 @@ from .partition import Partitioning
 
 @dataclass
 class ExpertModel:
-    """One local GP: its data slice and factorized kernel matrix."""
+    """One local GP: its data slice and factorized kernel matrix.
+
+    ``jitter`` is the diagonal jitter its factorization needed.
+    """
 
     index: int
     x: np.ndarray
@@ -26,6 +36,7 @@ class ExpertModel:
     hp: Hyperparams
     chol: np.ndarray
     alpha: np.ndarray
+    jitter: float = 0.0
 
     @property
     def size(self) -> int:
@@ -34,11 +45,15 @@ class ExpertModel:
 
 @dataclass
 class ExpertEnsemble:
-    """All experts plus the shared hyperparameters and source partitioning."""
+    """All experts plus the shared hyperparameters and source partitioning.
+
+    ``training`` describes the optimizer run that chose ``hp``.
+    """
 
     experts: list
     hp: Hyperparams
     partitioning: Partitioning
+    training: TrainingInfo | None = None
 
     @property
     def n_experts(self) -> int:
@@ -61,8 +76,8 @@ class ExpertEnsemble:
 def _factorize_expert(index, x, y, hp) -> ExpertModel:
     c = kernel_matrix(x, x, hp)
     c[np.diag_indices_from(c)] += hp.noise_variance
-    low, _ = chol_with_jitter(c)
-    return ExpertModel(index, x, y, hp, low, solve_spd(low, y))
+    low, jitter = chol_with_jitter(c)
+    return ExpertModel(index, x, y, hp, low, solve_spd(low, y), jitter)
 
 
 def train_ensemble(
@@ -83,11 +98,11 @@ def train_ensemble(
         (x[idx], y[idx])
         for idx in (partitioning.indices(i) for i in range(partitioning.n_parts))
     ]
-    hp = _optimize_shared(parts, init, restarts, seed)
+    hp, info = _optimize_shared(parts, init, restarts, seed)
     experts = [
         _factorize_expert(i, px, py, hp) for i, (px, py) in enumerate(parts)
     ]
-    return ExpertEnsemble(experts, hp, partitioning)
+    return ExpertEnsemble(experts, hp, partitioning, info)
 
 
 def expert_predict(expert: ExpertModel, xs) -> PredictiveDist:

@@ -4,6 +4,20 @@ Targets are assumed centered (the data loaders normalize to zero mean and
 unit variance); the GP prior mean is zero.  Hyperparameters are optimized in
 log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
+
+Each likelihood evaluation builds K once, factors C = K + noise * I, and
+takes C^{-1} from the factor with LAPACK ``dpotri``.  The gradient
+(Rasmussen & Williams 2006, eq. 5.9) is 0.5 * tr((alpha alpha^T - C^{-1})
+dC/dtheta_j).  With B = (alpha alpha^T - C^{-1}) o K and r = B 1, every
+trace is a reduction of B:
+
+    log signal_variance:  0.5 * sum(r)
+    log lengthscales[d]:  (0.5 / l_d) * (sum_i x_id^2 r_i - x_d^T (B x)_d)
+    log noise_variance:   0.5 * noise * tr(alpha alpha^T - C^{-1})
+
+The lengthscale line expands sum_ij B_ij (x_id - x_jd)^2; it is evaluated
+on inputs centered by their mean, which keeps the expansion free of
+cancellation, and needs one n x n x D product B x.
 """
 
 import math
@@ -11,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsymm
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
-from .kernels import Hyperparams, kernel_grad, kernel_matrix
+from .kernels import Hyperparams, kernel_matrix
 from .linalg import SingularMatrixError, chol_with_jitter, solve_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -50,11 +66,29 @@ class PredictiveDist:
 
 
 @dataclass
+class TrainingInfo:
+    """What the hyperparameter optimizer did, over all restarts.
+
+    ``evaluations`` counts objective evaluations (each one scores every data
+    part), ``iterations`` the L-BFGS-B iterations of the restarts that
+    finished, and ``converged`` whether the kept restart met its gradient
+    tolerance.  ``failed_restarts`` raised a numerical error and were skipped.
+    """
+
+    evaluations: int
+    iterations: int
+    converged: bool
+    failed_restarts: int
+
+
+@dataclass
 class GpModel:
     """A trained GP: data, hyperparameters, and the factorized kernel matrix.
 
     ``chol`` is the lower Cholesky factor of K(X, X) + noise_variance * I and
-    ``alpha`` solves (K + noise_variance * I) alpha = y.
+    ``alpha`` solves (K + noise_variance * I) alpha = y.  ``jitter`` is the
+    diagonal jitter the factorization needed; ``training`` is set by
+    :func:`fit`.
     """
 
     x: np.ndarray
@@ -62,6 +96,8 @@ class GpModel:
     hp: Hyperparams
     chol: np.ndarray
     alpha: np.ndarray
+    jitter: float = 0.0
+    training: TrainingInfo | None = None
 
 
 def _prepare_xy(x, y):
@@ -87,23 +123,33 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     """
     x, y = _prepare_xy(x, y)
     n = x.shape[0]
-    c = kernel_matrix(x, x, hp)
+    k = kernel_matrix(x, x, hp)
+    c = k.copy()
     c[np.diag_indices_from(c)] += hp.noise_variance
     low, _ = chol_with_jitter(c)
+    del c
     alpha = solve_spd(low, y)
     value = (
         -0.5 * float(y @ alpha)
         - float(np.sum(np.log(np.diagonal(low))))
         - 0.5 * n * LOG_2PI
     )
-    # grad_j = 0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j)
-    c_inv = solve_spd(low, np.eye(n))
-    a = np.outer(alpha, alpha) - c_inv
-    dk = kernel_grad(x, hp)
+    # LAPACK overwrites the factor with the lower triangle of C^{-1}.
+    c_inv, info = dpotri(low, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularMatrixError(f"dpotri failed with info {info}")
+    # B = (alpha alpha^T - C^{-1}) o K, valid in its upper triangle; b.T is
+    # Fortran-ordered, so the symmetric product reads it without a copy.
+    b = np.outer(alpha, alpha)
+    b -= c_inv.T
+    b *= k
+    xc = x - x.mean(axis=0)
+    g = dsymm(1.0, b.T, np.column_stack([np.ones(n), xc]), lower=1)
+    r, bx = g[:, 0], g[:, 1:]
     grad = np.empty(hp.dim + 2)
-    for j in range(hp.dim + 1):
-        grad[j] = 0.5 * float(np.sum(a * dk[j]))
-    grad[-1] = 0.5 * hp.noise_variance * float(np.trace(a))
+    grad[0] = 0.5 * float(np.sum(r))
+    grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
+    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - np.trace(c_inv))
     return value, grad
 
 
@@ -123,12 +169,15 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     Each part is an (x, y) pair scoring the same hyperparameters; a single
     part recovers ordinary GP training.  Runs ``restarts`` initializations
     (the given one, then log-uniform +-1 perturbations of it) and returns the
-    best hyperparameters found.
+    best hyperparameters found with a :class:`TrainingInfo`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    evaluations = 0
 
     def negative(theta):
+        nonlocal evaluations
+        evaluations += 1
         hp = Hyperparams.from_log_vector(theta)
         total, grad = 0.0, np.zeros(hp.dim + 2)
         for px, py in parts:
@@ -139,13 +188,13 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
 
     rng = np.random.default_rng(seed)
     theta_init = init.to_log_vector()
-    best_val, best_theta, last_err = np.inf, None, None
+    best, iterations, failed, last_err = None, 0, 0, None
     for r in range(restarts):
         theta0 = theta_init if r == 0 else theta_init + rng.uniform(
             -1.0, 1.0, size=theta_init.shape
         )
+        # L-BFGS-B evaluates theta0 first and never accepts a worse iterate.
         try:
-            f0, _ = negative(theta0)
             res = minimize(
                 negative,
                 theta0,
@@ -153,16 +202,16 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
                 method="L-BFGS-B",
                 options={"maxiter": MAX_OPT_ITER, "gtol": GRAD_TOL},
             )
-            # Line search can only improve on the start, but guard anyway.
-            val, theta = (res.fun, res.x) if res.fun <= f0 else (f0, theta0)
         except SingularMatrixError as err:
-            last_err = err
+            failed, last_err = failed + 1, err
             continue
-        if val < best_val:
-            best_val, best_theta = val, theta
-    if best_theta is None:
+        iterations += res.nit
+        if best is None or res.fun < best.fun:
+            best = res
+    if best is None:
         raise TrainingError("all optimizer restarts failed") from last_err
-    return Hyperparams.from_log_vector(best_theta)
+    info = TrainingInfo(evaluations, iterations, bool(best.success), failed)
+    return Hyperparams.from_log_vector(best.x), info
 
 
 def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpModel:
@@ -170,8 +219,10 @@ def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpM
     x, y = _prepare_xy(x, y)
     if init is None:
         init = default_init(x)
-    hp = _optimize_shared([(x, y)], init, restarts, seed)
-    return factorize(x, y, hp)
+    hp, info = _optimize_shared([(x, y)], init, restarts, seed)
+    model = factorize(x, y, hp)
+    model.training = info
+    return model
 
 
 def factorize(x, y, hp: Hyperparams) -> GpModel:
@@ -179,8 +230,8 @@ def factorize(x, y, hp: Hyperparams) -> GpModel:
     x, y = _prepare_xy(x, y)
     c = kernel_matrix(x, x, hp)
     c[np.diag_indices_from(c)] += hp.noise_variance
-    low, _ = chol_with_jitter(c)
-    return GpModel(x, y, hp, low, solve_spd(low, y))
+    low, jitter = chol_with_jitter(c)
+    return GpModel(x, y, hp, low, solve_spd(low, y), jitter)
 
 
 def _predict_latent(x, chol, alpha, hp: Hyperparams, xs):

@@ -104,6 +104,10 @@ def kernel_grad(x, hp: Hyperparams) -> np.ndarray:
     Returns an array of shape (1 + D, n, n): slice 0 is dK/dlog(signal_variance)
     (= K itself) and slice 1 + d is dK/dlog(lengthscales[d]).  The noise term
     is not part of K and is handled by the marginal-likelihood code.
+
+    This dense tensor is the reference for the likelihood gradient; training
+    no longer calls it, since the traces it needs reduce to one weighted
+    matrix (see :mod:`gpexperts.gp`).
     """
     x = _as_2d(x)
     if x.shape[1] != hp.dim:

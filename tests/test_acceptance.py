@@ -306,6 +306,21 @@ def test_07_variance_sanity(fig2):
     )
 
 
+def test_npae_variance_at_most_the_best_member(fig2):
+    # M_ii = c_i, so conditioning on all members cannot leave more variance
+    # than conditioning on any one of them (Rulliere et al. 2018)
+    ds, ens, graph = fig2["ds"], fig2["ens"], fig2["graph"]
+    member_vars = np.column_stack(
+        [expert_predict(e, ds.x_test).variances for e in ens.experts]
+    )
+    for pred, subset in (
+        (fig2["npae"], np.arange(ens.n_experts)),
+        (fig2["npae_star"], graph.selected),
+    ):
+        best = member_vars[:, subset].min(axis=1)
+        assert np.all(pred.variances <= best + 1e-9)
+
+
 def test_08_more_data_at_fixed_expert_size_helps():
     values = []
     for n in (500, 1000, 2000):

@@ -74,6 +74,17 @@ def test_selection_metadata_reports_graph_solver(basic_report):
     assert 1 <= sel["components"] <= 3
 
 
+def test_training_block_reports_the_optimizer_runs(basic_report):
+    training = json.loads(render_report(basic_report, "json"))["training"]
+    assert set(training) == {"ensemble", "fullgp"}
+    for block in training.values():
+        assert block["evaluations"] >= block["iterations"] >= 1
+        assert block["converged"] is True
+        assert block["failed_restarts"] == 0
+    assert training["ensemble"]["jitter"] == [0.0] * FAST["n_experts"]
+    assert training["fullgp"]["jitter"] == 0.0
+
+
 def test_poe_and_gpoe_share_the_posterior_mean(basic_report):
     rows = {r.method: r for r in basic_report.results}
     # uniform weights rescale variances only, so mean metrics agree

@@ -10,6 +10,7 @@ from gpexperts import (
     compute_weights,
     expert_predict,
     grbcm_aggregate,
+    npae_aggregate,
     partition_kmeans,
     poe_aggregate,
     train_ensemble,
@@ -246,3 +247,32 @@ def test_grbcm_argument_validation():
         grbcm_aggregate(ens, xs, base_choice="top_importance", order=[2], subset=[0, 1])
     with pytest.raises(ValueError):
         grbcm_aggregate(ens, xs, base_choice="median")
+
+
+FUSION_RULES = {
+    "poe": lambda ens, xs, sub: poe_aggregate(ens, xs, subset=sub, scheme="ones"),
+    "gpoe": lambda ens, xs, sub: poe_aggregate(ens, xs, subset=sub, scheme="uniform"),
+    "bcm": lambda ens, xs, sub: bcm_aggregate(ens, xs, subset=sub, scheme="ones"),
+    "rbcm": lambda ens, xs, sub: bcm_aggregate(
+        ens, xs, subset=sub, scheme="diff_entropy"
+    ),
+    "npae": lambda ens, xs, sub: npae_aggregate(ens, xs, subset=sub),
+    "grbcm": lambda ens, xs, sub: grbcm_aggregate(
+        ens, xs, base_choice="top_importance", subset=sub, order=[3]
+    ),
+    "grbcm-random-base": lambda ens, xs, sub: grbcm_aggregate(
+        ens, xs, base_choice="random", subset=sub, seed=4
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FUSION_RULES))
+def test_fusion_is_invariant_to_expert_order(rule):
+    ens = make_ensemble(60, 5, seed=8)
+    xs = np.linspace(-0.1, 1.1, 13)[:, None]
+    subset = np.array([0, 1, 3, 4])
+    permuted = np.array([4, 1, 0, 3])
+    a = FUSION_RULES[rule](ens, xs, subset)
+    b = FUSION_RULES[rule](ens, xs, permuted)
+    np.testing.assert_allclose(b.means, a.means, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(b.variances, a.variances, rtol=1e-9, atol=1e-12)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import gpexperts.gp
 from gpexperts import (
     Hyperparams,
     PredictiveDist,
     fit,
     gp_predict,
+    kernel_grad,
+    kernel_matrix,
     log_marginal_likelihood,
 )
 from gpexperts.gp import factorize
@@ -69,6 +72,44 @@ def test_lml_gradient_matches_finite_differences():
         assert abs(grad[j] - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
+def dense_gradient(x, y, hp):
+    """0.5 * tr((alpha alpha^T - C^{-1}) dC_j) from the full kernel_grad tensor."""
+    c = kernel_matrix(x, x, hp) + hp.noise_variance * np.eye(x.shape[0])
+    c_inv = np.linalg.inv(c)
+    alpha = c_inv @ y
+    a = np.outer(alpha, alpha) - c_inv
+    dk = kernel_grad(x, hp)
+    traces = [0.5 * np.sum(a * dk[j]) for j in range(hp.dim + 1)]
+    return np.array(traces + [0.5 * hp.noise_variance * np.trace(a)])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e4])
+@pytest.mark.parametrize("d, n", [(1, 200), (8, 150)])
+def test_lml_gradient_matches_dense_traces(d, n, shift):
+    # Shifted inputs guard the centering of the lengthscale traces against
+    # cancellation in sum_ij B_ij (x_i - x_j)^2.  Without it the error is
+    # about 4e-9 at +1e3 and 3e-7 at +1e4; with it, about 1e-14.
+    rng = np.random.default_rng(d)
+    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.normal(size=n)
+    hp = Hyperparams(1.3, rng.uniform(0.3, 2.0, size=d), 0.05)
+    _, grad = log_marginal_likelihood(x + shift, y, hp)
+    np.testing.assert_allclose(grad, dense_gradient(x + shift, y, hp), rtol=1e-8)
+
+
+def test_lml_builds_the_kernel_matrix_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(gpexperts.gp, "kernel_matrix", counted)
+    x, y = sample_problem(20, 3, seed=14)
+    log_marginal_likelihood(x, y, Hyperparams(1.0, [1.0, 0.5, 2.0], 0.1))
+    assert len(calls) == 1
+
+
 def test_lml_invariant_to_data_order():
     x, y = sample_problem(8, 2, seed=4)
     hp = Hyperparams(1.0, [1.0, 1.0], 0.1)
@@ -118,6 +159,23 @@ def test_more_restarts_never_lose_likelihood():
     l1, _ = log_marginal_likelihood(x, y, one.hp)
     l3, _ = log_marginal_likelihood(x, y, three.hp)
     assert l3 >= l1 - 1e-9
+
+
+def test_fit_records_its_training(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return log_marginal_likelihood(*args, **kwargs)
+
+    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", counted)
+    x, y = sample_problem(25, 2, seed=8)
+    model = fit(x, y, restarts=2, seed=9)
+    info = model.training
+    assert info.evaluations == len(calls)
+    assert info.evaluations > info.iterations >= 1
+    assert info.converged and info.failed_restarts == 0
+    assert model.jitter == 0.0
 
 
 def test_predict_matches_dense_two_point_formula():
