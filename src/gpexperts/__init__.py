@@ -11,13 +11,7 @@ important subset only.
 from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
 from .committee import bcm_aggregate, compute_weights, grbcm_aggregate, poe_aggregate
 from .data import Dataset, denormalize_targets, load_delimited, synth_dataset, synth_f
-from .experts import (
-    ExpertEnsemble,
-    ExpertModel,
-    expert_predict,
-    expert_weights,
-    train_ensemble,
-)
+from .experts import ExpertEnsemble, ExpertModel, expert_predict, train_ensemble
 from .gp import (
     GpModel,
     PredictiveDist,
@@ -63,7 +57,6 @@ __all__ = [
     "emit_report",
     "expert_graph",
     "expert_predict",
-    "expert_weights",
     "fit",
     "gp_predict",
     "graphical_lasso",

@@ -7,9 +7,11 @@ the normalized target scale plus wall-clock training and prediction times,
 and serialize to JSON or CSV.  The JSON report's ``training`` block records,
 for the ensemble and for ``fullgp``, the optimizer's evaluation and
 iteration counts, whether it converged, how many restarts failed, and the
-factorization jitter.  MSLL scores the predictive distribution of
-the held-out observation, so the trained noise variance is added to the
-latent predictive variances before scoring.
+factorization jitter.  Each JSON result row counts, as ``failed_points``,
+the test points its method flagged in ``PredictiveDist.failed``; the CSV
+report leaves it out.  MSLL scores the predictive distribution of the
+held-out observation, so the trained noise variance is added to the latent
+predictive variances before scoring.
 
 Run from the command line via ``gpexperts-bench`` or
 ``python -m gpexperts.bench``.
@@ -78,6 +80,7 @@ class MethodResult:
     mae: float | None = None
     train_seconds: float = 0.0
     predict_seconds: float = 0.0
+    failed_points: int = 0  # points flagged in PredictiveDist.failed
     error: str | None = None
 
 
@@ -228,6 +231,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         seed=config.seed + 3,
                     )
             row.predict_seconds = clock() - t0
+            if pred.failed is not None:
+                row.failed_points = int(pred.failed.sum())
             hp = (full_model if base == "fullgp" else ensemble).hp
             row.smse = metrics.smse(dataset.y_test, pred.means)
             row.msll = metrics.msll(

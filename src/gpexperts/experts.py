@@ -13,13 +13,13 @@ import numpy as np
 from .gp import (
     PredictiveDist,
     TrainingInfo,
+    _factor_inverse,
     _optimize_shared,
     _predict_latent,
     _prepare_xy,
     default_init,
 )
-from .kernels import Hyperparams, kernel_matrix
-from .linalg import chol_with_jitter, solve_spd
+from .kernels import Hyperparams
 from .partition import Partitioning
 
 
@@ -27,14 +27,17 @@ from .partition import Partitioning
 class ExpertModel:
     """One local GP: its data slice and factorized kernel matrix.
 
-    ``jitter`` is the diagonal jitter its factorization needed.
+    ``chol_inv`` is the inverse of the lower Cholesky factor of
+    K(X_i, X_i) + noise_variance * I, inverted in the factor's own storage
+    (see :class:`gpexperts.gp.GpModel`); ``jitter`` is the diagonal jitter
+    its factorization needed.
     """
 
     index: int
     x: np.ndarray
     y: np.ndarray
     hp: Hyperparams
-    chol: np.ndarray
+    chol_inv: np.ndarray
     alpha: np.ndarray
     jitter: float = 0.0
 
@@ -74,10 +77,7 @@ class ExpertEnsemble:
 
 
 def _factorize_expert(index, x, y, hp) -> ExpertModel:
-    c = kernel_matrix(x, x, hp)
-    c[np.diag_indices_from(c)] += hp.noise_variance
-    low, jitter = chol_with_jitter(c)
-    return ExpertModel(index, x, y, hp, low, solve_spd(low, y), jitter)
+    return ExpertModel(index, x, y, hp, *_factor_inverse(x, y, hp))
 
 
 def train_ensemble(
@@ -108,19 +108,7 @@ def train_ensemble(
 def expert_predict(expert: ExpertModel, xs) -> PredictiveDist:
     """Posterior marginals of the latent function under one expert."""
     means, variances = _predict_latent(
-        expert.x, expert.chol, expert.alpha, expert.hp, xs
+        expert.x, expert.chol_inv, expert.alpha, expert.hp, xs
     )
     return PredictiveDist(means, variances)
 
-
-def expert_weights(expert: ExpertModel, xs) -> np.ndarray:
-    """Weights of the expert's linear predictor at each test point.
-
-    Row t holds w such that the expert's posterior mean at xs[t] is w @ y_i;
-    shape (n_test, n_i).
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    ks = kernel_matrix(expert.x, xs, expert.hp)
-    return solve_spd(expert.chol, ks).T

@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import dsymm, dtrmm
+from scipy.linalg.lapack import dpotri, dtrtri
 from scipy.optimize import minimize
 
 from .kernels import Hyperparams, kernel_matrix
@@ -85,16 +84,17 @@ class TrainingInfo:
 class GpModel:
     """A trained GP: data, hyperparameters, and the factorized kernel matrix.
 
-    ``chol`` is the lower Cholesky factor of K(X, X) + noise_variance * I and
-    ``alpha`` solves (K + noise_variance * I) alpha = y.  ``jitter`` is the
-    diagonal jitter the factorization needed; ``training`` is set by
-    :func:`fit`.
+    ``chol_inv`` is L^{-1}, the inverse of the lower Cholesky factor L of
+    C = K(X, X) + noise_variance * I, with a zero upper triangle; it is
+    inverted in L's own storage, so a model holds one n x n array.
+    ``alpha`` solves C alpha = y.  ``jitter`` is the diagonal jitter the
+    factorization needed; ``training`` is set by :func:`fit`.
     """
 
     x: np.ndarray
     y: np.ndarray
     hp: Hyperparams
-    chol: np.ndarray
+    chol_inv: np.ndarray
     alpha: np.ndarray
     jitter: float = 0.0
     training: TrainingInfo | None = None
@@ -228,21 +228,51 @@ def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpM
 def factorize(x, y, hp: Hyperparams) -> GpModel:
     """Build the prediction-ready model for fixed hyperparameters."""
     x, y = _prepare_xy(x, y)
+    return GpModel(x, y, hp, *_factor_inverse(x, y, hp))
+
+
+def _factor_inverse(x, y, hp: Hyperparams):
+    """(L^{-1}, alpha, jitter) for C = K(x, x) + noise * I = L L^T.
+
+    alpha comes from the factor; L is then inverted in place by LAPACK
+    ``dtrtri``.  The factor arrives with C's entries still in its upper
+    triangle, which ``dtrtri`` leaves alone, so that triangle is zeroed
+    first and the returned array is L^{-1} as a plain matrix.
+    """
     c = kernel_matrix(x, x, hp)
     c[np.diag_indices_from(c)] += hp.noise_variance
     low, jitter = chol_with_jitter(c)
-    return GpModel(x, y, hp, low, solve_spd(low, y), jitter)
+    del c
+    alpha = solve_spd(low, y)
+    low[~np.tri(low.shape[0], dtype=bool)] = 0.0
+    low_inv, info = dtrtri(low, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularMatrixError(f"dtrtri failed with info {info}")
+    return low_inv, alpha, jitter
 
 
-def _predict_latent(x, chol, alpha, hp: Hyperparams, xs):
-    """Posterior mean and latent variance at ``xs`` given a factorized model."""
+def _whiten(chol_inv, ks):
+    """v^T = (L^{-1} ks)^T, computed in the storage of ``ks``.
+
+    One BLAS triangular product: ks.T of a C-ordered ``ks`` is Fortran-ordered,
+    so ``dtrmm`` multiplies it by L^{-T} from the right in place.
+    """
+    return dtrmm(1.0, chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
+def _predict_latent(x, chol_inv, alpha, hp: Hyperparams, xs):
+    """Posterior mean and latent variance at ``xs`` given a factorized model.
+
+    With v = L^{-1} k(x, xs), one triangular matrix product, the latent
+    variance is signal_variance - ||v||^2 per test point.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
     ks = kernel_matrix(x, xs, hp)
     means = ks.T @ alpha
-    v = solve_triangular(chol, ks, lower=True, check_finite=False)
-    variances = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+    vt = _whiten(chol_inv, ks)
+    variances = np.maximum(hp.signal_variance - np.sum(vt * vt, axis=1), 0.0)
     return means, variances
 
 
@@ -254,6 +284,6 @@ def gp_predict(model: GpModel, xs) -> PredictiveDist:
     observation-space prediction.
     """
     means, variances = _predict_latent(
-        model.x, model.chol, model.alpha, model.hp, xs
+        model.x, model.chol_inv, model.alpha, model.hp, xs
     )
     return PredictiveDist(means, variances)

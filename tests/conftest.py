@@ -6,6 +6,7 @@ import pytest
 from gpexperts import (
     ExpertEnsemble,
     Partitioning,
+    kernel_matrix,
     partition_kmeans,
     synth_dataset,
     train_ensemble,
@@ -39,3 +40,17 @@ def manual_ensemble(datasets, hp):
     assign = np.repeat(np.arange(len(sizes)), sizes)
     parts = Partitioning(assign, len(sizes), "manual", 0)
     return ExpertEnsemble(experts, hp, parts)
+
+
+def expert_weights(expert, xs):
+    """Weights of the expert's linear predictor, by a dense solve.
+
+    Row t holds w such that the expert's posterior mean at xs[t] is
+    w @ expert.y: w = (K + noise I)^{-1} k(X, xs[t]), shape (n_test, n_i).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    c = kernel_matrix(expert.x, expert.x, expert.hp)
+    c[np.diag_indices_from(c)] += expert.hp.noise_variance
+    return np.linalg.solve(c, kernel_matrix(expert.x, xs, expert.hp)).T

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import gpexperts.npae
 from gpexperts import ExperimentConfig, emit_report, run_experiment
 from gpexperts.bench import main, render_report
 
@@ -83,6 +84,29 @@ def test_training_block_reports_the_optimizer_runs(basic_report):
         assert block["failed_restarts"] == 0
     assert training["ensemble"]["jitter"] == [0.0] * FAST["n_experts"]
     assert training["fullgp"]["jitter"] == 0.0
+
+
+def test_failed_points_reach_the_json_rows_only(basic_report, monkeypatch):
+    payload = json.loads(render_report(basic_report, "json"))
+    assert all(r["failed_points"] == 0 for r in payload["results"])
+
+    original = gpexperts.npae.npae_aggregate
+
+    def flag_two(*args, **kwargs):
+        pred = original(*args, **kwargs)
+        pred.failed = np.zeros(len(pred), dtype=bool)
+        pred.failed[[1, 4]] = True
+        return pred
+
+    monkeypatch.setattr(gpexperts.npae, "npae_aggregate", flag_two)
+    config = ExperimentConfig(methods=("poe", "npae"), measure_time=False, **FAST)
+    report = run_experiment(config)
+    payload = json.loads(render_report(report, "json"))
+    rows = {r["method"]: r for r in payload["results"]}
+    assert rows["npae"]["failed_points"] == 2 and rows["poe"]["failed_points"] == 0
+    assert render_report(report, "csv").splitlines()[0] == (
+        "method,type,smse,msll,mae,train_s,predict_s"
+    )
 
 
 def test_poe_and_gpoe_share_the_posterior_mean(basic_report):

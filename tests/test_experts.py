@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from conftest import expert_weights
 from gpexperts import (
     ExpertEnsemble,
     Hyperparams,
     Partitioning,
     expert_predict,
-    expert_weights,
     fit,
     gp_predict,
+    kernel_matrix,
     partition_kmeans,
+    synth_dataset,
     train_ensemble,
 )
 from gpexperts.experts import _factorize_expert
@@ -102,6 +105,29 @@ def test_expert_reverts_to_prior_far_away(small_ensemble):
     assert pred.variances[0] == pytest.approx(
         small_ensemble.hp.signal_variance, rel=1e-12
     )
+
+
+def test_variances_match_a_triangular_solve_on_a_trained_model():
+    # Criterion 01's data: trained noise about 0.004 leaves C with a condition
+    # number near 6e4.  sigma^2 - ||L^{-1} k||^2 stays within 1e-14 of the
+    # triangular-solve form; the quadratic form sigma^2 - k^T C^{-1} k with
+    # C^{-1} from dpotri is off by 6e-12 here, which the 1e-12 bound rejects.
+    ds = synth_dataset(n=300, n_test=30, seed=0)
+    ens = train_ensemble(
+        ds.x_train, ds.y_train, partition_kmeans(ds.x_train, 1, seed=1), seed=2
+    )
+    full = fit(ds.x_train, ds.y_train, seed=2)
+    hp = full.hp
+    assert 0.002 < hp.noise_variance < 0.008
+    c = kernel_matrix(ds.x_train, ds.x_train, hp)
+    c[np.diag_indices_from(c)] += hp.noise_variance
+    v = solve_triangular(
+        np.linalg.cholesky(c), kernel_matrix(ds.x_train, ds.x_test, hp), lower=True
+    )
+    ref = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
+    preds = gp_predict(full, ds.x_test), expert_predict(ens.experts[0], ds.x_test)
+    for pred in preds:
+        np.testing.assert_allclose(pred.variances, ref, rtol=0.0, atol=1e-12)
 
 
 def test_weights_reproduce_posterior_mean(small_ensemble, small_grid):

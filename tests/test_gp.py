@@ -178,6 +178,18 @@ def test_fit_records_its_training(monkeypatch):
     assert model.jitter == 0.0
 
 
+def test_factorize_stores_the_inverse_cholesky_factor():
+    x, y = sample_problem(30, 2, seed=14)
+    hp = Hyperparams(1.5, [0.7, 1.2], 0.05)
+    model = factorize(x, y, hp)
+    c = kernel_matrix(x, x, hp) + hp.noise_variance * np.eye(30)
+    assert not np.any(np.triu(model.chol_inv, 1))
+    np.testing.assert_allclose(
+        model.chol_inv @ c @ model.chol_inv.T, np.eye(30), atol=1e-10
+    )
+    np.testing.assert_allclose(model.alpha, np.linalg.solve(c, y), rtol=1e-10)
+
+
 def test_predict_matches_dense_two_point_formula():
     x = np.array([[0.0], [1.0]])
     y = np.array([1.0, -1.0])

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import manual_ensemble
+import gpexperts.npae
+from conftest import expert_weights, manual_ensemble
 from gpexperts import (
     Hyperparams,
     expert_predict,
-    expert_weights,
     kernel_matrix,
     npae_aggregate,
     partition_kmeans,
     pointwise_cov,
     train_ensemble,
 )
+from gpexperts.linalg import solve_psd_robust
+from gpexperts.npae import _assemble
 
 
 def make_ensemble(n=30, m=3, seed=0, noise=0.1):
@@ -160,3 +162,85 @@ def test_empty_subset_rejected():
     ens = make_ensemble(30, 3, seed=9)
     with pytest.raises(ValueError):
         npae_aggregate(ens, np.array([[0.5]]), subset=[])
+
+
+def per_point_reference(target_cov, mean_cov, means, prior_var):
+    """NPAE from assembled pieces with one robust solve per test point."""
+    nt = target_cov.shape[0]
+    out_mean, out_var = np.zeros(nt), np.full(nt, prior_var)
+    for t in range(nt):
+        sol = solve_psd_robust(mean_cov[t], np.column_stack([means[t], target_cov[t]]))
+        mean = target_cov[t] @ sol[:, 0]
+        var = prior_var - target_cov[t] @ sol[:, 1]
+        if np.isfinite(mean) and np.isfinite(var):
+            out_mean[t], out_var[t] = mean, min(max(var, 0.0), prior_var)
+    return out_mean, out_var
+
+
+@pytest.mark.parametrize("noise_free", [False, True])
+def test_batched_solve_matches_per_point_robust_solves(noise_free):
+    ens = make_ensemble(120, 5, seed=10)
+    xs = np.linspace(-0.2, 1.2, 80)[:, None]
+    pieces = _assemble(ens, xs, np.arange(5), noise_free)
+    mean, var = per_point_reference(*pieces, ens.hp.signal_variance)
+    agg = npae_aggregate(ens, xs, noise_free_diag=noise_free)
+    assert agg.failed is None
+    np.testing.assert_allclose(agg.means, mean, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(agg.variances, var, rtol=1e-10, atol=1e-14)
+
+
+def test_points_that_fail_to_factor_take_the_robust_path(monkeypatch):
+    # Points 3, 17 and 18 get a second expert that duplicates the first with
+    # a smaller variance, so their M is indefinite and has no Cholesky factor.
+    ens = make_ensemble(90, 4, seed=11)
+    xs = np.linspace(0.0, 1.0, 25)[:, None]
+    bad = [3, 17, 18]
+    clean = _assemble(ens, xs, np.arange(4), False)
+    target_cov, mean_cov, means = (a.copy() for a in clean)
+    for t in bad:
+        mean_cov[t, 1, :] = mean_cov[t, 0, :]
+        mean_cov[t, :, 1] = mean_cov[t, :, 0]
+        mean_cov[t, 1, 1] = 0.9 * mean_cov[t, 0, 0]
+        target_cov[t, 1], means[t, 1] = target_cov[t, 0], means[t, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mean_cov[t])
+
+    robust_calls = []
+
+    def counted(*args, **kwargs):
+        robust_calls.append(1)
+        return solve_psd_robust(*args, **kwargs)
+
+    monkeypatch.setattr(
+        gpexperts.npae, "_assemble", lambda *a: (target_cov, mean_cov, means)
+    )
+    monkeypatch.setattr(gpexperts.npae, "solve_psd_robust", counted)
+    agg = npae_aggregate(ens, xs)
+    assert len(robust_calls) == len(bad)  # the other points stayed in the batch
+
+    prior = ens.hp.signal_variance
+    ref_mean, ref_var = per_point_reference(target_cov, mean_cov, means, prior)
+    np.testing.assert_array_equal(agg.means[bad], ref_mean[bad])
+    np.testing.assert_array_equal(agg.variances[bad], ref_var[bad])
+    monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: clean)
+    batched = npae_aggregate(ens, xs)
+    good = np.setdiff1d(np.arange(xs.shape[0]), bad)
+    np.testing.assert_array_equal(agg.means[good], batched.means[good])
+    np.testing.assert_array_equal(agg.variances[good], batched.variances[good])
+    assert agg.failed is None and batched.failed is None
+
+
+def test_point_with_non_finite_cov_reverts_to_prior_and_is_flagged(monkeypatch):
+    ens = make_ensemble(60, 3, seed=12)
+    xs = np.linspace(0.0, 1.0, 6)[:, None]
+    target_cov, mean_cov, means = (
+        a.copy() for a in _assemble(ens, xs, np.arange(3), False)
+    )
+    mean_cov[2, 1, 0] = mean_cov[2, 0, 1] = np.nan
+    monkeypatch.setattr(
+        gpexperts.npae, "_assemble", lambda *a: (target_cov, mean_cov, means)
+    )
+    agg = npae_aggregate(ens, xs)
+    np.testing.assert_array_equal(agg.failed, np.arange(6) == 2)
+    assert agg.means[2] == 0.0 and agg.variances[2] == ens.hp.signal_variance
+    assert np.all(agg.variances[agg.failed == 0] < ens.hp.signal_variance)
