@@ -11,7 +11,7 @@ important subset only.
 from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
 from .committee import bcm_aggregate, compute_weights, grbcm_aggregate, poe_aggregate
 from .data import Dataset, denormalize_targets, load_delimited, synth_dataset, synth_f
-from .experts import ExpertEnsemble, ExpertModel, expert_predict, train_ensemble
+from .experts import ExpertEnsemble, expert_predict, train_ensemble
 from .gp import (
     GpModel,
     PredictiveDist,
@@ -23,7 +23,7 @@ from .gp import (
 from .kernels import Hyperparams, kernel_eval, kernel_grad, kernel_matrix
 from .linalg import SingularMatrixError
 from .metrics import mae, msll, smse
-from .npae import PointwiseCov, npae_aggregate, pointwise_cov
+from .npae import npae_aggregate
 from .partition import Partitioning, partition_kmeans, partition_random
 from .selection import (
     ExpertGraph,
@@ -43,11 +43,9 @@ __all__ = [
     "ExperimentReport",
     "ExpertEnsemble",
     "ExpertGraph",
-    "ExpertModel",
     "GpModel",
     "Hyperparams",
     "Partitioning",
-    "PointwiseCov",
     "PredictiveDist",
     "SingularMatrixError",
     "TrainingError",
@@ -72,7 +70,6 @@ __all__ = [
     "partition_kmeans",
     "partition_random",
     "poe_aggregate",
-    "pointwise_cov",
     "prediction_covariance",
     "rank_importance",
     "run_experiment",

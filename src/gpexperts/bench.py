@@ -2,16 +2,18 @@
 
 Method names: fullgp, poe, gpoe, bcm, rbcm, grbcm, npae.  Every aggregation
 method also has a starred form (e.g. ``npae*``) that runs on the subset of
-experts kept by graph-based selection.  Reports carry SMSE, MSLL, and MAE on
-the normalized target scale plus wall-clock training and prediction times,
-and serialize to JSON or CSV.  The JSON report's ``training`` block records,
-for the ensemble and for ``fullgp``, the optimizer's evaluation and
-iteration counts, whether it converged, how many restarts failed, and the
-factorization jitter.  Each JSON result row counts, as ``failed_points``,
-the test points its method flagged in ``PredictiveDist.failed``; the CSV
-report leaves it out.  MSLL scores the predictive distribution of the
-held-out observation, so the trained noise variance is added to the latent
-predictive variances before scoring.
+experts kept by graph-based selection.  The method table ``METHODS`` maps
+each base name to its rule's call; the starred form passes the kept subset.
+Reports carry SMSE, MSLL, and MAE on the normalized target scale plus
+wall-clock training and prediction times, and serialize to JSON or CSV.  The
+JSON report's ``training`` block records, for the ensemble and for
+``fullgp``, the optimizer's evaluation and iteration counts, whether it
+converged, how many restarts failed, and the factorization jitter.  Each
+JSON result row counts, as ``failed_points``, the test points its method
+flagged in ``PredictiveDist.failed``; the CSV report leaves it out.  MSLL
+scores the predictive distribution of the held-out observation, so the
+trained noise variance is added to the latent predictive variances before
+scoring.
 
 Run from the command line via ``gpexperts-bench`` or
 ``python -m gpexperts.bench``.
@@ -31,7 +33,34 @@ from .experts import train_ensemble
 from .gp import fit, gp_predict
 from .partition import partition_kmeans, partition_random
 
-BASE_METHODS = ("fullgp", "poe", "gpoe", "bcm", "rbcm", "grbcm", "npae")
+
+def _committee(rule, **fixed):
+    return lambda ens, xs, subset, *_: getattr(committee, rule)(
+        ens, xs, subset=subset, **fixed
+    )
+
+
+def _grbcm(ensemble, xs, subset, graph, seed):
+    if subset is None:
+        return committee.grbcm_aggregate(ensemble, xs, base_choice="random", seed=seed)
+    return committee.grbcm_aggregate(
+        ensemble, xs, base_choice="top_importance", subset=subset, order=graph.order
+    )
+
+
+# base name -> predict(model, x_test, subset, graph, seed); model is the full
+# GP for fullgp, else the ensemble.  Entries look their function up at call
+# time, so one rebound after import (by a tracer or a test) is the one called.
+METHODS = {
+    "fullgp": lambda model, xs, *_: gp_predict(model, xs),
+    "poe": _committee("poe_aggregate", scheme="ones"),
+    "gpoe": _committee("poe_aggregate", scheme="uniform"),
+    "bcm": _committee("bcm_aggregate", scheme="ones"),
+    "rbcm": _committee("bcm_aggregate", scheme="diff_entropy"),
+    "grbcm": _grbcm,
+    "npae": lambda ens, xs, subset, *_: npae.npae_aggregate(ens, xs, subset=subset),
+}
+BASE_METHODS = tuple(METHODS)
 METHOD_NAMES = BASE_METHODS + tuple(m + "*" for m in BASE_METHODS if m != "fullgp")
 
 
@@ -192,53 +221,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         row.train_seconds = full_seconds if name == "fullgp" else ensemble_seconds
         try:
             subset = graph.selected if name.endswith("*") else None
-            base = name.rstrip("*")
+            model = full_model if name == "fullgp" else ensemble
             t0 = clock()
-            if base == "fullgp":
-                pred = gp_predict(full_model, dataset.x_test)
-            elif base == "npae":
-                pred = npae.npae_aggregate(ensemble, dataset.x_test, subset=subset)
-            elif base == "poe":
-                pred = committee.poe_aggregate(
-                    ensemble, dataset.x_test, subset=subset, scheme="ones"
-                )
-            elif base == "gpoe":
-                pred = committee.poe_aggregate(
-                    ensemble, dataset.x_test, subset=subset, scheme="uniform"
-                )
-            elif base == "bcm":
-                pred = committee.bcm_aggregate(
-                    ensemble, dataset.x_test, subset=subset, scheme="ones"
-                )
-            elif base == "rbcm":
-                pred = committee.bcm_aggregate(
-                    ensemble, dataset.x_test, subset=subset, scheme="diff_entropy"
-                )
-            else:  # grbcm
-                if name.endswith("*"):
-                    pred = committee.grbcm_aggregate(
-                        ensemble,
-                        dataset.x_test,
-                        base_choice="top_importance",
-                        subset=subset,
-                        order=graph.order,
-                    )
-                else:
-                    pred = committee.grbcm_aggregate(
-                        ensemble,
-                        dataset.x_test,
-                        base_choice="random",
-                        seed=config.seed + 3,
-                    )
+            pred = METHODS[name.rstrip("*")](
+                model, dataset.x_test, subset, graph, config.seed + 3
+            )
             row.predict_seconds = clock() - t0
             if pred.failed is not None:
                 row.failed_points = int(pred.failed.sum())
-            hp = (full_model if base == "fullgp" else ensemble).hp
             row.smse = metrics.smse(dataset.y_test, pred.means)
             row.msll = metrics.msll(
                 dataset.y_test,
                 pred.means,
-                pred.variances + hp.noise_variance,
+                pred.variances + model.hp.noise_variance,
                 train_mean,
                 train_var,
             )

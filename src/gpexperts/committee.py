@@ -1,35 +1,40 @@
 """Product- and committee-style aggregation of independent expert predictions.
 
 These rules treat the experts' posteriors as (conditionally) independent and
-fuse them through weighted precisions:
+fuse them through weighted precisions, all by one formula (``_fuse``):
 
-    product rules:    precision = sum_i beta_i / var_i
-    committee rules:  precision = sum_i beta_i / var_i + (1 - sum_i beta_i) / prior
+    precision = sum_i beta_i / var_i  + (1 - sum_i beta_i) / var_base
+    mean      = (sum_i beta_i mu_i / var_i
+                 + (1 - sum_i beta_i) mu_base / var_base) / precision
 
-with the fused mean given by the matching precision-weighted combination.
-The committee prior is the observation-space variance k(x*, x*) + noise,
-since the committee correction conditions on noisy targets.
+Without a base the base terms are dropped: that is the product rule.  With
+a base it is the committee rule.  The base of bcm and rbcm is the prior,
+zero mean with the observation-space variance k(x*, x*) + noise, since the
+committee correction conditions on noisy targets; the base of grbcm is its
+communication expert's posterior.  A committee point whose precision is
+not positive falls back to the prior and is flagged.
 
 Weight schemes: "ones" gives the plain product of experts / committee
 machine, "uniform" (1/m) the conservative generalized product, and
 "diff_entropy" weights each expert by its information gain over the prior,
 0.5 * (log prior_var - log var_i), which yields the robust committee machine.
 
-The robust variant with a communication expert (``grbcm_aggregate``) keeps a
-base part that every other expert is augmented with, and fuses the augmented
-posteriors against the base posterior instead of the prior.
+The member moments come from :meth:`ExpertEnsemble.moments`, so all rules
+at one test set share one pass over the experts.
 """
 
 import numpy as np
 
-from .experts import ExpertEnsemble, _factorize_expert, expert_predict
-from .gp import PredictiveDist
+from .experts import ExpertEnsemble, expert_predict
+from .gp import PredictiveDist, factorize
 
 WEIGHT_SCHEMES = ("ones", "uniform", "diff_entropy")
 
 
 def compute_weights(scheme: str, variances: np.ndarray, prior_var: float) -> np.ndarray:
-    """Per-expert, per-point non-negative weights for a fusion scheme."""
+    """Per-expert, per-point weights >= 0; ``prior_var`` may be an array."""
+    if np.any(variances <= 0) or np.any(prior_var <= 0):
+        raise ValueError("precision fusion needs strictly positive expert variances")
     if scheme == "ones":
         return np.ones_like(variances)
     if scheme == "uniform":
@@ -39,16 +44,29 @@ def compute_weights(scheme: str, variances: np.ndarray, prior_var: float) -> np.
     raise ValueError(f"unknown weight scheme {scheme!r}; use one of {WEIGHT_SCHEMES}")
 
 
-def _expert_moments(ensemble: ExpertEnsemble, xs, subset):
-    means, variances = [], []
-    for i in subset:
-        pred = expert_predict(ensemble.experts[i], xs)
-        means.append(pred.means)
-        variances.append(pred.variances)
-    variances = np.column_stack(variances)
-    if np.any(variances <= 0):
-        raise ValueError("precision fusion needs strictly positive expert variances")
-    return np.column_stack(means), variances
+def _fuse(means, variances, betas, base=None, prior_var=None) -> PredictiveDist:
+    """The module's fusion formula over (t, m) expert moments and weights.
+
+    ``base`` is None for the product rule, else the committee base's
+    (mean, variance); committee points whose precision is not positive get
+    zero mean and ``prior_var`` and are flagged.
+    """
+    precision = np.sum(betas / variances, axis=1)
+    numer = np.sum(betas * means / variances, axis=1)
+    if base is None:
+        if np.any(precision <= 0):
+            raise ValueError(
+                "fused precision must be positive; got a zero-weight point"
+            )
+        out_var = 1.0 / precision
+        return PredictiveDist(out_var * numer, out_var)
+    base_mean, base_var = base
+    rest = 1.0 - np.sum(betas, axis=1)
+    precision = precision + rest / base_var
+    bad = precision <= 0
+    out_var = 1.0 / np.where(bad, 1.0 / prior_var, precision)
+    out_mean = out_var * np.where(bad, 0.0, numer + rest * base_mean / base_var)
+    return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
 
 
 def poe_aggregate(
@@ -59,16 +77,9 @@ def poe_aggregate(
     scheme="ones" is the classic product; scheme="uniform" the generalized
     product whose fused variance is m times less confident.
     """
-    subset = ensemble.subset_or_all(subset)
-    means, variances = _expert_moments(ensemble, xs, subset)
+    means, variances = ensemble.moments(xs, subset)
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
-    betas = compute_weights(scheme, variances, prior_var)
-    precision = np.sum(betas / variances, axis=1)
-    if np.any(precision <= 0):
-        raise ValueError("fused precision must be positive; got a zero-weight point")
-    out_var = 1.0 / precision
-    out_mean = out_var * np.sum(betas * means / variances, axis=1)
-    return PredictiveDist(out_mean, out_var)
+    return _fuse(means, variances, compute_weights(scheme, variances, prior_var))
 
 
 def bcm_aggregate(
@@ -80,17 +91,10 @@ def bcm_aggregate(
     the robust variant.  Points whose corrected precision is non-positive
     fall back to the prior and are flagged.
     """
-    subset = ensemble.subset_or_all(subset)
-    means, variances = _expert_moments(ensemble, xs, subset)
+    means, variances = ensemble.moments(xs, subset)
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
     betas = compute_weights(scheme, variances, prior_var)
-    beta_sum = np.sum(betas, axis=1)
-    precision = np.sum(betas / variances, axis=1) + (1.0 - beta_sum) / prior_var
-    bad = precision <= 0
-    precision = np.where(bad, 1.0 / prior_var, precision)
-    out_var = 1.0 / precision
-    out_mean = out_var * np.where(bad, 0.0, np.sum(betas * means / variances, axis=1))
-    return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
+    return _fuse(means, variances, betas, (0.0, prior_var), prior_var)
 
 
 def grbcm_aggregate(
@@ -105,13 +109,11 @@ def grbcm_aggregate(
 
     One part is designated the base; every other participating expert is
     refit (same hyperparameters) on its own part joined with the base part,
-    and the augmented posteriors are fused against the base posterior:
-
-        precision = sum_i beta_i / var_{b,i} + (1 - sum_i beta_i) / var_b
-
-    The augmented expert with the lowest index always gets beta = 1; the
-    others get the information-gain weights 0.5 * (log var_b - log var_{b,i}).
-    The subset is taken in index order, so its given order does not matter.
+    and the augmented posteriors are fused with the base posterior as the
+    committee base.  The augmented expert with the lowest index always gets
+    beta = 1; the others get the information-gain weights
+    0.5 * (log var_b - log var_{b,i}).  The subset is taken in index order,
+    so its given order does not matter.
 
     base_choice is "random" (seeded) or "top_importance", which takes the
     head of ``order`` (an expert ranking, most important first).
@@ -130,42 +132,16 @@ def grbcm_aggregate(
     else:
         raise ValueError(f"unknown base_choice {base_choice!r}")
 
-    others = [int(i) for i in subset if i != base]
-    base_expert = ensemble.experts[base]
-    base_pred = expert_predict(base_expert, xs)
-
-    aug_means, aug_vars = [], []
-    for i in others:
+    base_mean, base_var = (a[:, 0] for a in ensemble.moments(xs, [base]))
+    b, hp = ensemble.experts[base], ensemble.hp
+    aug = []
+    for i in subset[subset != base]:
         e = ensemble.experts[i]
-        aug = _factorize_expert(
-            i,
-            np.vstack([base_expert.x, e.x]),
-            np.concatenate([base_expert.y, e.y]),
-            ensemble.hp,
-        )
-        pred = expert_predict(aug, xs)
-        aug_means.append(pred.means)
-        aug_vars.append(pred.variances)
-    aug_means = np.column_stack(aug_means)
-    aug_vars = np.column_stack(aug_vars)
-    if np.any(aug_vars <= 0) or np.any(base_pred.variances <= 0):
-        raise ValueError("precision fusion needs strictly positive expert variances")
-
-    betas = np.maximum(
-        0.5 * (np.log(base_pred.variances)[:, None] - np.log(aug_vars)), 0.0
-    )
+        joined = factorize(np.vstack([b.x, e.x]), np.concatenate([b.y, e.y]), hp)
+        aug.append(expert_predict(joined, xs))
+    aug_means = np.column_stack([p.means for p in aug])
+    aug_vars = np.column_stack([p.variances for p in aug])
+    betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])
     betas[:, 0] = 1.0
-    beta_sum = np.sum(betas, axis=1)
-    precision = (
-        np.sum(betas / aug_vars, axis=1) + (1.0 - beta_sum) / base_pred.variances
-    )
-    prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
-    bad = precision <= 0
-    precision = np.where(bad, 1.0 / prior_var, precision)
-    out_var = 1.0 / precision
-    numer = (
-        np.sum(betas * aug_means / aug_vars, axis=1)
-        + (1.0 - beta_sum) * base_pred.means / base_pred.variances
-    )
-    out_mean = out_var * np.where(bad, 0.0, numer)
-    return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
+    prior_var = hp.signal_variance + hp.noise_variance
+    return _fuse(aug_means, aug_vars, betas, (base_mean, base_var), prior_var)

@@ -3,53 +3,32 @@
 All experts share one hyperparameter vector, trained by maximizing the sum of
 the per-partition log marginal likelihoods (the factorized approximation to
 the full-data evidence).  With a single part this reduces exactly to
-:func:`gpexperts.gp.fit`.
+:func:`gpexperts.gp.fit`.  Each expert is a :class:`gpexperts.gp.GpModel`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gp import (
+    GpModel,
     PredictiveDist,
     TrainingInfo,
-    _factor_inverse,
     _optimize_shared,
     _predict_latent,
     _prepare_xy,
     default_init,
+    factorize,
 )
 from .kernels import Hyperparams
 from .partition import Partitioning
 
 
 @dataclass
-class ExpertModel:
-    """One local GP: its data slice and factorized kernel matrix.
-
-    ``chol_inv`` is the inverse of the lower Cholesky factor of
-    K(X_i, X_i) + noise_variance * I, inverted in the factor's own storage
-    (see :class:`gpexperts.gp.GpModel`); ``jitter`` is the diagonal jitter
-    its factorization needed.
-    """
-
-    index: int
-    x: np.ndarray
-    y: np.ndarray
-    hp: Hyperparams
-    chol_inv: np.ndarray
-    alpha: np.ndarray
-    jitter: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass
 class ExpertEnsemble:
     """All experts plus the shared hyperparameters and source partitioning.
 
+    ``experts`` holds one :class:`gpexperts.gp.GpModel` per part;
     ``training`` describes the optimizer run that chose ``hp``.
     """
 
@@ -57,6 +36,8 @@ class ExpertEnsemble:
     hp: Hyperparams
     partitioning: Partitioning
     training: TrainingInfo | None = None
+    # (test set, means, variances, which columns are filled) of moments()
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_experts(self) -> int:
@@ -66,18 +47,39 @@ class ExpertEnsemble:
         """Validate an expert index subset; None means every expert."""
         if subset is None:
             return np.arange(self.n_experts)
-        subset = np.asarray(subset, dtype=int)
+        subset = np.asarray(subset)
         if subset.size == 0:
             raise ValueError("expert subset is empty")
+        if subset.dtype.kind not in "iu":
+            raise ValueError(f"expert subset must be integers, not {subset.dtype}")
         if np.unique(subset).size != subset.size:
             raise ValueError("expert subset has duplicates")
         if subset.min() < 0 or subset.max() >= self.n_experts:
             raise ValueError("expert subset index out of range")
         return subset
 
+    def moments(self, xs, subset=None):
+        """Member posterior means and latent variances at ``xs``, as (t, m).
 
-def _factorize_expert(index, x, y, hp) -> ExpertModel:
-    return ExpertModel(index, x, y, hp, *_factor_inverse(x, y, hp))
+        One column per expert of ``subset`` (None: all), in its order.  The
+        last test set is kept as a private copy, compared by value, so each
+        expert is predicted at most once per test set.
+        """
+        subset = self.subset_or_all(subset)
+        xs = np.asarray(xs, dtype=float)
+        if self._memo is None or not np.array_equal(xs, self._memo[0]):
+            shape = (xs.shape[0], self.n_experts)
+            self._memo = (xs.copy(), np.empty(shape), np.empty(shape),
+                          np.zeros(self.n_experts, dtype=bool))
+        xs, means, variances, done = self._memo
+        for i in subset[~done[subset]]:
+            pred = expert_predict(self.experts[i], xs)
+            means[:, i], variances[:, i] = pred.means, pred.variances
+            done[i] = True
+        # Fancy-indexed columns come back Fortran-ordered; row sums over
+        # them would round differently from sums over stacked columns.
+        return (np.ascontiguousarray(means[:, subset]),
+                np.ascontiguousarray(variances[:, subset]))
 
 
 def train_ensemble(
@@ -99,16 +101,10 @@ def train_ensemble(
         for idx in (partitioning.indices(i) for i in range(partitioning.n_parts))
     ]
     hp, info = _optimize_shared(parts, init, restarts, seed)
-    experts = [
-        _factorize_expert(i, px, py, hp) for i, (px, py) in enumerate(parts)
-    ]
+    experts = [factorize(px, py, hp) for px, py in parts]
     return ExpertEnsemble(experts, hp, partitioning, info)
 
 
-def expert_predict(expert: ExpertModel, xs) -> PredictiveDist:
+def expert_predict(expert: GpModel, xs) -> PredictiveDist:
     """Posterior marginals of the latent function under one expert."""
-    means, variances = _predict_latent(
-        expert.x, expert.chol_inv, expert.alpha, expert.hp, xs
-    )
-    return PredictiveDist(means, variances)
-
+    return _predict_latent(expert, xs)

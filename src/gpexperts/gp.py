@@ -226,19 +226,15 @@ def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpM
 
 
 def factorize(x, y, hp: Hyperparams) -> GpModel:
-    """Build the prediction-ready model for fixed hyperparameters."""
-    x, y = _prepare_xy(x, y)
-    return GpModel(x, y, hp, *_factor_inverse(x, y, hp))
+    """Build the prediction-ready model for fixed hyperparameters.
 
-
-def _factor_inverse(x, y, hp: Hyperparams):
-    """(L^{-1}, alpha, jitter) for C = K(x, x) + noise * I = L L^T.
-
-    alpha comes from the factor; L is then inverted in place by LAPACK
-    ``dtrtri``.  The factor arrives with C's entries still in its upper
-    triangle, which ``dtrtri`` leaves alone, so that triangle is zeroed
-    first and the returned array is L^{-1} as a plain matrix.
+    With C = K(x, x) + noise * I = L L^T, alpha comes from the factor; L is
+    then inverted in place by LAPACK ``dtrtri``.  The factor arrives with
+    C's entries still in its upper triangle, which ``dtrtri`` leaves alone,
+    so that triangle is zeroed first and the model holds L^{-1} as a plain
+    matrix.
     """
+    x, y = _prepare_xy(x, y)
     c = kernel_matrix(x, x, hp)
     c[np.diag_indices_from(c)] += hp.noise_variance
     low, jitter = chol_with_jitter(c)
@@ -248,7 +244,7 @@ def _factor_inverse(x, y, hp: Hyperparams):
     low_inv, info = dtrtri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularMatrixError(f"dtrtri failed with info {info}")
-    return low_inv, alpha, jitter
+    return GpModel(x, y, hp, low_inv, alpha, jitter)
 
 
 def _whiten(chol_inv, ks):
@@ -260,8 +256,8 @@ def _whiten(chol_inv, ks):
     return dtrmm(1.0, chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
-def _predict_latent(x, chol_inv, alpha, hp: Hyperparams, xs):
-    """Posterior mean and latent variance at ``xs`` given a factorized model.
+def _predict_latent(model: GpModel, xs) -> PredictiveDist:
+    """Posterior mean and latent variance at ``xs`` under a factorized model.
 
     With v = L^{-1} k(x, xs), one triangular matrix product, the latent
     variance is signal_variance - ||v||^2 per test point.
@@ -269,11 +265,11 @@ def _predict_latent(x, chol_inv, alpha, hp: Hyperparams, xs):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
-    ks = kernel_matrix(x, xs, hp)
-    means = ks.T @ alpha
-    vt = _whiten(chol_inv, ks)
-    variances = np.maximum(hp.signal_variance - np.sum(vt * vt, axis=1), 0.0)
-    return means, variances
+    ks = kernel_matrix(model.x, xs, model.hp)
+    means = ks.T @ model.alpha
+    vt = _whiten(model.chol_inv, ks)
+    variances = np.maximum(model.hp.signal_variance - np.sum(vt * vt, axis=1), 0.0)
+    return PredictiveDist(means, variances)
 
 
 def gp_predict(model: GpModel, xs) -> PredictiveDist:
@@ -283,7 +279,4 @@ def gp_predict(model: GpModel, xs) -> PredictiveDist:
     (0, signal_variance]; add the model's noise variance for an
     observation-space prediction.
     """
-    means, variances = _predict_latent(
-        model.x, model.chol_inv, model.alpha, model.hp, xs
-    )
-    return PredictiveDist(means, variances)
+    return _predict_latent(model, xs)

@@ -14,8 +14,13 @@ The between-expert covariance is exact for disjoint parts: off-diagonal
 entries come from the cross-kernels between the parts, and the diagonal
 includes each expert's noise term, Var(mu_i) = w_i (K_i + noise I) w_i^T,
 which makes M the true second moment of the expert means (and equal to c[i]
-on the diagonal).  Pass ``noise_free_diag=True`` to drop the noise term for
-comparison runs.
+on the diagonal).
+
+NPAE makes its own pass over the experts instead of reading
+:meth:`ExpertEnsemble.moments`: it needs k(X_i, x*), v_i and w_i anyway, and
+c[i] = ||v_i||^2 must come from v_i itself.  Far from an expert c[i] reaches
+1e-33, which signal_variance minus the expert's latent variance cannot
+resolve.
 
 Every test point needs its own small solve of the n_experts-sized system;
 restricting ``subset`` to a selected group of experts shrinks that system,
@@ -26,8 +31,6 @@ forward substitution.  Only a point whose own M fails to factor goes through
 ``npae.point_solves`` counts just the points that left the batch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.blas import dtrmm
 
@@ -36,21 +39,7 @@ from .kernels import kernel_matrix
 from .linalg import solve_psd_robust
 
 
-@dataclass
-class PointwiseCov:
-    """Aggregation inputs at one test point.
-
-    target_cov[i] is the covariance between expert i's mean and the latent
-    target; mean_cov[i, j] is the covariance between expert means i and j;
-    prior_var is k(x*, x*).
-    """
-
-    target_cov: np.ndarray
-    mean_cov: np.ndarray
-    prior_var: float
-
-
-def _assemble(ensemble, xs, subset, noise_free_diag):
+def _assemble(ensemble, xs, subset):
     """Batched covariance pieces for all test points at once.
 
     Returns (target_cov (t, m), mean_cov (t, m, m), expert_means (t, m)).
@@ -80,26 +69,14 @@ def _assemble(ensemble, xs, subset, noise_free_diag):
 
     mean_cov = np.empty((nt, m, m))
     for i in range(m):
-        if noise_free_diag:
-            kii = kernel_matrix(experts[i].x, experts[i].x, hp)
-            mean_cov[:, i, i] = np.sum((kii @ ws[i]) * ws[i], axis=0)
-        else:
-            # w_i (K_i + noise I) w_i^T collapses to w_i^T k(X_i, x*).
-            mean_cov[:, i, i] = target_cov[:, i]
+        # w_i (K_i + noise I) w_i^T collapses to w_i^T k(X_i, x*).
+        mean_cov[:, i, i] = target_cov[:, i]
         for j in range(i + 1, m):
             kij = kernel_matrix(experts[i].x, experts[j].x, hp)
             cov = np.einsum("ij,ij->j", kij.T @ ws[i], ws[j])
             mean_cov[:, i, j] = cov
             mean_cov[:, j, i] = cov
     return target_cov, mean_cov, means
-
-
-def pointwise_cov(ensemble, x_star, subset=None, noise_free_diag=False) -> PointwiseCov:
-    """Covariance pieces the aggregation needs at a single test point."""
-    subset = ensemble.subset_or_all(subset)
-    x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-    target_cov, mean_cov, _ = _assemble(ensemble, x_star, subset, noise_free_diag)
-    return PointwiseCov(target_cov[0], mean_cov[0], float(ensemble.hp.signal_variance))
 
 
 def _batched_cholesky(a):
@@ -128,9 +105,7 @@ def _forward_substitute(low, b):
     return z
 
 
-def npae_aggregate(
-    ensemble, xs, subset=None, noise_free_diag=False
-) -> PredictiveDist:
+def npae_aggregate(ensemble, xs, subset=None) -> PredictiveDist:
     """Aggregate expert predictions through their joint covariance.
 
     Factors every point's M = L_M L_M^T in one batch; with z = L_M^{-1}[mu, c]
@@ -140,7 +115,7 @@ def npae_aggregate(
     non-finite values revert to the prior and are flagged.
     """
     subset = ensemble.subset_or_all(subset)
-    target_cov, mean_cov, means = _assemble(ensemble, xs, subset, noise_free_diag)
+    target_cov, mean_cov, means = _assemble(ensemble, xs, subset)
     prior_var = float(ensemble.hp.signal_variance)
     nt = target_cov.shape[0]
 

@@ -21,10 +21,11 @@ class Partitioning:
 
     def __post_init__(self):
         a = np.asarray(self.assignments)
-        counts = np.bincount(a, minlength=self.n_parts)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"assignments must be integers, not {a.dtype}")
         if a.min(initial=0) < 0 or a.max(initial=-1) >= self.n_parts:
             raise ValueError("assignment index out of range")
-        if np.any(counts == 0):
+        if np.any(np.bincount(a, minlength=self.n_parts) == 0):
             raise ValueError("every part must own at least one point")
 
     def indices(self, i: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .experts import ExpertEnsemble, expert_predict
+from .experts import ExpertEnsemble
 
 
 @dataclass
@@ -52,7 +52,7 @@ def prediction_covariance(ensemble: ExpertEnsemble, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if (xs.shape[0] if xs.ndim > 0 else 0) < 2:
         raise ValueError("need at least two test points to estimate covariance")
-    means = np.column_stack([expert_predict(e, xs).means for e in ensemble.experts])
+    means = ensemble.moments(xs)[0]
     cov = means.T @ means / means.shape[0]
     degenerate = np.ptp(means, axis=0) == 0.0
     if degenerate.any():

@@ -11,7 +11,7 @@ from gpexperts import (
     synth_dataset,
     train_ensemble,
 )
-from gpexperts.experts import _factorize_expert
+from gpexperts.gp import factorize
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def small_grid(small_data):
 
 def manual_ensemble(datasets, hp):
     """Experts over explicit (x, y) blocks, bypassing the trainer."""
-    experts = [_factorize_expert(i, x, y, hp) for i, (x, y) in enumerate(datasets)]
+    experts = [factorize(x, y, hp) for x, y in datasets]
     sizes = [np.asarray(x).shape[0] for x, _ in datasets]
     assign = np.repeat(np.arange(len(sizes)), sizes)
     parts = Partitioning(assign, len(sizes), "manual", 0)

@@ -1,15 +1,18 @@
 """Benchmark harness: configuration, reports, and the CLI entry point."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gpexperts.npae
 from gpexperts import ExperimentConfig, emit_report, run_experiment
-from gpexperts.bench import main, render_report
+from gpexperts.bench import METHOD_NAMES, main, render_report
 
 FAST = dict(n=150, n_test=30, n_experts=3, seed=0)
 
@@ -232,3 +235,35 @@ def test_cli_stdout_and_module_entry(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("method,type,")
     assert "poe,CI," in proc.stdout
+
+
+def load_perfbench_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_sees_one_aggregator_call_per_method():
+    # perfbench rebinds the module functions it wraps; a method table that
+    # held function objects from import time would bypass its wrappers.
+    tracer = load_perfbench_tracer()
+    for module, attr, *_ in tracer.STAGE_SPECS + tracer.LAYER_SPECS:
+        assert callable(getattr(importlib.import_module(module), attr)), attr
+    config = ExperimentConfig(methods=METHOD_NAMES, alpha=0.5, **FAST)
+    with tracer.installed(tracer.Tracer(), tracer.STAGE_SPECS) as tr:
+        report = run_experiment(config)
+    assert all(r.error is None for r in report.results)
+    calls = [
+        (rec[0], kwargs)
+        for rec, kwargs, _ in tr.captured
+        if rec[0] in tracer.AGGREGATOR_SPANS
+    ]
+    spans = dict(fullgp="gp.predict", npae="npae.aggregate", grbcm="committee.grbcm")
+    spans.update(poe="committee.poe", gpoe="committee.poe")
+    spans.update(bcm="committee.bcm", rbcm="committee.bcm")
+    assert [span for span, _ in calls] == [spans[m.rstrip("*")] for m in METHOD_NAMES]
+    for name, (_, kwargs) in zip(METHOD_NAMES, calls):
+        if name.endswith("*"):
+            assert kwargs.get("subset") is not None, name

@@ -15,7 +15,7 @@ from gpexperts import (
     poe_aggregate,
     train_ensemble,
 )
-from gpexperts.experts import _factorize_expert
+from gpexperts.gp import factorize
 
 
 def make_ensemble(n=36, m=3, seed=0):
@@ -178,8 +178,7 @@ def test_grbcm_two_experts_equal_augmented_model():
     xs = np.linspace(0.1, 0.9, 8)[:, None]
     fused = grbcm_aggregate(ens, xs, base_choice="top_importance", order=[0, 1])
     base, other = ens.experts[0], ens.experts[1]
-    aug = _factorize_expert(
-        1,
+    aug = factorize(
         np.vstack([base.x, other.x]),
         np.concatenate([base.y, other.y]),
         ens.hp,
@@ -199,9 +198,7 @@ def test_grbcm_three_experts_match_manual_fusion():
     aug_preds = []
     for i in (0, 1):  # subset order with the base removed
         e = ens.experts[i]
-        aug = _factorize_expert(
-            i, np.vstack([base.x, e.x]), np.concatenate([base.y, e.y]), ens.hp
-        )
+        aug = factorize(np.vstack([base.x, e.x]), np.concatenate([base.y, e.y]), ens.hp)
         aug_preds.append(expert_predict(aug, xs))
 
     betas = np.column_stack(

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import gpexperts.committee
+import gpexperts.experts
 from conftest import expert_weights
 from gpexperts import (
     ExpertEnsemble,
     Hyperparams,
     Partitioning,
+    bcm_aggregate,
+    expert_graph,
     expert_predict,
     fit,
     gp_predict,
+    grbcm_aggregate,
     kernel_matrix,
     partition_kmeans,
+    poe_aggregate,
     synth_dataset,
     train_ensemble,
 )
-from gpexperts.experts import _factorize_expert
+from gpexperts.gp import factorize
 
 
 def sample_problem(n=40, seed=0):
@@ -68,10 +74,9 @@ def test_training_is_deterministic(small_data):
 
 def test_expert_metadata(small_ensemble, small_data):
     assert small_ensemble.n_experts == 3
-    total = sum(e.size for e in small_ensemble.experts)
+    total = sum(e.x.shape[0] for e in small_ensemble.experts)
     assert total == small_data.n_train
-    for i, e in enumerate(small_ensemble.experts):
-        assert e.index == i
+    for e in small_ensemble.experts:
         assert e.hp == small_ensemble.hp
 
 
@@ -79,7 +84,7 @@ def test_expert_predict_two_point_closed_form():
     x = np.array([[0.0], [1.0]])
     y = np.array([1.0, -1.0])
     hp = Hyperparams(1.0, [1.0], 0.1)
-    e = _factorize_expert(0, x, y, hp)
+    e = factorize(x, y, hp)
     xs = np.array([[0.25]])
     pred = expert_predict(e, xs)
 
@@ -133,14 +138,14 @@ def test_variances_match_a_triangular_solve_on_a_trained_model():
 def test_weights_reproduce_posterior_mean(small_ensemble, small_grid):
     for e in small_ensemble.experts:
         w = expert_weights(e, small_grid)
-        assert w.shape == (small_grid.shape[0], e.size)
+        assert w.shape == (small_grid.shape[0], e.x.shape[0])
         mean = expert_predict(e, small_grid).means
         assert np.abs(w @ e.y - mean).max() <= 1e-10
 
 
 def test_weights_singleton_identity_with_zero_noise():
     hp = Hyperparams(1.0, [1.0], 0.0)
-    e = _factorize_expert(0, np.array([[0.5]]), np.array([2.0]), hp)
+    e = factorize(np.array([[0.5]]), np.array([2.0]), hp)
     w = expert_weights(e, np.array([[0.5]]))
     np.testing.assert_allclose(w, [[1.0]], atol=1e-12)
 
@@ -159,6 +164,10 @@ def test_subset_validation(small_ensemble):
         small_ensemble.subset_or_all([0, 0])
     with pytest.raises(ValueError):
         small_ensemble.subset_or_all([3])
+    with pytest.raises(ValueError, match="integers"):
+        small_ensemble.subset_or_all([0.9, 1.7])  # would truncate to [0, 1]
+    with pytest.raises(ValueError, match="integers"):
+        small_ensemble.subset_or_all([True, False, True])
 
 
 def test_partition_must_cover_training_set():
@@ -171,3 +180,42 @@ def test_partition_must_cover_training_set():
 def test_ensemble_is_plain_data(small_ensemble):
     assert isinstance(small_ensemble, ExpertEnsemble)
     assert small_ensemble.partitioning.n_parts == 3
+
+
+def test_each_member_is_predicted_once_per_test_set(
+    small_ensemble, small_data, monkeypatch
+):
+    # a fresh ensemble over the same experts, so nothing is memoized yet
+    ens = ExpertEnsemble(
+        small_ensemble.experts, small_ensemble.hp, small_ensemble.partitioning
+    )
+    calls = []
+
+    def counted(expert, xs):
+        calls.append(expert)
+        return expert_predict(expert, xs)
+
+    monkeypatch.setattr(gpexperts.experts, "expert_predict", counted)
+    monkeypatch.setattr(gpexperts.committee, "expert_predict", counted)
+    xs = small_data.x_test.copy()
+    graph = expert_graph(ens, xs, lam=0.05)
+    poe_aggregate(ens, xs)
+    bcm_aggregate(ens, xs, scheme="diff_entropy")
+    grbcm_aggregate(ens, xs, base_choice="top_importance", order=graph.order)
+    members = [c for c in calls if any(c is e for e in ens.experts)]
+    assert len(members) == ens.n_experts
+    assert all(any(c is e for c in members) for e in ens.experts)
+    assert len(calls) == ens.n_experts + ens.n_experts - 1  # grbcm's augmented
+
+    def assert_direct(points, subset=(0, 1, 2)):
+        means, variances = ens.moments(points, list(subset))
+        assert means.flags.c_contiguous and variances.flags.c_contiguous
+        for col, i in enumerate(subset):
+            ref = expert_predict(ens.experts[i], points)
+            np.testing.assert_array_equal(means[:, col], ref.means)
+            np.testing.assert_array_equal(variances[:, col], ref.variances)
+
+    assert_direct(xs, (2, 0))
+    xs *= 0.5  # the caller's array changes in place after a call
+    assert_direct(xs)
+    assert_direct(xs + 0.1)  # a new test set of the same shape

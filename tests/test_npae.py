@@ -11,7 +11,6 @@ from gpexperts import (
     kernel_matrix,
     npae_aggregate,
     partition_kmeans,
-    pointwise_cov,
     train_ensemble,
 )
 from gpexperts.linalg import solve_psd_robust
@@ -43,15 +42,24 @@ def dense_cov_oracle(ensemble, x_star, noise_free_diag):
     return ka, big
 
 
-@pytest.mark.parametrize("noise_free", [False, True])
-def test_pointwise_cov_matches_dense_construction(noise_free):
+def noise_free_pieces(ensemble, xs):
+    """``_assemble``'s pieces with the noise term left out of M's diagonal."""
+    pieces = [dense_cov_oracle(ensemble, xs[t : t + 1], True) for t in range(len(xs))]
+    means = [expert_predict(e, xs).means for e in ensemble.experts]
+    return (
+        np.array([p[0] for p in pieces]),
+        np.array([p[1] for p in pieces]),
+        np.column_stack(means),
+    )
+
+
+def test_assembled_cov_matches_dense_construction():
     ens = make_ensemble(36, 3, seed=1)
     x_star = np.array([[0.4]])
-    pc = pointwise_cov(ens, x_star, noise_free_diag=noise_free)
-    ka, big = dense_cov_oracle(ens, x_star, noise_free)
-    np.testing.assert_allclose(pc.target_cov, ka, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(pc.mean_cov, big, rtol=1e-9, atol=1e-12)
-    assert pc.prior_var == ens.hp.signal_variance
+    target_cov, mean_cov, _ = _assemble(ens, x_star, np.arange(3))
+    ka, big = dense_cov_oracle(ens, x_star, False)
+    np.testing.assert_allclose(target_cov[0], ka, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mean_cov[0], big, rtol=1e-9, atol=1e-12)
 
 
 def test_single_expert_cov_collapses_to_scalar_identity():
@@ -61,12 +69,12 @@ def test_single_expert_cov_collapses_to_scalar_identity():
         x = np.array([[0.0], [0.7], [1.3]])
         y = np.array([0.5, -0.2, 0.9])
         ens = manual_ensemble([(x, y)], hp)
-        pc = pointwise_cov(ens, np.array([[0.4]]))
+        target_cov, mean_cov, _ = _assemble(ens, np.array([[0.4]]), [0])
         c = kernel_matrix(x, x, hp) + noise * np.eye(3)
         ks = kernel_matrix(x, np.array([[0.4]]), hp).ravel()
         expected = ks @ np.linalg.solve(c, ks)
-        assert pc.target_cov[0] == pytest.approx(expected, rel=1e-10)
-        assert pc.mean_cov[0, 0] == pytest.approx(expected, rel=1e-10)
+        assert target_cov[0, 0] == pytest.approx(expected, rel=1e-10)
+        assert mean_cov[0, 0, 0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_duplicate_experts_are_perfectly_correlated_without_noise():
@@ -74,11 +82,13 @@ def test_duplicate_experts_are_perfectly_correlated_without_noise():
     x = np.array([[0.0], [0.7], [1.3]])
     y = np.array([0.5, -0.2, 0.9])
     ens = manual_ensemble([(x, y), (x, y)], hp)
-    clean = pointwise_cov(ens, np.array([[0.4]]), noise_free_diag=True)
-    assert clean.mean_cov[0, 0] == pytest.approx(clean.mean_cov[0, 1], rel=1e-12)
+    _, clean = dense_cov_oracle(ens, np.array([[0.4]]), True)
+    _, noisy, _ = _assemble(ens, np.array([[0.4]]), np.arange(2))
+    # the cross term is the noise-free variance of either expert's mean
+    assert noisy[0, 0, 1] == pytest.approx(clean[0, 0], rel=1e-12)
+    assert clean[0, 1] == pytest.approx(clean[0, 0], rel=1e-12)
     # the noisy diagonal strictly dominates the cross term
-    noisy = pointwise_cov(ens, np.array([[0.4]]))
-    assert noisy.mean_cov[0, 0] > noisy.mean_cov[0, 1]
+    assert noisy[0, 0, 0] > noisy[0, 0, 1]
 
 
 def test_aggregate_single_expert_returns_expert_prediction():
@@ -90,9 +100,9 @@ def test_aggregate_single_expert_returns_expert_prediction():
     np.testing.assert_allclose(agg.variances, ref.variances, atol=1e-10)
 
 
-def test_aggregate_duplicate_experts_equals_single_expert():
+def test_aggregate_duplicate_experts_equals_single_expert(monkeypatch):
     # with the noise-free diagonal the two-expert system is exactly singular,
-    # so the pseudo-inverse must reproduce the one-expert aggregation
+    # so the robust solve must reproduce the one-expert aggregation
     hp = Hyperparams(1.2, [0.4], 0.15)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, size=(12, 1))
@@ -100,8 +110,21 @@ def test_aggregate_duplicate_experts_equals_single_expert():
     single = manual_ensemble([(x, y)], hp)
     double = manual_ensemble([(x, y), (x, y)], hp)
     xs = np.linspace(-0.1, 1.1, 9)[:, None]
-    a = npae_aggregate(single, xs, noise_free_diag=True)
-    b = npae_aggregate(double, xs, noise_free_diag=True)
+    pieces = {1: noise_free_pieces(single, xs), 2: noise_free_pieces(double, xs)}
+    robust_calls = []
+
+    def counted(*args, **kwargs):
+        robust_calls.append(1)
+        return solve_psd_robust(*args, **kwargs)
+
+    monkeypatch.setattr(
+        gpexperts.npae, "_assemble", lambda ens, xs, subset: pieces[len(subset)]
+    )
+    monkeypatch.setattr(gpexperts.npae, "solve_psd_robust", counted)
+    a = npae_aggregate(single, xs)
+    assert not robust_calls
+    b = npae_aggregate(double, xs)
+    assert robust_calls
     np.testing.assert_allclose(b.means, a.means, atol=1e-6)
     np.testing.assert_allclose(b.variances, a.variances, atol=1e-6)
 
@@ -127,11 +150,11 @@ def test_aggregate_subset_of_one_is_that_expert():
 def test_no_weight_vector_beats_the_solved_one():
     # expected squared error prior - 2 w'kA + w'KA w is minimized by the solve
     ens = make_ensemble(45, 3, seed=6)
-    pc = pointwise_cov(ens, np.array([[0.55]]))
-    w_star = np.linalg.solve(pc.mean_cov, pc.target_cov)
+    target_cov, mean_cov, _ = (a[0] for a in _assemble(ens, [[0.55]], np.arange(3)))
+    w_star = np.linalg.solve(mean_cov, target_cov)
 
     def expected_sq_err(w):
-        return pc.prior_var - 2 * w @ pc.target_cov + w @ pc.mean_cov @ w
+        return ens.hp.signal_variance - 2 * w @ target_cov + w @ mean_cov @ w
 
     best = expected_sq_err(w_star)
     deltas = np.array([-0.1, 0.0, 0.1])
@@ -177,13 +200,12 @@ def per_point_reference(target_cov, mean_cov, means, prior_var):
     return out_mean, out_var
 
 
-@pytest.mark.parametrize("noise_free", [False, True])
-def test_batched_solve_matches_per_point_robust_solves(noise_free):
+def test_batched_solve_matches_per_point_robust_solves():
     ens = make_ensemble(120, 5, seed=10)
     xs = np.linspace(-0.2, 1.2, 80)[:, None]
-    pieces = _assemble(ens, xs, np.arange(5), noise_free)
+    pieces = _assemble(ens, xs, np.arange(5))
     mean, var = per_point_reference(*pieces, ens.hp.signal_variance)
-    agg = npae_aggregate(ens, xs, noise_free_diag=noise_free)
+    agg = npae_aggregate(ens, xs)
     assert agg.failed is None
     np.testing.assert_allclose(agg.means, mean, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(agg.variances, var, rtol=1e-10, atol=1e-14)
@@ -195,7 +217,7 @@ def test_points_that_fail_to_factor_take_the_robust_path(monkeypatch):
     ens = make_ensemble(90, 4, seed=11)
     xs = np.linspace(0.0, 1.0, 25)[:, None]
     bad = [3, 17, 18]
-    clean = _assemble(ens, xs, np.arange(4), False)
+    clean = _assemble(ens, xs, np.arange(4))
     target_cov, mean_cov, means = (a.copy() for a in clean)
     for t in bad:
         mean_cov[t, 1, :] = mean_cov[t, 0, :]
@@ -234,7 +256,7 @@ def test_point_with_non_finite_cov_reverts_to_prior_and_is_flagged(monkeypatch):
     ens = make_ensemble(60, 3, seed=12)
     xs = np.linspace(0.0, 1.0, 6)[:, None]
     target_cov, mean_cov, means = (
-        a.copy() for a in _assemble(ens, xs, np.arange(3), False)
+        a.copy() for a in _assemble(ens, xs, np.arange(3))
     )
     mean_cov[2, 1, 0] = mean_cov[2, 0, 1] = np.nan
     monkeypatch.setattr(

@@ -107,5 +107,9 @@ def test_partitioning_validates_assignments():
         Partitioning(np.array([0, 1, 3]), 3, "manual", 0)  # index out of range
     with pytest.raises(ValueError):
         Partitioning(np.array([0, 0, 2]), 3, "manual", 0)  # part 1 empty
+    with pytest.raises(ValueError, match="out of range"):
+        Partitioning(np.array([0, -1, 1]), 2, "manual", 0)
+    with pytest.raises(ValueError, match="integers"):
+        Partitioning(np.array([0.0, 1.0, 1.5]), 2, "manual", 0)
     ok = Partitioning(np.array([1, 0, 1]), 2, "manual", 0)
     np.testing.assert_array_equal(ok.indices(1), [0, 2])
