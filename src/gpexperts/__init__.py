@@ -10,7 +10,7 @@ important subset only.
 
 from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
 from .committee import bcm_aggregate, compute_weights, grbcm_aggregate, poe_aggregate
-from .data import Dataset, denormalize_targets, load_delimited, synth_dataset, synth_f
+from .data import Dataset, load_delimited, synth_dataset, synth_f
 from .experts import ExpertEnsemble, expert_predict, train_ensemble
 from .gp import (
     GpModel,
@@ -20,7 +20,7 @@ from .gp import (
     gp_predict,
     log_marginal_likelihood,
 )
-from .kernels import Hyperparams, kernel_eval, kernel_grad, kernel_matrix
+from .kernels import Hyperparams, kernel_grad, kernel_matrix
 from .linalg import SingularMatrixError
 from .metrics import mae, msll, smse
 from .npae import npae_aggregate
@@ -51,7 +51,6 @@ __all__ = [
     "TrainingError",
     "bcm_aggregate",
     "compute_weights",
-    "denormalize_targets",
     "emit_report",
     "expert_graph",
     "expert_predict",
@@ -59,7 +58,6 @@ __all__ = [
     "gp_predict",
     "graphical_lasso",
     "grbcm_aggregate",
-    "kernel_eval",
     "kernel_grad",
     "kernel_matrix",
     "load_delimited",

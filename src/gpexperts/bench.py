@@ -8,12 +8,13 @@ Reports carry SMSE, MSLL, and MAE on the normalized target scale plus
 wall-clock training and prediction times, and serialize to JSON or CSV.  The
 JSON report's ``training`` block records, for the ensemble and for
 ``fullgp``, the optimizer's evaluation and iteration counts, whether it
-converged, how many restarts failed, and the factorization jitter.  Each
-JSON result row counts, as ``failed_points``, the test points its method
-flagged in ``PredictiveDist.failed``; the CSV report leaves it out.  MSLL
-scores the predictive distribution of the held-out observation, so the
-trained noise variance is added to the latent predictive variances before
-scoring.
+converged, how many restarts failed, and the factorization jitter; the
+ensemble's block adds k-means' Lloyd iteration count and whether Lloyd
+converged.  Each JSON result row counts, as ``failed_points``, the test
+points its method flagged in ``PredictiveDist.failed``; the CSV report
+leaves it out.  MSLL scores the predictive distribution of the held-out
+observation, so the trained noise variance is added to the latent predictive
+variances before scoring.
 
 Run from the command line via ``gpexperts-bench`` or
 ``python -m gpexperts.bench``.
@@ -197,6 +198,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.training["ensemble"] = {
             **asdict(ensemble.training),
             "jitter": [e.jitter for e in ensemble.experts],
+            "partition": {"iterations": ensemble.partitioning.iterations,
+                          "converged": ensemble.partitioning.converged},
         }
     if full_model is not None:
         report.training["fullgp"] = {
@@ -241,6 +244,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         except Exception as err:  # recorded, not raised: the run must finish
             row.error = f"{type(err).__name__}: {err}"
         report.results.append(row)
+    if ensemble is not None:
+        ensemble.forget()  # the member pass is not needed past the last method
     return report
 
 

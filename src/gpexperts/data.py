@@ -2,8 +2,8 @@
 
 Both paths produce a :class:`Dataset` normalized to zero mean and unit
 variance per input column and for the targets, using training statistics
-only.  Metrics downstream are computed on this normalized scale; use
-:func:`denormalize_targets` to map predictions back.
+only.  Metrics downstream are computed on this normalized scale; the
+statistics kept in ``Dataset.norm`` map predictions back.
 """
 
 import math
@@ -65,11 +65,6 @@ def _normalize(x_train, y_train, x_test, y_test) -> Dataset:
         (y_test - y_mean) / y_std,
         stats,
     )
-
-
-def denormalize_targets(dataset: Dataset, values):
-    """Map normalized target-scale values back to the raw scale."""
-    return np.asarray(values, dtype=float) * dataset.norm.y_std + dataset.norm.y_mean
 
 
 def synth_dataset(

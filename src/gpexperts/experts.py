@@ -9,11 +9,13 @@ the full-data evidence).  With a single part this reduces exactly to
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .gp import (
     GpModel,
     PredictiveDist,
     TrainingInfo,
+    _member_pass,
     _optimize_shared,
     _predict_latent,
     _prepare_xy,
@@ -36,7 +38,7 @@ class ExpertEnsemble:
     hp: Hyperparams
     partitioning: Partitioning
     training: TrainingInfo | None = None
-    # (test set, means, variances, which columns are filled) of moments()
+    # (test set, means, variances, c, v_i^T or w_i^T per expert, which are w_i^T)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -63,23 +65,47 @@ class ExpertEnsemble:
 
         One column per expert of ``subset`` (None: all), in its order.  The
         last test set is kept as a private copy, compared by value, so each
-        expert is predicted at most once per test set.
+        expert is predicted at most once per test set.  The memo also keeps
+        v_i^T = (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when no
+        NPAE follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
         """
         subset = self.subset_or_all(subset)
         xs = np.asarray(xs, dtype=float)
         if self._memo is None or not np.array_equal(xs, self._memo[0]):
-            shape = (xs.shape[0], self.n_experts)
+            shape, m = (xs.shape[0], self.n_experts), self.n_experts
             self._memo = (xs.copy(), np.empty(shape), np.empty(shape),
-                          np.zeros(self.n_experts, dtype=bool))
-        xs, means, variances, done = self._memo
-        for i in subset[~done[subset]]:
-            pred = expert_predict(self.experts[i], xs)
-            means[:, i], variances[:, i] = pred.means, pred.variances
-            done[i] = True
+                          np.empty(shape), [None] * m, np.zeros(m, dtype=bool))
+        xs, means, variances, target_cov, vts, _ = self._memo
+        for i in subset:
+            if vts[i] is None:
+                e = self.experts[i]
+                means[:, i], vts[i], c = _member_pass(e, xs)
+                target_cov[:, i] = c
+                variances[:, i] = np.maximum(e.hp.signal_variance - c, 0.0)
         # Fancy-indexed columns come back Fortran-ordered; row sums over
         # them would round differently from sums over stacked columns.
         return (np.ascontiguousarray(means[:, subset]),
                 np.ascontiguousarray(variances[:, subset]))
+
+    def npae_moments(self, xs, subset=None):
+        """NPAE's pieces at ``xs``: means and c_i = ||v_i||^2, each (t, m),
+        and the memo's read-only w_i = L_i^{-T} v_i = C_i^{-1} k(X_i, xs),
+        (n_i, t), per expert of ``subset``.  A second in-place ``dtrmm``
+        turns v_i into w_i on first request, so other rules never pay it.
+        """
+        means, _ = self.moments(xs, subset)
+        subset = self.subset_or_all(subset)
+        _, _, _, target_cov, vts, whitened = self._memo
+        for i in subset[~whitened[subset]]:
+            w_t = dtrmm(1.0, self.experts[i].chol_inv, vts[i], side=1, lower=1,
+                        overwrite_b=1)
+            w_t.flags.writeable, vts[i], whitened[i] = False, w_t, True
+        return (means, np.ascontiguousarray(target_cov[:, subset]),
+                [vts[i].T for i in subset])
+
+    def forget(self):
+        """Drop the memo and the sum_i n_i * t floats of its v_i and w_i."""
+        self._memo = None
 
 
 def train_ensemble(

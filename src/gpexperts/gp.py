@@ -247,29 +247,27 @@ def factorize(x, y, hp: Hyperparams) -> GpModel:
     return GpModel(x, y, hp, low_inv, alpha, jitter)
 
 
-def _whiten(chol_inv, ks):
-    """v^T = (L^{-1} ks)^T, computed in the storage of ``ks``.
+def _member_pass(model: GpModel, xs):
+    """Mean, v^T and c = ||v||^2 of a factorized model at ``xs``.
 
-    One BLAS triangular product: ks.T of a C-ordered ``ks`` is Fortran-ordered,
-    so ``dtrmm`` multiplies it by L^{-T} from the right in place.
-    """
-    return dtrmm(1.0, chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-
-
-def _predict_latent(model: GpModel, xs) -> PredictiveDist:
-    """Posterior mean and latent variance at ``xs`` under a factorized model.
-
-    With v = L^{-1} k(x, xs), one triangular matrix product, the latent
-    variance is signal_variance - ||v||^2 per test point.
+    v = L^{-1} k(x, xs) is one BLAS triangular product: ks.T of a C-ordered
+    ``ks`` is Fortran-ordered, so ``dtrmm`` multiplies it by L^{-T} from the
+    right in place, and v^T, shape (t, n), lives in the kernel's storage.
+    The latent variance is signal_variance - c per test point.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
     ks = kernel_matrix(model.x, xs, model.hp)
     means = ks.T @ model.alpha
-    vt = _whiten(model.chol_inv, ks)
-    variances = np.maximum(model.hp.signal_variance - np.sum(vt * vt, axis=1), 0.0)
-    return PredictiveDist(means, variances)
+    vt = dtrmm(1.0, model.chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return means, vt, np.einsum("ij,ij->i", vt, vt)
+
+
+def _predict_latent(model: GpModel, xs) -> PredictiveDist:
+    """Posterior mean and latent variance at ``xs`` under a factorized model."""
+    means, _, c = _member_pass(model, xs)
+    return PredictiveDist(means, np.maximum(model.hp.signal_variance - c, 0.0))
 
 
 def gp_predict(model: GpModel, xs) -> PredictiveDist:

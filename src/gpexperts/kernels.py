@@ -75,16 +75,6 @@ def _check_dims(x, x2, hp):
         raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
 
 
-def kernel_eval(x, x2, hp: Hyperparams) -> float:
-    """Kernel value for a single pair of points."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape or x.shape[0] != hp.dim:
-        raise ValueError("point dimensions must match each other and hp")
-    d2 = np.sum((x - x2) ** 2 / hp.lengthscales)
-    return float(hp.signal_variance * np.exp(-0.5 * d2))
-
-
 def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """Cross-kernel matrix of shape (n, m) for row sets ``x`` and ``x2``.
 

@@ -16,11 +16,12 @@ includes each expert's noise term, Var(mu_i) = w_i (K_i + noise I) w_i^T,
 which makes M the true second moment of the expert means (and equal to c[i]
 on the diagonal).
 
-NPAE makes its own pass over the experts instead of reading
-:meth:`ExpertEnsemble.moments`: it needs k(X_i, x*), v_i and w_i anyway, and
-c[i] = ||v_i||^2 must come from v_i itself.  Far from an expert c[i] reaches
-1e-33, which signal_variance minus the expert's latent variance cannot
-resolve.
+NPAE reads the means, c[i] = ||v_i||^2 with v_i = L_i^{-1} k(X_i, x*), and
+w_i = C_i^{-1} k(X_i, x*) from :meth:`ExpertEnsemble.npae_moments`, on top
+of the member pass that selection and the committee rules share.
+c[i] is taken from v_i itself, not as signal_variance minus the latent
+variance, because far from an expert it reaches 1e-33, which that difference
+cannot resolve.  What is left to NPAE is the pairwise assembly.
 
 Every test point needs its own small solve of the n_experts-sized system;
 restricting ``subset`` to a selected group of experts shrinks that system,
@@ -32,9 +33,8 @@ forward substitution.  Only a point whose own M fails to factor goes through
 """
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
-from .gp import PredictiveDist, _whiten
+from .gp import PredictiveDist
 from .kernels import kernel_matrix
 from .linalg import solve_psd_robust
 
@@ -43,29 +43,14 @@ def _assemble(ensemble, xs, subset):
     """Batched covariance pieces for all test points at once.
 
     Returns (target_cov (t, m), mean_cov (t, m, m), expert_means (t, m)).
-    The cross-kernels between parts do not depend on the test point and are
-    formed once per pair; everything per-point is pure products.
+    Means, c_i and w_i come from the ensemble's member pass; the
+    cross-kernels between parts do not depend on the test point and are
+    formed once per pair, and everything per-point is pure products.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    means, target_cov, ws = ensemble.npae_moments(xs, subset)
     hp = ensemble.hp
     experts = [ensemble.experts[i] for i in subset]
-    m = len(experts)
-    nt = xs.shape[0]
-
-    # Per expert: v_i = L_i^{-1} k(X_i, xs) and w_i = C_i^{-1} k(X_i, xs) =
-    # L_i^{-T} v_i, both (n_i, t), by in-place triangular products on the
-    # transposes.
-    target_cov = np.empty((nt, m))
-    means = np.empty((nt, m))
-    ws = []
-    for i, e in enumerate(experts):
-        k = kernel_matrix(e.x, xs, hp)
-        means[:, i] = k.T @ e.alpha
-        vt = _whiten(e.chol_inv, k)
-        target_cov[:, i] = np.sum(vt * vt, axis=1)
-        ws.append(dtrmm(1.0, e.chol_inv, vt, side=1, lower=1, overwrite_b=1).T)
+    m, nt = len(experts), target_cov.shape[0]
 
     mean_cov = np.empty((nt, m, m))
     for i in range(m):
@@ -122,7 +107,8 @@ def npae_aggregate(ensemble, xs, subset=None) -> PredictiveDist:
     out_mean = np.full(nt, np.nan)
     out_var = np.full(nt, np.nan)
     low, ok = _batched_cholesky(mean_cov)
-    z = _forward_substitute(low[ok], np.stack([means[ok], target_cov[ok]], axis=2))
+    z = _forward_substitute(low if ok.all() else low[ok],
+                            np.stack([means[ok], target_cov[ok]], axis=2))
     out_mean[ok] = np.sum(z[:, :, 1] * z[:, :, 0], axis=1)
     out_var[ok] = prior_var - np.sum(z[:, :, 1] ** 2, axis=1)
     for t in np.flatnonzero(~ok):

@@ -11,13 +11,17 @@ class Partitioning:
     """Assignment of every training point to exactly one expert.
 
     assignments[t] is the owning expert index in [0, n_parts); every expert
-    owns at least one point.
+    owns at least one point.  ``iterations`` counts k-means' Lloyd
+    iterations and ``converged`` says whether the last one moved no point;
+    a random split runs none and leaves ``converged`` None.
     """
 
     assignments: np.ndarray
     n_parts: int
     strategy: str
     seed: int
+    iterations: int = 0
+    converged: bool | None = None
 
     def __post_init__(self):
         a = np.asarray(self.assignments)
@@ -50,10 +54,10 @@ def _kmeans_pp_centers(x, m, rng):
 
 
 def _lloyd(x, centers, max_iter):
-    """Lloyd iterations; returns (assignments, per-iteration WCSS history)."""
+    """Lloyd iterations; returns (assignments, per-iteration WCSS history,
+    converged), where converged means the last iteration moved no point."""
     m = centers.shape[0]
-    assign = np.full(x.shape[0], -1)
-    history = []
+    assign, history, changed = np.full(x.shape[0], -1), [], True
     for _ in range(max_iter):
         d2 = cdist(x, centers, "sqeuclidean")
         new_assign = np.argmin(d2, axis=1)
@@ -71,12 +75,10 @@ def _lloyd(x, centers, max_iter):
         assign = new_assign
         for j in range(m):
             centers[j] = x[assign == j].mean(axis=0)
-        history.append(
-            float(np.sum((x - centers[assign]) ** 2))
-        )
+        history.append(float(np.sum((x - centers[assign]) ** 2)))
         if not changed:
             break
-    return assign, history
+    return assign, history, not changed
 
 
 def partition_kmeans(x, n_parts: int, seed=0, max_iter: int = 100) -> Partitioning:
@@ -88,8 +90,8 @@ def partition_kmeans(x, n_parts: int, seed=0, max_iter: int = 100) -> Partitioni
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={x.shape[0]}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(x, n_parts, rng)
-    assign, _ = _lloyd(x, centers, max_iter)
-    return Partitioning(assign, n_parts, "kmeans", seed)
+    assign, history, converged = _lloyd(x, centers, max_iter)
+    return Partitioning(assign, n_parts, "kmeans", seed, len(history), converged)
 
 
 def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:

@@ -1,4 +1,5 @@
-"""Shared fixtures: one small trained ensemble reused across test modules."""
+"""Shared fixtures and oracles: one small trained ensemble reused across test
+modules, plus reference computations the package itself does not need."""
 
 import numpy as np
 import pytest
@@ -54,3 +55,18 @@ def expert_weights(expert, xs):
     c = kernel_matrix(expert.x, expert.x, expert.hp)
     c[np.diag_indices_from(c)] += expert.hp.noise_variance
     return np.linalg.solve(c, kernel_matrix(expert.x, xs, expert.hp)).T
+
+
+def kernel_eval(x, x2, hp):
+    """Kernel value for a single pair of points, straight from the formula."""
+    x = np.asarray(x, dtype=float).ravel()
+    x2 = np.asarray(x2, dtype=float).ravel()
+    if x.shape != x2.shape or x.shape[0] != hp.dim:
+        raise ValueError("point dimensions must match each other and hp")
+    d2 = np.sum((x - x2) ** 2 / hp.lengthscales)
+    return float(hp.signal_variance * np.exp(-0.5 * d2))
+
+
+def denormalize_targets(dataset, values):
+    """Map normalized target-scale values back to the raw scale."""
+    return np.asarray(values, dtype=float) * dataset.norm.y_std + dataset.norm.y_mean

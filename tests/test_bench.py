@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpexperts.bench
+import gpexperts.experts
 import gpexperts.npae
 from gpexperts import ExperimentConfig, emit_report, run_experiment
 from gpexperts.bench import METHOD_NAMES, main, render_report
@@ -87,6 +89,27 @@ def test_training_block_reports_the_optimizer_runs(basic_report):
         assert block["failed_restarts"] == 0
     assert training["ensemble"]["jitter"] == [0.0] * FAST["n_experts"]
     assert training["fullgp"]["jitter"] == 0.0
+
+
+def test_training_block_reports_the_partitioner(basic_report):
+    training = json.loads(render_report(basic_report, "json"))["training"]
+    partition = training["ensemble"]["partition"]
+    assert partition["iterations"] >= 1 and partition["converged"] is True
+    config = ExperimentConfig(methods=("poe",), partition="random", **FAST)
+    training = json.loads(render_report(run_experiment(config), "json"))["training"]
+    assert training["ensemble"]["partition"] == {"iterations": 0, "converged": None}
+
+
+def test_run_leaves_no_member_pass_behind(monkeypatch):
+    trained = []
+
+    def keep(*args, **kwargs):
+        trained.append(gpexperts.experts.train_ensemble(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(gpexperts.bench, "train_ensemble", keep)
+    run_experiment(ExperimentConfig(methods=("gpoe", "npae", "npae*"), **FAST))
+    assert len(trained) == 1 and trained[0]._memo is None
 
 
 def test_failed_points_reach_the_json_rows_only(basic_report, monkeypatch):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gpexperts import denormalize_targets, load_delimited, synth_dataset, synth_f
+from conftest import denormalize_targets
+from gpexperts import load_delimited, synth_dataset, synth_f
 
 
 def raw_inputs(dataset):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-import gpexperts.committee
 import gpexperts.experts
+import gpexperts.gp
 from conftest import expert_weights
 from gpexperts import (
     ExpertEnsemble,
@@ -18,6 +18,7 @@ from gpexperts import (
     gp_predict,
     grbcm_aggregate,
     kernel_matrix,
+    npae_aggregate,
     partition_kmeans,
     poe_aggregate,
     synth_dataset,
@@ -190,18 +191,21 @@ def test_each_member_is_predicted_once_per_test_set(
         small_ensemble.experts, small_ensemble.hp, small_ensemble.partitioning
     )
     calls = []
+    member_pass = gpexperts.gp._member_pass
 
-    def counted(expert, xs):
-        calls.append(expert)
-        return expert_predict(expert, xs)
+    def counted(model, xs):
+        calls.append(model)
+        return member_pass(model, xs)
 
-    monkeypatch.setattr(gpexperts.experts, "expert_predict", counted)
-    monkeypatch.setattr(gpexperts.committee, "expert_predict", counted)
+    monkeypatch.setattr(gpexperts.gp, "_member_pass", counted)
+    monkeypatch.setattr(gpexperts.experts, "_member_pass", counted)
     xs = small_data.x_test.copy()
     graph = expert_graph(ens, xs, lam=0.05)
     poe_aggregate(ens, xs)
     bcm_aggregate(ens, xs, scheme="diff_entropy")
     grbcm_aggregate(ens, xs, base_choice="top_importance", order=graph.order)
+    npae_aggregate(ens, xs)
+    npae_aggregate(ens, xs, subset=graph.selected)
     members = [c for c in calls if any(c is e for e in ens.experts)]
     assert len(members) == ens.n_experts
     assert all(any(c is e for c in members) for e in ens.experts)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gpexperts import Hyperparams, kernel_eval, kernel_grad, kernel_matrix
+from conftest import kernel_eval
+from gpexperts import Hyperparams, kernel_grad, kernel_matrix
 
 
 def test_zero_distance_gives_signal_variance():

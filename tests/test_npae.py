@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+import gpexperts.experts
+import gpexperts.gp
 import gpexperts.npae
 from conftest import expert_weights, manual_ensemble
 from gpexperts import (
+    ExpertEnsemble,
     Hyperparams,
+    bcm_aggregate,
+    expert_graph,
     expert_predict,
     kernel_matrix,
     npae_aggregate,
     partition_kmeans,
+    poe_aggregate,
     train_ensemble,
 )
 from gpexperts.linalg import solve_psd_robust
@@ -266,3 +272,71 @@ def test_point_with_non_finite_cov_reverts_to_prior_and_is_flagged(monkeypatch):
     np.testing.assert_array_equal(agg.failed, np.arange(6) == 2)
     assert agg.means[2] == 0.0 and agg.variances[2] == ens.hp.signal_variance
     assert np.all(agg.variances[agg.failed == 0] < ens.hp.signal_variance)
+
+
+def test_after_selection_npae_forms_only_part_by_part_kernels(monkeypatch):
+    ens = make_ensemble(60, 5, seed=4)
+    xs = np.linspace(-0.1, 1.1, 25)[:, None]
+    graph = expert_graph(ens, xs, lam=0.05, alpha=0.6)
+    calls = []
+
+    def counted(x, x2, hp):
+        calls.append((x, x2))
+        return kernel_matrix(x, x2, hp)
+
+    monkeypatch.setattr(gpexperts.npae, "kernel_matrix", counted)
+    monkeypatch.setattr(gpexperts.gp, "kernel_matrix", counted)
+    npae_aggregate(ens, xs)
+    npae_aggregate(ens, xs, subset=graph.selected)
+    parts = [e.x for e in ens.experts]
+    for x, x2 in calls:
+        assert any(x is p for p in parts) and any(x2 is p for p in parts)
+        assert x is not x2
+    k = graph.selected.size
+    assert len(calls) == 5 * 4 // 2 + k * (k - 1) // 2
+
+
+def test_member_pass_weights_match_dense_solve():
+    ens = make_ensemble(45, 3, seed=5)
+    xs = np.linspace(-0.2, 1.2, 17)[:, None]
+    _, target_cov, weights = ens.npae_moments(xs)
+    for i, (e, w) in enumerate(zip(ens.experts, weights)):
+        assert w.shape == (e.x.shape[0], xs.shape[0]) and not w.flags.writeable
+        np.testing.assert_allclose(w, expert_weights(e, xs).T, rtol=1e-10)
+        k = kernel_matrix(e.x, xs, ens.hp)
+        np.testing.assert_allclose(target_cov[:, i], np.sum(k * w, axis=0), rtol=1e-10)
+
+
+def test_weights_are_formed_only_for_the_experts_npae_reads(monkeypatch):
+    ens = make_ensemble(60, 5, seed=4)
+    xs = np.linspace(-0.1, 1.1, 25)[:, None]
+    formed = []
+    dtrmm = gpexperts.experts.dtrmm
+
+    def counted(alpha, a, b, **kwargs):
+        formed.append(a)
+        return dtrmm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(gpexperts.experts, "dtrmm", counted)
+    graph = expert_graph(ens, xs, lam=0.05, alpha=0.6)
+    poe_aggregate(ens, xs)
+    bcm_aggregate(ens, xs)
+    assert formed == []
+    npae_aggregate(ens, xs, subset=graph.selected)
+    kept = [ens.experts[i].chol_inv for i in graph.selected]
+    assert len(formed) == len(kept) and all(any(a is b for b in kept) for a in formed)
+    npae_aggregate(ens, xs)
+    assert len(formed) == ens.n_experts
+
+
+def test_npae_is_the_same_on_a_cold_and_a_warm_member_pass():
+    warm = make_ensemble(45, 4, seed=6)
+    xs = np.linspace(-0.2, 1.2, 31)[:, None]
+    poe_aggregate(warm, xs, scheme="uniform")
+    bcm_aggregate(warm, xs, subset=[3, 1])
+    for subset in (None, [2, 0, 3]):
+        cold = ExpertEnsemble(warm.experts, warm.hp, warm.partitioning)
+        a = npae_aggregate(cold, xs, subset=subset)
+        b = npae_aggregate(warm, xs, subset=subset)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.variances, b.variances)

@@ -52,7 +52,7 @@ def test_lloyd_objective_never_increases():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(80, 2))
     centers = _kmeans_pp_centers(x, 5, rng)
-    _, history = _lloyd(x, centers, max_iter=50)
+    _, history, _ = _lloyd(x, centers, max_iter=50)
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-10)
 
@@ -113,3 +113,20 @@ def test_partitioning_validates_assignments():
         Partitioning(np.array([0.0, 1.0, 1.5]), 2, "manual", 0)
     ok = Partitioning(np.array([1, 0, 1]), 2, "manual", 0)
     np.testing.assert_array_equal(ok.indices(1), [0, 2])
+
+
+def test_kmeans_reports_lloyd_iterations():
+    x = np.random.default_rng(8).normal(size=(60, 2))
+    parts = partition_kmeans(x, 4, seed=9)
+    centers = _kmeans_pp_centers(x, 4, np.random.default_rng(9))
+    _, history, _ = _lloyd(x, centers, max_iter=100)
+    assert parts.iterations == len(history) >= 2
+    assert partition_kmeans(x, 4, seed=9, max_iter=1).iterations == 1
+    assert partition_random(60, 4, seed=9).iterations == 0
+
+
+def test_kmeans_reports_whether_lloyd_converged():
+    x = np.random.default_rng(8).normal(size=(60, 2))
+    assert partition_kmeans(x, 4, seed=9).converged is True
+    assert partition_kmeans(x, 4, seed=9, max_iter=1).converged is False
+    assert partition_random(60, 4, seed=9).converged is None
