@@ -199,7 +199,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             **asdict(ensemble.training),
             "jitter": [e.jitter for e in ensemble.experts],
             "partition": {"iterations": ensemble.partitioning.iterations,
-                          "converged": ensemble.partitioning.converged},
+                          "converged": ensemble.partitioning.converged,
+                          "sizes": ensemble.partitioning.sizes.tolist()},
         }
     if full_model is not None:
         report.training["fullgp"] = {

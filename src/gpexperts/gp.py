@@ -5,11 +5,11 @@ unit variance); the GP prior mean is zero.  Hyperparameters are optimized in
 log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
 
-Each likelihood evaluation builds K once, factors C = K + noise * I, and
-takes C^{-1} from the factor with LAPACK ``dpotri``.  The gradient
-(Rasmussen & Williams 2006, eq. 5.9) is 0.5 * tr((alpha alpha^T - C^{-1})
-dC/dtheta_j).  With B = (alpha alpha^T - C^{-1}) o K and r = B 1, every
-trace is a reduction of B:
+Each likelihood evaluation holds two n x n buffers, each reused in place:
+C = K + noise * I, then L, then C^{-1} (LAPACK ``dpotrf``, ``dpotri``); and
+K, then B.  The gradient (Rasmussen & Williams 2006, eq. 5.9) is
+0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
+B = (alpha alpha^T - C^{-1}) o K and r = B 1, every trace is a reduction of B:
 
     log signal_variance:  0.5 * sum(r)
     log lengthscales[d]:  (0.5 / l_d) * (sum_i x_id^2 r_i - x_d^T (B x)_d)
@@ -124,32 +124,28 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     x, y = _prepare_xy(x, y)
     n = x.shape[0]
     k = kernel_matrix(x, x, hp)
-    c = k.copy()
-    c[np.diag_indices_from(c)] += hp.noise_variance
-    low, _ = chol_with_jitter(c)
-    del c
+    low, _ = chol_with_jitter(k, shift=hp.noise_variance)
     alpha = solve_spd(low, y)
     value = (
         -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diagonal(low))))
+        - float(np.log(low.diagonal()).sum())
         - 0.5 * n * LOG_2PI
     )
     # LAPACK overwrites the factor with the lower triangle of C^{-1}.
     c_inv, info = dpotri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularMatrixError(f"dpotri failed with info {info}")
-    # B = (alpha alpha^T - C^{-1}) o K, valid in its upper triangle; b.T is
-    # Fortran-ordered, so the symmetric product reads it without a copy.
-    b = np.outer(alpha, alpha)
-    b -= c_inv.T
-    b *= k
+    # B = (alpha alpha^T - C^{-1}) o K, valid in its upper triangle, replaces
+    # K by row blocks; k.T is Fortran-ordered, so dsymm reads it uncopied.
+    for rows in (slice(i, i + 128) for i in range(0, n, 128)):
+        k[rows] *= np.multiply.outer(alpha[rows], alpha) - c_inv.T[rows]
     xc = x - x.mean(axis=0)
-    g = dsymm(1.0, b.T, np.column_stack([np.ones(n), xc]), lower=1)
+    g = dsymm(1.0, k.T, np.column_stack([np.ones(n), xc]), lower=1)
     r, bx = g[:, 0], g[:, 1:]
     grad = np.empty(hp.dim + 2)
-    grad[0] = 0.5 * float(np.sum(r))
+    grad[0] = 0.5 * float(r.sum())
     grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
-    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - np.trace(c_inv))
+    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv.trace())
     return value, grad
 
 
@@ -228,19 +224,15 @@ def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpM
 def factorize(x, y, hp: Hyperparams) -> GpModel:
     """Build the prediction-ready model for fixed hyperparameters.
 
-    With C = K(x, x) + noise * I = L L^T, alpha comes from the factor; L is
-    then inverted in place by LAPACK ``dtrtri``.  The factor arrives with
-    C's entries still in its upper triangle, which ``dtrtri`` leaves alone,
-    so that triangle is zeroed first and the model holds L^{-1} as a plain
-    matrix.
+    With C = K(x, x) + noise * I = L L^T, alpha comes from the factor; L,
+    zero above its diagonal, is then inverted in place by LAPACK ``dtrtri``,
+    so the model holds L^{-1} as a plain matrix.
     """
     x, y = _prepare_xy(x, y)
-    c = kernel_matrix(x, x, hp)
-    c[np.diag_indices_from(c)] += hp.noise_variance
-    low, jitter = chol_with_jitter(c)
-    del c
+    k = kernel_matrix(x, x, hp)
+    low, jitter = chol_with_jitter(k, shift=hp.noise_variance)
+    del k
     alpha = solve_spd(low, y)
-    low[~np.tri(low.shape[0], dtype=bool)] = 0.0
     low_inv, info = dtrtri(low, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularMatrixError(f"dtrtri failed with info {info}")

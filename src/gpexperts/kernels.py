@@ -84,8 +84,11 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     x, x2 = _as_2d(x), _as_2d(x2)
     _check_dims(x, x2, hp)
     scale = 1.0 / np.sqrt(hp.lengthscales)
-    d2 = cdist(x * scale, x2 * scale, metric="sqeuclidean")
-    return hp.signal_variance * np.exp(-0.5 * d2)
+    k = cdist(x * scale, x2 * scale, metric="sqeuclidean")
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= hp.signal_variance
+    return k
 
 
 def kernel_grad(x, hp: Hyperparams) -> np.ndarray:

@@ -1,46 +1,53 @@
 """Shared dense linear-algebra helpers with explicit failure policies."""
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix stays non-factorizable after jitter escalation."""
 
 
-def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean"):
-    """Lower Cholesky factor of ``a``, adding escalating diagonal jitter.
+def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
+    """Lower Cholesky factor of symmetric ``a + shift * I``, with jitter.
 
     The first attempt uses no jitter.  On failure, ``initial * s`` is added
-    to the diagonal, where ``s`` is the mean (or max) of ``diag(a)``, and the
-    jitter grows tenfold per retry until it would exceed ``maximum * s``.
+    to the diagonal, where ``s`` is the mean (or max) of the shifted
+    diagonal, and the jitter grows tenfold per retry until it would exceed
+    ``maximum * s``.  Each attempt factors a fresh Fortran-ordered copy in
+    place with LAPACK ``dpotrf``; ``a`` itself is never written to.
 
-    Returns ``(L, jitter)`` with the jitter actually applied (0.0 for a clean
-    factorization).  Raises :class:`SingularMatrixError` once the ladder is
-    exhausted.
+    Returns ``(L, jitter)``, L zero above its diagonal, with the jitter
+    actually applied (0.0 for a clean factorization).  Raises
+    :class:`SingularMatrixError` once the ladder is exhausted.
     """
     a = np.asarray(a, dtype=float)
-    diag = np.diagonal(a)
-    scale = float(np.mean(diag)) if stat == "mean" else float(np.max(diag))
+    diag = a.diagonal() + shift
+    scale = float(diag.mean() if stat == "mean" else diag.max())
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
     jitter = 0.0
     while True:
-        try:
-            c = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            low, _ = cho_factor(c, lower=True, check_finite=False)
+        # For symmetric a, the flat copy of a.T is a in Fortran order.
+        low = np.array(a.T, order="F")
+        np.fill_diagonal(low, diag + jitter)
+        low, info = dpotrf(low, lower=1, overwrite_a=1)
+        if info == 0:
             return low, jitter
-        except np.linalg.LinAlgError:
-            jitter = initial * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > maximum * scale * (1.0 + 1e-12):
-                raise SingularMatrixError(
-                    f"Cholesky failed at jitter {jitter:.3e} (scale {scale:.3e})"
-                ) from None
+        jitter = initial * scale if jitter == 0.0 else jitter * 10.0
+        if jitter > maximum * scale * (1.0 + 1e-12):
+            raise SingularMatrixError(
+                f"Cholesky failed at jitter {jitter:.3e} (scale {scale:.3e})"
+            )
 
 
 def solve_spd(low, b):
     """Solve ``a x = b`` given the lower Cholesky factor of ``a``."""
-    return cho_solve((low, True), b, check_finite=False)
+    x, info = dpotrs(low, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs failed with info {info}")
+    return x
 
 
 def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):

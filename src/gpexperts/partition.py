@@ -29,8 +29,13 @@ class Partitioning:
             raise ValueError(f"assignments must be integers, not {a.dtype}")
         if a.min(initial=0) < 0 or a.max(initial=-1) >= self.n_parts:
             raise ValueError("assignment index out of range")
-        if np.any(np.bincount(a, minlength=self.n_parts) == 0):
+        if np.any(self.sizes == 0):
             raise ValueError("every part must own at least one point")
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Number of points each expert owns."""
+        return np.bincount(self.assignments, minlength=self.n_parts)
 
     def indices(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == i)
@@ -73,8 +78,10 @@ def _lloyd(x, centers, max_iter):
             counts[empty] = 1
         changed = np.any(new_assign != assign)
         assign = new_assign
+        # Stably sorted, each cluster's slice holds the rows a mask selects.
+        rows, ends = x[np.argsort(assign, kind="stable")], np.cumsum(counts)
         for j in range(m):
-            centers[j] = x[assign == j].mean(axis=0)
+            centers[j] = rows[ends[j] - counts[j] : ends[j]].mean(axis=0)
         history.append(float(np.sum((x - centers[assign]) ** 2)))
         if not changed:
             break

@@ -95,9 +95,13 @@ def test_training_block_reports_the_partitioner(basic_report):
     training = json.loads(render_report(basic_report, "json"))["training"]
     partition = training["ensemble"]["partition"]
     assert partition["iterations"] >= 1 and partition["converged"] is True
+    assert len(partition["sizes"]) == FAST["n_experts"]
+    assert min(partition["sizes"]) >= 1 and sum(partition["sizes"]) == FAST["n"]
     config = ExperimentConfig(methods=("poe",), partition="random", **FAST)
     training = json.loads(render_report(run_experiment(config), "json"))["training"]
-    assert training["ensemble"]["partition"] == {"iterations": 0, "converged": None}
+    assert training["ensemble"]["partition"] == {
+        "iterations": 0, "converged": None, "sizes": [50, 50, 50]
+    }
 
 
 def test_run_leaves_no_member_pass_behind(monkeypatch):

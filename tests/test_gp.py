@@ -1,5 +1,7 @@
 """Exact GP training: marginal likelihood, gradients, and prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,17 @@ def test_shape_validation():
         log_marginal_likelihood(np.zeros((3, 1)), np.zeros(2), hp)
     with pytest.raises(ValueError):
         fit(np.zeros((0, 1)), np.zeros(0))
+
+
+def test_likelihood_holds_about_two_n_by_n_buffers():
+    # K, then B in its storage, and one factor buffer, plus row-block
+    # temporaries; three full matrices would peak above 3 n^2 doubles.
+    x, y = sample_problem(n=400, d=2, seed=9)
+    hp = Hyperparams(1.0, [0.3, 0.3], 0.1)
+    tracemalloc.start()
+    try:
+        log_marginal_likelihood(x, y, hp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * 400**2

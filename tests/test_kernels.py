@@ -1,5 +1,7 @@
 """Squared-exponential kernel values and log-space gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,16 @@ def test_log_vector_round_trip():
     assert back.signal_variance == pytest.approx(2.0)
     np.testing.assert_allclose(back.lengthscales, [0.3, 0.9, 4.0])
     assert back.noise_variance == pytest.approx(0.01)
+
+
+def test_kernel_matrix_allocates_only_its_output():
+    rng = np.random.default_rng(4)
+    hp = Hyperparams(1.5, [0.1, 0.2], 0.0)
+    x, x2 = rng.uniform(size=(500, 2)), rng.uniform(size=(300, 2))
+    tracemalloc.start()
+    try:
+        k = kernel_matrix(x, x2, hp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * k.nbytes

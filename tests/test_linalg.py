@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from gpexperts import SingularMatrixError
 from gpexperts.linalg import chol_with_jitter, solve_psd_robust, solve_spd
@@ -70,3 +71,39 @@ def test_robust_solve_matches_pinv_on_duplicated_rows():
     b = np.array([1.0, -2.0, 0.5, 1.0])
     x = solve_psd_robust(a, b)
     np.testing.assert_allclose(a @ x, b, atol=1e-5)
+
+
+def late_pivot_singular(n=8, seed=7):
+    """PSD matrix of rank n - 1 whose leading (n-1) x (n-1) block is PD."""
+    b = np.random.default_rng(seed).normal(size=(n, n - 1))
+    return b @ b.T
+
+
+def test_factorization_leaves_the_input_untouched():
+    for a in (spd(6, 8), late_pivot_singular()):
+        before = a.copy()
+        chol_with_jitter(a, shift=0.25)
+        chol_with_jitter(a)
+        np.testing.assert_array_equal(a, before)
+
+
+def test_jittered_factor_is_rebuilt_from_the_input():
+    # The clean attempt fails only at the last pivot, after LAPACK has
+    # overwritten every earlier column; the retry must start from a again.
+    a = late_pivot_singular() - 0.5 * np.eye(8)
+    _, info = dpotrf(a + 0.5 * np.eye(8), lower=1)
+    assert info == 8
+    low, jitter = chol_with_jitter(a, shift=0.5)
+    assert jitter > 0.0
+    np.testing.assert_array_equal(np.triu(low, 1), 0.0)
+    target = a + (0.5 + jitter) * np.eye(8)
+    np.testing.assert_allclose(low @ low.T, target, rtol=1e-12, atol=1e-12)
+
+
+def test_shift_matches_adding_it_to_the_diagonal_first():
+    for a in (spd(6, 9), late_pivot_singular() - 0.5 * np.eye(8)):
+        shifted = a + 0.5 * np.eye(a.shape[0])
+        low, jitter = chol_with_jitter(a, shift=0.5)
+        low_ref, jitter_ref = chol_with_jitter(shifted)
+        assert jitter == jitter_ref
+        np.testing.assert_array_equal(low, low_ref)

@@ -130,3 +130,21 @@ def test_kmeans_reports_whether_lloyd_converged():
     assert partition_kmeans(x, 4, seed=9).converged is True
     assert partition_kmeans(x, 4, seed=9, max_iter=1).converged is False
     assert partition_random(60, 4, seed=9).converged is None
+
+
+def test_lloyd_centers_are_the_masked_cluster_means_bit_for_bit():
+    x = np.random.default_rng(12).normal(size=(500, 3))
+    centers = _kmeans_pp_centers(x, 9, np.random.default_rng(1))
+    assign, _, _ = _lloyd(x, centers, 100)
+    for j in range(9):
+        np.testing.assert_array_equal(centers[j], x[assign == j].mean(axis=0))
+
+
+def test_sizes_count_the_points_of_each_part():
+    parts = Partitioning(np.array([2, 0, 2, 1, 2]), 3, "manual", 0)
+    np.testing.assert_array_equal(parts.sizes, [1, 1, 3])
+    x = np.random.default_rng(13).normal(size=(60, 2))
+    parts = partition_kmeans(x, 5, seed=2)
+    assert parts.sizes.sum() == 60
+    for i in range(5):
+        assert parts.sizes[i] == parts.indices(i).size
