@@ -11,8 +11,10 @@ JSON report's ``training`` block records, for the ensemble and for
 converged, how many restarts failed, and the factorization jitter; the
 ensemble's block adds k-means' Lloyd iteration count and whether Lloyd
 converged.  Each JSON result row counts, as ``failed_points``, the test
-points its method flagged in ``PredictiveDist.failed``; the CSV report
-leaves it out.  MSLL scores the predictive distribution of the held-out
+points its method flagged in ``PredictiveDist.failed``, and as
+``deflated_points`` those flagged in ``PredictiveDist.deflated`` (points
+where NPAE dropped a redundant expert; 0 for every other rule); the CSV
+report leaves both out.  MSLL scores the predictive distribution of the held-out
 observation, so the trained noise variance is added to the latent predictive
 variances before scoring.
 
@@ -26,7 +28,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import committee, metrics, npae, selection
 from .data import load_delimited, synth_dataset
@@ -111,6 +113,7 @@ class MethodResult:
     train_seconds: float = 0.0
     predict_seconds: float = 0.0
     failed_points: int = 0  # points flagged in PredictiveDist.failed
+    deflated_points: int = 0  # points flagged in PredictiveDist.deflated
     error: str | None = None
 
 
@@ -233,6 +236,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             row.predict_seconds = clock() - t0
             if pred.failed is not None:
                 row.failed_points = int(pred.failed.sum())
+            if pred.deflated is not None:
+                row.deflated_points = int(pred.deflated.sum())
             row.smse = metrics.smse(dataset.y_test, pred.means)
             row.msll = metrics.msll(
                 dataset.y_test,
@@ -295,95 +300,70 @@ def emit_report(report: ExperimentReport, fmt: str = "json", path=None) -> str:
     return text
 
 
+def _method_list(text):
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# (flag, ExperimentConfig field, add_argument keywords); each option's
+# default is its field's.
+_CONFIG_OPTIONS = (
+    ("--data", "data",
+     dict(help="'synthetic' or a path to a numeric CSV/whitespace table")),
+    ("--n", "n", dict(type=int, help="synthetic training size")),
+    ("--ntest", "n_test", dict(type=int, help="synthetic test size")),
+    ("--noise-sd", "noise_sd", dict(type=float, help="synthetic noise level")),
+    ("--target-col", "target_column",
+     dict(type=int, help="target column for file datasets (default: last)")),
+    ("--train-fraction", "train_fraction",
+     dict(type=float, help="training fraction for file datasets")),
+    ("--experts", "n_experts", dict(type=int, help="number of experts")),
+    ("--partition", "partition", dict(choices=("kmeans", "random"))),
+    ("--methods", "methods",
+     dict(type=_method_list,
+          help=f"comma-separated subset of {', '.join(METHOD_NAMES)}")),
+    ("--alpha", "alpha",
+     dict(type=float, help="fraction of experts kept by starred methods")),
+    ("--lambda", "penalty",
+     dict(type=float, help="graphical lasso penalty for expert selection")),
+    ("--seed", "seed", dict(type=int)),
+    ("--restarts", "restarts",
+     dict(type=int, help="hyperparameter optimizer restarts")),
+    ("--dump-graph", "dump_graph",
+     dict(help="also write the expert precision matrix as an edge-list CSV")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpexperts-bench",
         description="Benchmark distributed GP aggregation methods.",
     )
-    parser.add_argument(
-        "--data",
-        default="synthetic",
-        help="'synthetic' or a path to a numeric CSV/whitespace table",
-    )
-    parser.add_argument("--n", type=int, default=2000, help="synthetic training size")
-    parser.add_argument("--ntest", type=int, default=200, help="synthetic test size")
-    parser.add_argument(
-        "--noise-sd", type=float, default=0.2, help="synthetic noise level"
-    )
-    parser.add_argument(
-        "--target-col",
-        type=int,
-        default=-1,
-        help="target column for file datasets (default: last)",
-    )
-    parser.add_argument(
-        "--train-fraction",
-        type=float,
-        default=0.9,
-        help="training fraction for file datasets",
-    )
-    parser.add_argument("--experts", type=int, default=10, help="number of experts")
-    parser.add_argument(
-        "--partition", choices=("kmeans", "random"), default="kmeans"
-    )
-    parser.add_argument(
-        "--methods",
-        default="npae",
-        help=f"comma-separated subset of {', '.join(METHOD_NAMES)}",
-    )
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=1.0,
-        help="fraction of experts kept by starred methods",
-    )
-    parser.add_argument(
-        "--lambda",
-        dest="penalty",
-        type=float,
-        default=0.1,
-        help="graphical lasso penalty for expert selection",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--restarts", type=int, default=1, help="hyperparameter optimizer restarts"
-    )
+    for flag, name, keywords in _CONFIG_OPTIONS:
+        parser.add_argument(
+            flag, dest=name, default=getattr(ExperimentConfig, name), **keywords
+        )
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument(
-        "--dump-graph",
-        default=None,
-        help="also write the expert precision matrix as an edge-list CSV",
-    )
-    parser.add_argument(
         "--no-timing",
-        action="store_true",
+        dest="measure_time",
+        action="store_false",
         help="report zero timings so reruns are byte-identical",
     )
     return parser
 
 
+def _config(args) -> ExperimentConfig:
+    """The ExperimentConfig named by parsed CLI arguments."""
+    return ExperimentConfig(
+        **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    )
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(
-            data=args.data,
-            n=args.n,
-            n_test=args.ntest,
-            noise_sd=args.noise_sd,
-            target_column=args.target_col,
-            train_fraction=args.train_fraction,
-            n_experts=args.experts,
-            partition=args.partition,
-            methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-            alpha=args.alpha,
-            penalty=args.penalty,
-            seed=args.seed,
-            restarts=args.restarts,
-            measure_time=not args.no_timing,
-            dump_graph=args.dump_graph,
-        )
-        report = run_experiment(config)
+        report = run_experiment(_config(args))
         text = emit_report(report, fmt=args.format, path=args.out)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,12 +47,15 @@ class PredictiveDist:
     """Gaussian predictive marginals: one mean and variance per test point.
 
     ``failed`` is None unless the producer had to fall back to the prior at
-    some points, in which case it flags them.
+    some points, in which case it flags them.  ``deflated`` likewise flags
+    the points where NPAE dropped an expert that added nothing beyond the
+    others.
     """
 
     means: np.ndarray
     variances: np.ndarray
     failed: np.ndarray | None = None
+    deflated: np.ndarray | None = None
 
     def __post_init__(self):
         if self.means.shape != self.variances.shape:

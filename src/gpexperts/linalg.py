@@ -56,6 +56,10 @@ def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):
     Tries Cholesky with escalating jitter (scaled by the max diagonal entry);
     if the matrix never factorizes, falls back to an eigendecomposition
     pseudo-inverse that drops eigenvalues below ``n * eps * lambda_max``.
+
+    This is a reference solve for the tests; NPAE no longer calls it, since
+    its deflating Cholesky keeps the far experts that this jitter and cut
+    would wipe out (see :mod:`gpexperts.npae`).
     """
     a = np.asarray(a, dtype=float)
     # a non-positive diagonal leaves nothing to scale jitter against

@@ -26,17 +26,18 @@ cannot resolve.  What is left to NPAE is the pairwise assembly.
 Every test point needs its own small solve of the n_experts-sized system;
 restricting ``subset`` to a selected group of experts shrinks that system,
 which is where graph-based selection earns its speedup.  The systems of all
-test points are factored in one batched Cholesky and solved by one batched
-forward substitution.  Only a point whose own M fails to factor goes through
-``solve_psd_robust`` (jitter, then pseudo-inverse), so perfbench's traced
-``npae.point_solves`` counts just the points that left the batch.
+test points are factored and forward-substituted together, on one path, by a
+deflating Cholesky: where an expert's pivot shows that it adds nothing beyond
+the experts before it (a duplicated expert, say), that expert is dropped at
+that point, and the point gets NPAE over the remaining experts.  No jitter is
+added and no eigenvalue is cut, so far experts with tiny but exact c[i] keep
+their weight even when the raw condition number of M reaches 1e25.
 """
 
 import numpy as np
 
 from .gp import PredictiveDist
 from .kernels import kernel_matrix
-from .linalg import solve_psd_robust
 
 
 def _assemble(ensemble, xs, subset):
@@ -64,64 +65,67 @@ def _assemble(ensemble, xs, subset):
     return target_cov, mean_cov, means
 
 
-def _batched_cholesky(a):
-    """Lower Cholesky factors of a stack of matrices, and which ones factored.
+def _deflating_factor(g):
+    """Factor and forward-substitute a stack of bordered systems in place.
 
-    A stack that fails is retried in halves, so one non-PD matrix costs about
-    log2(len(a)) more batched calls, not a per-matrix loop over the rest.
+    ``g`` is (m + r, m, t): for each test point t, ``g[:m, :, t]`` holds M
+    and ``g[m:, :, t]`` the r right-hand sides b^T.  One left-looking
+    Cholesky over the m columns turns the first m rows into L (lower
+    triangle) and the last r rows into z^T with L z = b.
+
+    Column j deflates at a point when its pivot, the Schur complement of
+    M_jj on the earlier columns, is at most ``m * eps * M_jj``: that is, when
+    the pivot of the unit-diagonal system D^{-1/2} M D^{-1/2}, D = diag(M),
+    is at most m * eps, so M needs no rescaling.  Expert j then adds nothing
+    beyond the earlier experts there.  Its column of L and its z entry
+    become 0, which leaves the factor and z of M without expert j.
+    Returns the (t,) mask of points where some column deflated.
     """
-    try:
-        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros_like(a), np.zeros(1, dtype=bool)
-        half = len(a) // 2
-        low_a, ok_a = _batched_cholesky(a[:half])
-        low_b, ok_b = _batched_cholesky(a[half:])
-        return np.concatenate([low_a, low_b]), np.concatenate([ok_a, ok_b])
-
-
-def _forward_substitute(low, b):
-    """Solve low[t] z[t] = b[t] for a stack of lower-triangular systems."""
-    z = np.empty_like(b)
-    for j in range(low.shape[1]):
-        dot = np.einsum("tk,tkc->tc", low[:, j, :j], z[:, :j])
-        z[:, j] = (b[:, j] - dot) / low[:, j, j, None]
-    return z
+    m = g.shape[1]
+    tol = m * np.finfo(float).eps
+    deflated = np.zeros(g.shape[2], dtype=bool)
+    for j in range(m):
+        diag = g[j, j].copy()
+        col = g[j:, j]
+        col -= np.einsum("ikt,kt->it", g[j:, :j], g[j, :j])
+        keep = col[0] > tol * diag  # False for a NaN pivot, too
+        deflated |= ~keep
+        col /= np.sqrt(np.where(keep, col[0], 1.0))
+        col[:, ~keep] = 0.0
+    return deflated
 
 
 def npae_aggregate(ensemble, xs, subset=None) -> PredictiveDist:
     """Aggregate expert predictions through their joint covariance.
 
     Factors every point's M = L_M L_M^T in one batch; with z = L_M^{-1}[mu, c]
-    the mean is z_c . z_mu and the variance prior - ||z_c||^2.  A point whose
-    M does not factor is solved on its own with jitter, then a pseudo-inverse
-    (singular systems, e.g. duplicated experts); points whose solve produces
-    non-finite values revert to the prior and are flagged.
+    the mean is z_c . z_mu and the variance prior - ||z_c||^2.  An expert
+    that adds nothing beyond the others at a point (e.g. a duplicate) is
+    dropped there and flagged in ``deflated``.  A point with a non-finite
+    input or result reverts to the prior and is flagged in ``failed``.
     """
     subset = ensemble.subset_or_all(subset)
     target_cov, mean_cov, means = _assemble(ensemble, xs, subset)
     prior_var = float(ensemble.hp.signal_variance)
-    nt = target_cov.shape[0]
+    m = mean_cov.shape[1]
 
-    out_mean = np.full(nt, np.nan)
-    out_var = np.full(nt, np.nan)
-    low, ok = _batched_cholesky(mean_cov)
-    z = _forward_substitute(low if ok.all() else low[ok],
-                            np.stack([means[ok], target_cov[ok]], axis=2))
-    out_mean[ok] = np.sum(z[:, :, 1] * z[:, :, 0], axis=1)
-    out_var[ok] = prior_var - np.sum(z[:, :, 1] ** 2, axis=1)
-    for t in np.flatnonzero(~ok):
-        rhs = np.column_stack([means[t], target_cov[t]])
-        try:
-            sol = solve_psd_robust(mean_cov[t], rhs)
-        except np.linalg.LinAlgError:
-            continue
-        out_mean[t] = target_cov[t] @ sol[:, 0]
-        out_var[t] = prior_var - target_cov[t] @ sol[:, 1]
+    g = np.empty((m + 2, m, target_cov.shape[0]))
+    g[:m] = mean_cov.transpose(1, 2, 0)
+    g[m], g[m + 1] = means.T, target_cov.T
+    failed = ~np.isfinite(g).all(axis=(0, 1))
+    deflated = _deflating_factor(g)
+    z_mu, z_c = g[m], g[m + 1]
+    out_mean = np.sum(z_c * z_mu, axis=0)
+    out_var = prior_var - np.sum(z_c**2, axis=0)
 
-    failed = ~(np.isfinite(out_mean) & np.isfinite(out_var))
+    failed |= ~(np.isfinite(out_mean) & np.isfinite(out_var))
+    deflated &= ~failed
     out_mean[failed] = 0.0
     out_var[failed] = prior_var
     out_var = np.clip(out_var, 0.0, prior_var)
-    return PredictiveDist(out_mean, out_var, failed if failed.any() else None)
+    return PredictiveDist(
+        out_mean,
+        out_var,
+        failed if failed.any() else None,
+        deflated if deflated.any() else None,
+    )

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,32 @@ def test_failed_points_reach_the_json_rows_only(basic_report, monkeypatch):
     )
 
 
+def test_deflated_points_reach_the_json_rows_only(basic_report, monkeypatch):
+    payload = json.loads(render_report(basic_report, "json"))
+    assert all(r["deflated_points"] == 0 for r in payload["results"])
+
+    assemble = gpexperts.npae._assemble
+
+    def duplicate_first(*args):
+        # expert 1 becomes an exact, noise-free copy of expert 0
+        target_cov, mean_cov, means = (a.copy() for a in assemble(*args))
+        mean_cov[:, 1, :] = mean_cov[:, 0, :]
+        mean_cov[:, :, 1] = mean_cov[:, :, 0]
+        target_cov[:, 1], means[:, 1] = target_cov[:, 0], means[:, 0]
+        return target_cov, mean_cov, means
+
+    monkeypatch.setattr(gpexperts.npae, "_assemble", duplicate_first)
+    config = ExperimentConfig(methods=("poe", "npae"), measure_time=False, **FAST)
+    report = run_experiment(config)
+    payload = json.loads(render_report(report, "json"))
+    rows = {r["method"]: r for r in payload["results"]}
+    assert rows["npae"]["deflated_points"] == FAST["n_test"]
+    assert rows["npae"]["failed_points"] == 0 and rows["poe"]["deflated_points"] == 0
+    assert render_report(report, "csv").splitlines()[0] == (
+        "method,type,smse,msll,mae,train_s,predict_s"
+    )
+
+
 def test_poe_and_gpoe_share_the_posterior_mean(basic_report):
     rows = {r.method: r for r in basic_report.results}
     # uniform weights rescale variances only, so mean metrics agree
@@ -238,6 +265,26 @@ def test_cli_writes_report_and_exits_zero(tmp_path):
     assert [r["method"] for r in payload["results"]] == ["poe", "npae*"]
 
 
+def test_cli_defaults_are_the_config_defaults():
+    parser = gpexperts.bench._build_parser()
+    assert gpexperts.bench._config(parser.parse_args([])) == ExperimentConfig()
+    args = parser.parse_args(
+        [
+            "--data", "rows.csv", "--n", "50", "--ntest", "7",
+            "--noise-sd", "0.3", "--target-col", "2", "--train-fraction", "0.5",
+            "--experts", "4", "--partition", "random", "--methods", "poe, npae*",
+            "--alpha", "0.5", "--lambda", "0.2", "--seed", "3", "--restarts", "2",
+            "--dump-graph", "g.csv", "--no-timing",
+        ]
+    )
+    assert gpexperts.bench._config(args) == ExperimentConfig(
+        data="rows.csv", n=50, n_test=7, noise_sd=0.3, target_column=2,
+        train_fraction=0.5, n_experts=4, partition="random",
+        methods=("poe", "npae*"), alpha=0.5, penalty=0.2, seed=3, restarts=2,
+        measure_time=False, dump_graph="g.csv",
+    )
+
+
 def test_cli_rejects_unknown_method(capsys):
     assert main(["--methods", "magic"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -249,6 +296,9 @@ def test_cli_rejects_missing_data_file(capsys):
 
 
 def test_cli_stdout_and_module_entry(tmp_path):
+    # the child imports the package from where this process found it
+    src = str(Path(gpexperts.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "gpexperts.bench",
@@ -258,6 +308,7 @@ def test_cli_stdout_and_module_entry(tmp_path):
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("method,type,")

@@ -17,6 +17,7 @@ from gpexperts import (
     npae_aggregate,
     partition_kmeans,
     poe_aggregate,
+    synth_dataset,
     train_ensemble,
 )
 from gpexperts.linalg import solve_psd_robust
@@ -108,7 +109,7 @@ def test_aggregate_single_expert_returns_expert_prediction():
 
 def test_aggregate_duplicate_experts_equals_single_expert(monkeypatch):
     # with the noise-free diagonal the two-expert system is exactly singular,
-    # so the robust solve must reproduce the one-expert aggregation
+    # so the second expert deflates and the one-expert aggregation remains
     hp = Hyperparams(1.2, [0.4], 0.15)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, size=(12, 1))
@@ -117,22 +118,15 @@ def test_aggregate_duplicate_experts_equals_single_expert(monkeypatch):
     double = manual_ensemble([(x, y), (x, y)], hp)
     xs = np.linspace(-0.1, 1.1, 9)[:, None]
     pieces = {1: noise_free_pieces(single, xs), 2: noise_free_pieces(double, xs)}
-    robust_calls = []
-
-    def counted(*args, **kwargs):
-        robust_calls.append(1)
-        return solve_psd_robust(*args, **kwargs)
-
     monkeypatch.setattr(
         gpexperts.npae, "_assemble", lambda ens, xs, subset: pieces[len(subset)]
     )
-    monkeypatch.setattr(gpexperts.npae, "solve_psd_robust", counted)
     a = npae_aggregate(single, xs)
-    assert not robust_calls
     b = npae_aggregate(double, xs)
-    assert robust_calls
-    np.testing.assert_allclose(b.means, a.means, atol=1e-6)
-    np.testing.assert_allclose(b.variances, a.variances, atol=1e-6)
+    assert a.deflated is None and b.failed is None
+    assert b.deflated.all()
+    np.testing.assert_allclose(b.means, a.means, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.variances, a.variances, rtol=0, atol=1e-12)
 
 
 def test_aggregate_full_subset_is_default():
@@ -217,9 +211,10 @@ def test_batched_solve_matches_per_point_robust_solves():
     np.testing.assert_allclose(agg.variances, var, rtol=1e-10, atol=1e-14)
 
 
-def test_points_that_fail_to_factor_take_the_robust_path(monkeypatch):
+def test_points_with_a_redundant_expert_deflate_it(monkeypatch):
     # Points 3, 17 and 18 get a second expert that duplicates the first with
     # a smaller variance, so their M is indefinite and has no Cholesky factor.
+    # The second expert deflates there, which leaves NPAE over the others.
     ens = make_ensemble(90, 4, seed=11)
     xs = np.linspace(0.0, 1.0, 25)[:, None]
     bad = [3, 17, 18]
@@ -233,29 +228,75 @@ def test_points_that_fail_to_factor_take_the_robust_path(monkeypatch):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mean_cov[t])
 
-    robust_calls = []
+    def npae_on(pieces):
+        monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: pieces)
+        return npae_aggregate(ens, xs)
 
-    def counted(*args, **kwargs):
-        robust_calls.append(1)
-        return solve_psd_robust(*args, **kwargs)
+    agg = npae_on((target_cov, mean_cov, means))
+    batched = npae_on(clean)
+    keep = [0, 2, 3]
+    c, cov, mu = clean
+    without = npae_on((c[:, keep], cov[:, keep][:, :, keep], mu[:, keep]))
 
-    monkeypatch.setattr(
-        gpexperts.npae, "_assemble", lambda *a: (target_cov, mean_cov, means)
+    np.testing.assert_allclose(agg.means[bad], without.means[bad], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        agg.variances[bad], without.variances[bad], rtol=0, atol=1e-12
     )
-    monkeypatch.setattr(gpexperts.npae, "solve_psd_robust", counted)
-    agg = npae_aggregate(ens, xs)
-    assert len(robust_calls) == len(bad)  # the other points stayed in the batch
-
-    prior = ens.hp.signal_variance
-    ref_mean, ref_var = per_point_reference(target_cov, mean_cov, means, prior)
-    np.testing.assert_array_equal(agg.means[bad], ref_mean[bad])
-    np.testing.assert_array_equal(agg.variances[bad], ref_var[bad])
-    monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: clean)
-    batched = npae_aggregate(ens, xs)
     good = np.setdiff1d(np.arange(xs.shape[0]), bad)
     np.testing.assert_array_equal(agg.means[good], batched.means[good])
     np.testing.assert_array_equal(agg.variances[good], batched.variances[good])
-    assert agg.failed is None and batched.failed is None
+    np.testing.assert_array_equal(agg.deflated, np.isin(np.arange(25), bad))
+    assert agg.failed is None and batched.failed is None and batched.deflated is None
+
+
+def test_an_expert_that_adds_little_is_kept(monkeypatch):
+    # Expert 1 becomes mu_0 + 1e-4 mu_1: its pivot falls to about 8e-11 of
+    # M_11, yet the four experts still span the same means, so NPAE must not
+    # move.  Dropping the expert would move the mean by 0.12.
+    ens = make_ensemble(90, 4, seed=11)
+    xs = np.linspace(0.0, 1.0, 25)[:, None]
+    ref = npae_aggregate(ens, xs)
+    target_cov, mean_cov, means = _assemble(ens, xs, np.arange(4))
+    mix = np.eye(4)
+    mix[1, :2] = 1.0, 1e-4
+    mixed = (target_cov @ mix.T, mix @ mean_cov @ mix.T, means @ mix.T)
+    monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: mixed)
+    agg = npae_aggregate(ens, xs)
+    assert agg.deflated is None and agg.failed is None
+    np.testing.assert_allclose(agg.means, ref.means, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(agg.variances, ref.variances, rtol=0, atol=1e-7)
+
+
+def scaled_refined_reference(target_cov, mean_cov, means, prior_var):
+    """NPAE at one point from the unit-diagonal system, refined twice."""
+    d = 1.0 / np.sqrt(np.diagonal(mean_cov))
+    scaled = mean_cov * np.outer(d, d)
+    rhs = np.column_stack([means, target_cov]) * d[:, None]
+    sol = np.linalg.solve(scaled, rhs)
+    for _ in range(2):
+        sol += np.linalg.solve(scaled, rhs - scaled @ sol)
+    sol *= d[:, None]
+    return target_cov @ sol[:, 0], prior_var - target_cov @ sol[:, 1]
+
+
+def test_extrapolating_points_match_the_scaled_refined_solve():
+    # Far beyond the training inputs (-1.71 to 1.80), the far experts' c_i
+    # fall to 6e-33 and the raw M is numerically singular, yet its Jacobi
+    # scaling is well conditioned: no expert may be cut or drowned in jitter.
+    data = synth_dataset(1000, 10, 0.2, seed=1000)
+    parts = partition_kmeans(data.x_train, 10, seed=1001)
+    ens = train_ensemble(data.x_train, data.y_train, parts, restarts=1, seed=1002)
+    xs = np.array([[1.8], [2.0], [2.5], [3.0]])
+    agg = npae_aggregate(ens, xs)
+    assert agg.failed is None and agg.deflated is None
+    pieces = _assemble(ens, xs, np.arange(10))
+    assert np.linalg.cond(pieces[1][-1]) > 1e20
+    for t in range(xs.shape[0]):
+        mean, var = scaled_refined_reference(
+            *(a[t] for a in pieces), ens.hp.signal_variance
+        )
+        assert abs(agg.means[t] - mean) <= 1e-12
+        assert abs(agg.variances[t] - var) <= 1e-12
 
 
 def test_point_with_non_finite_cov_reverts_to_prior_and_is_flagged(monkeypatch):
