@@ -6,8 +6,10 @@ log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
 
 Each likelihood evaluation holds two n x n buffers, each reused in place:
-C = K + noise * I, then L, then C^{-1} (LAPACK ``dpotrf``, ``dpotri``); and
-K, then B.  The gradient (Rasmussen & Williams 2006, eq. 5.9) is
+C = K + noise * I, then L (LAPACK ``dpotrf``), then L^{-1}
+(:func:`~gpexperts.linalg.tri_inv`, a recursive inversion at matrix-multiply
+speed), then C^{-1} = L^{-T} L^{-1} (LAPACK ``dlauum``); and K, then
+K o C^{-1}.  The gradient (Rasmussen & Williams 2006, eq. 5.9) is
 0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
 B = (alpha alpha^T - C^{-1}) o K and r = B 1, every trace is a reduction of B:
 
@@ -17,7 +19,12 @@ B = (alpha alpha^T - C^{-1}) o K and r = B 1, every trace is a reduction of B:
 
 The lengthscale line expands sum_ij B_ij (x_id - x_jd)^2; it is evaluated
 on inputs centered by their mean, which keeps the expansion free of
-cancellation, and needs one n x n x D product B x.
+cancellation.  B itself is never formed: with z = [1, x] (x centered),
+
+    B z = alpha o (K (alpha o z)) - (C^{-1} o K) z:
+
+one matrix product with K, then, once K has been multiplied by C^{-1} in
+place, one symmetric product (BLAS ``dsymm``) that reads its upper triangle.
 """
 
 import math
@@ -25,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsymm, dtrmm
-from scipy.linalg.lapack import dpotri, dtrtri
+from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from .kernels import Hyperparams, kernel_matrix
-from .linalg import SingularMatrixError, chol_with_jitter, solve_spd
+from .linalg import SingularMatrixError, chol_with_jitter, solve_spd, tri_inv
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -134,16 +141,17 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
         - float(np.log(low.diagonal()).sum())
         - 0.5 * n * LOG_2PI
     )
-    # LAPACK overwrites the factor with the lower triangle of C^{-1}.
-    c_inv, info = dpotri(low, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularMatrixError(f"dpotri failed with info {info}")
-    # B = (alpha alpha^T - C^{-1}) o K, valid in its upper triangle, replaces
-    # K by row blocks; k.T is Fortran-ordered, so dsymm reads it uncopied.
-    for rows in (slice(i, i + 128) for i in range(0, n, 128)):
-        k[rows] *= np.multiply.outer(alpha[rows], alpha) - c_inv.T[rows]
+    # C^{-1} = L^{-T} L^{-1} replaces the factor, valid in its lower triangle.
+    c_inv = dlauum(tri_inv(low), lower=1, overwrite_c=1)[0]
+    # B z for z = [1, x_c].  K is full, so its product is a GEMM, which beats
+    # dsymm on so few columns.  K o C^{-1} then replaces K, valid in its
+    # upper triangle: the lower one of the Fortran-ordered k.T, which dsymm
+    # reads uncopied.
     xc = x - x.mean(axis=0)
-    g = dsymm(1.0, k.T, np.column_stack([np.ones(n), xc]), lower=1)
+    z = np.column_stack([np.ones(n), xc])
+    g = alpha[:, None] * (k @ (alpha[:, None] * z))
+    k *= c_inv.T
+    g -= dsymm(1.0, k.T, z, lower=1)
     r, bx = g[:, 0], g[:, 1:]
     grad = np.empty(hp.dim + 2)
     grad[0] = 0.5 * float(r.sum())
@@ -228,18 +236,16 @@ def factorize(x, y, hp: Hyperparams) -> GpModel:
     """Build the prediction-ready model for fixed hyperparameters.
 
     With C = K(x, x) + noise * I = L L^T, alpha comes from the factor; L,
-    zero above its diagonal, is then inverted in place by LAPACK ``dtrtri``,
-    so the model holds L^{-1} as a plain matrix.
+    zero above its diagonal, is then inverted in place by
+    :func:`~gpexperts.linalg.tri_inv`, so the model holds L^{-1} as a plain
+    matrix.
     """
     x, y = _prepare_xy(x, y)
     k = kernel_matrix(x, x, hp)
     low, jitter = chol_with_jitter(k, shift=hp.noise_variance)
     del k
     alpha = solve_spd(low, y)
-    low_inv, info = dtrtri(low, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularMatrixError(f"dtrtri failed with info {info}")
-    return GpModel(x, y, hp, low_inv, alpha, jitter)
+    return GpModel(x, y, hp, tri_inv(low), alpha, jitter)
 
 
 def _member_pass(model: GpModel, xs):

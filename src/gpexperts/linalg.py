@@ -2,7 +2,11 @@
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
+# Triangles of at most this order go to LAPACK dtrtri whole: below it, the
+# Python overhead of tri_inv's recursion outweighs its GEMM speed.
+TRI_INV_LEAF = 128
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -40,6 +44,39 @@ def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
             raise SingularMatrixError(
                 f"Cholesky failed at jitter {jitter:.3e} (scale {scale:.3e})"
             )
+
+
+def tri_inv(low):
+    """Invert a lower-triangular factor in place; returns ``low``.
+
+    ``low`` must be zero above its diagonal and is best Fortran-ordered, as
+    LAPACK returns it.  With low = [[A, 0], [B, C]], the inverse is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: both diagonal blocks are inverted
+    recursively, then B is updated by two GEMMs on views, so most of the
+    work runs at matrix-multiply speed rather than at the speed of LAPACK
+    ``dtrtri``.  The zero block above the diagonal is the scratch output of
+    the first product and is zeroed again afterwards, so no half-size block
+    is copied.  Blocks of order at most ``TRI_INV_LEAF`` go to ``dtrtri``
+    (a leaf that is not contiguous is copied).  Raises
+    :class:`SingularMatrixError` on a zero pivot.
+    """
+    n = low.shape[0]
+    if n <= TRI_INV_LEAF:
+        inv, info = dtrtri(low, lower=1, overwrite_c=1)
+        if info != 0:
+            raise SingularMatrixError(f"dtrtri failed with info {info}")
+        if inv is not low:
+            low[...] = inv
+        return low
+    h = n // 2
+    a, b, c, scratch = low[:h, :h], low[h:, :h], low[h:, h:], low[:h, h:]
+    tri_inv(a)
+    tri_inv(c)
+    np.matmul(a.T, b.T, out=scratch)  # (B A^-1)^T
+    np.matmul(c, scratch.T, out=b)
+    np.negative(b, out=b)
+    scratch[...] = 0.0
+    return low
 
 
 def solve_spd(low, b):

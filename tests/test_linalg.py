@@ -1,11 +1,19 @@
-"""Jittered Cholesky ladder and the robust PSD solver."""
+"""Jittered Cholesky ladder, triangular inversion and the robust PSD solver."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gpexperts import SingularMatrixError
-from gpexperts.linalg import chol_with_jitter, solve_psd_robust, solve_spd
+from gpexperts.linalg import (
+    TRI_INV_LEAF,
+    chol_with_jitter,
+    solve_psd_robust,
+    solve_spd,
+    tri_inv,
+)
 
 
 def spd(n, seed, boost=1.0):
@@ -107,3 +115,40 @@ def test_shift_matches_adding_it_to_the_diagonal_first():
         low_ref, jitter_ref = chol_with_jitter(shifted)
         assert jitter == jitter_ref
         np.testing.assert_array_equal(low, low_ref)
+
+
+def lower_factor(n, seed):
+    low, _ = chol_with_jitter(spd(n, seed))
+    return low
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 600])
+def test_tri_inv_matches_dtrtri_in_place(n):
+    low = lower_factor(n, seed=n)
+    ref, info = dtrtri(low, lower=1)
+    assert info == 0
+    out = tri_inv(low)
+    assert out is low
+    assert not np.any(np.triu(low, 1))
+    assert np.max(np.abs(low - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, pivot", [(5, 3), (300, 250)])
+def test_tri_inv_zero_pivot_raises(n, pivot):
+    low = lower_factor(n, seed=1)
+    low[pivot, pivot] = 0.0
+    with pytest.raises(SingularMatrixError):
+        tri_inv(low)
+
+
+def test_tri_inv_copies_no_half_size_block():
+    # Only a leaf that is not contiguous is copied; a copy of any half-size
+    # block at n=600 (300^2 doubles) would exceed this bound.
+    low = lower_factor(600, seed=3)
+    tracemalloc.start()
+    try:
+        tri_inv(low)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * TRI_INV_LEAF**2 + 8192
