@@ -5,12 +5,14 @@ unit variance); the GP prior mean is zero.  Hyperparameters are optimized in
 log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
 
-Each likelihood evaluation holds two n x n buffers, each reused in place:
-C = K + noise * I, then L (LAPACK ``dpotrf``), then L^{-1}
-(:func:`~gpexperts.linalg.tri_inv`, a recursive inversion at matrix-multiply
-speed), then C^{-1} = L^{-T} L^{-1} (LAPACK ``dlauum``); and K, then
-K o C^{-1}.  The gradient (Rasmussen & Williams 2006, eq. 5.9) is
-0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
+Each likelihood evaluation holds one n x n buffer, reused in place.  K, as
+the kernel returns it, stays in its strict upper triangle.  On and below
+the diagonal, C = K + noise * I becomes W = L^{-1}
+(:func:`~gpexperts.linalg.chol_with_jitter`, a recursive factor-and-invert
+built from BLAS triangular and symmetric rank-k products), then
+C^{-1} = W^T W (LAPACK ``dlauum``), then C^{-1} o K.  alpha = W^T (W y), and
+-0.5 * log det C = sum(log diag(W)).  The gradient (Rasmussen & Williams
+2006, eq. 5.9) is 0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
 B = (alpha alpha^T - C^{-1}) o K and r = B 1, every trace is a reduction of B:
 
     log signal_variance:  0.5 * sum(r)
@@ -23,8 +25,9 @@ cancellation.  B itself is never formed: with z = [1, x] (x centered),
 
     B z = alpha o (K (alpha o z)) - (C^{-1} o K) z:
 
-one matrix product with K, then, once K has been multiplied by C^{-1} in
-place, one symmetric product (BLAS ``dsymm``) that reads its upper triangle.
+two symmetric products (BLAS ``dsymm``).  The first reads K from the upper
+triangle, with K's diagonal written back for that call; the second reads
+C^{-1} o K from the lower one.
 """
 
 import math
@@ -36,9 +39,12 @@ from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from .kernels import Hyperparams, kernel_matrix
-from .linalg import SingularMatrixError, chol_with_jitter, solve_spd, tri_inv
+from .linalg import SingularMatrixError, chol_with_jitter, solve_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Column width of the elementwise passes over one triangle of an n x n buffer.
+PANEL = 128
 
 # Optimizer budget shared by single-model and ensemble training.
 MAX_OPT_ITER = 200
@@ -96,7 +102,8 @@ class GpModel:
 
     ``chol_inv`` is L^{-1}, the inverse of the lower Cholesky factor L of
     C = K(X, X) + noise_variance * I, with a zero upper triangle; it is
-    inverted in L's own storage, so a model holds one n x n array.
+    computed in the kernel matrix's own storage, so a model holds one n x n
+    array.
     ``alpha`` solves C alpha = y.  ``jitter`` is the diagonal jitter the
     factorization needed; ``training`` is set by :func:`fit`.
     """
@@ -133,31 +140,47 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     """
     x, y = _prepare_xy(x, y)
     n = x.shape[0]
-    k = kernel_matrix(x, x, hp)
-    low, _ = chol_with_jitter(k, shift=hp.noise_variance)
-    alpha = solve_spd(low, y)
+    # K is symmetric, so its Fortran-ordered transpose is K too.
+    w, _ = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
+    alpha = solve_spd(w, y)
     value = (
         -0.5 * float(y @ alpha)
-        - float(np.log(low.diagonal()).sum())
+        + float(np.log(w.diagonal()).sum())
         - 0.5 * n * LOG_2PI
     )
-    # C^{-1} = L^{-T} L^{-1} replaces the factor, valid in its lower triangle.
-    c_inv = dlauum(tri_inv(low), lower=1, overwrite_c=1)[0]
-    # B z for z = [1, x_c].  K is full, so its product is a GEMM, which beats
-    # dsymm on so few columns.  K o C^{-1} then replaces K, valid in its
-    # upper triangle: the lower one of the Fortran-ordered k.T, which dsymm
-    # reads uncopied.
-    xc = x - x.mean(axis=0)
-    z = np.column_stack([np.ones(n), xc])
-    g = alpha[:, None] * (k @ (alpha[:, None] * z))
-    k *= c_inv.T
-    g -= dsymm(1.0, k.T, z, lower=1)
+    c_inv = dlauum(w, lower=1, overwrite_c=1)[0]
+    diag = c_inv.T.reshape(-1)[:: n + 1]  # c_inv.T is C-contiguous: a view
+    c_inv_diag = diag.copy()
+    # B z for z = [1, x_c]: K (alpha o z) reads the upper triangle, with K's
+    # own diagonal written back for that product; C^{-1} o K then replaces
+    # C^{-1} below it.
+    z = np.empty((n, hp.dim + 1))
+    z[:, 0] = 1.0
+    xc = np.subtract(x, x.mean(axis=0), out=z[:, 1:])
+    diag[...] = hp.signal_variance
+    g = alpha[:, None] * dsymm(1.0, c_inv, alpha[:, None] * z, lower=0)
+    _times_transpose_below(c_inv)
+    diag[...] = c_inv_diag * hp.signal_variance
+    g -= dsymm(1.0, c_inv, z, lower=1)
     r, bx = g[:, 0], g[:, 1:]
     grad = np.empty(hp.dim + 2)
     grad[0] = 0.5 * float(r.sum())
     grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
-    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv.trace())
+    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv_diag.sum())
     return value, grad
+
+
+def _times_transpose_below(a):
+    """Multiply the lower triangle of square ``a`` elementwise by the upper's mirror.
+
+    Works in column panels, so the transposed copy it needs stays a panel
+    wide.  The diagonal and the strict upper triangle of each diagonal block
+    are overwritten too.
+    """
+    n = a.shape[0]
+    for j0 in range(0, n, PANEL):
+        j1 = min(j0 + PANEL, n)
+        a[j0:, j0:j1] *= a[j0:j1, j0:].T.copy(order="F")
 
 
 def default_init(x) -> Hyperparams:
@@ -235,17 +258,19 @@ def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpM
 def factorize(x, y, hp: Hyperparams) -> GpModel:
     """Build the prediction-ready model for fixed hyperparameters.
 
-    With C = K(x, x) + noise * I = L L^T, alpha comes from the factor; L,
-    zero above its diagonal, is then inverted in place by
-    :func:`~gpexperts.linalg.tri_inv`, so the model holds L^{-1} as a plain
-    matrix.
+    With C = K(x, x) + noise * I = L L^T, the kernel buffer is turned into
+    W = L^{-1} in place by :func:`~gpexperts.linalg.chol_with_jitter`; alpha
+    comes from W, and the kernel left above the diagonal is then zeroed, so
+    the model holds L^{-1} as a plain lower-triangular matrix.
     """
     x, y = _prepare_xy(x, y)
-    k = kernel_matrix(x, x, hp)
-    low, jitter = chol_with_jitter(k, shift=hp.noise_variance)
-    del k
-    alpha = solve_spd(low, y)
-    return GpModel(x, y, hp, tri_inv(low), alpha, jitter)
+    w, jitter = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
+    alpha = solve_spd(w, y)
+    n = w.shape[0]
+    for j0 in range(0, n, PANEL):
+        j1 = min(j0 + PANEL, n)
+        w[:j1, j0:j1] = np.tril(w[:j1, j0:j1], -j0)
+    return GpModel(x, y, hp, w, alpha, jitter)
 
 
 def _member_pass(model: GpModel, xs):

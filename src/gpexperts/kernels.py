@@ -34,6 +34,14 @@ class Hyperparams:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         object.__setattr__(self, "lengthscales", ls)
+        # NaN passes every comparison below; infinities are left to them.
+        for name, value in (
+            ("signal_variance", self.signal_variance),
+            ("lengthscales", ls),
+            ("noise_variance", self.noise_variance),
+        ):
+            if np.any(np.isnan(value)):
+                raise ValueError(f"{name} must not be NaN")
         if self.signal_variance <= 0 or self.noise_variance < 0:
             raise ValueError("signal variance must be > 0 and noise variance >= 0")
         if np.any(ls <= 0):

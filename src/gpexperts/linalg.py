@@ -2,10 +2,12 @@
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.blas import dsyrk, dtrmm, dtrmv
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-# Triangles of at most this order go to LAPACK dtrtri whole: below it, the
-# Python overhead of tri_inv's recursion outweighs its GEMM speed.
+# Blocks of at most this order are factored and inverted by LAPACK dpotrf and
+# dtrtri whole: below it, the Python overhead of the recursion in
+# chol_with_jitter outweighs its TRMM/SYRK speed.
 TRI_INV_LEAF = 128
 
 
@@ -14,77 +16,111 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
-    """Lower Cholesky factor of symmetric ``a + shift * I``, with jitter.
+    """Inverse Cholesky factor W = L^{-1} of symmetric ``a + shift * I``.
 
-    The first attempt uses no jitter.  On failure, ``initial * s`` is added
-    to the diagonal, where ``s`` is the mean (or max) of the shifted
-    diagonal, and the jitter grows tenfold per retry until it would exceed
-    ``maximum * s``.  Each attempt factors a fresh Fortran-ordered copy in
-    place with LAPACK ``dpotrf``; ``a`` itself is never written to.
+    C = a + shift * I is read on and below the diagonal of ``a``, and W is
+    written there: in place when ``a`` is a Fortran-ordered float64 array,
+    in a Fortran-ordered copy otherwise.  The strict upper triangle is never
+    written.  The first attempt uses no jitter.  On failure, the lower
+    triangle is rebuilt from the strict upper one and the original diagonal,
+    ``initial * s`` is added to the diagonal, where ``s`` is the mean (or
+    max) of the shifted diagonal, and the jitter grows tenfold per retry
+    until it would exceed ``maximum * s``.
 
-    Returns ``(L, jitter)``, L zero above its diagonal, with the jitter
-    actually applied (0.0 for a clean factorization).  Raises
-    :class:`SingularMatrixError` once the ladder is exhausted.
+    Returns ``(W, jitter)``: the array holding W in its lower triangle, and
+    the jitter actually applied (0.0 for a clean factorization).  Raises
+    :class:`SingularMatrixError` once the ladder is exhausted, or when W's
+    diagonal is not finite and positive, which any NaN or infinity in C's
+    lower triangle leads to.
     """
     a = np.asarray(a, dtype=float)
-    diag = a.diagonal() + shift
-    scale = float(diag.mean() if stat == "mean" else diag.max())
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
-    jitter = 0.0
-    while True:
+    if not a.flags.f_contiguous:
         # For symmetric a, the flat copy of a.T is a in Fortran order.
-        low = np.array(a.T, order="F")
-        np.fill_diagonal(low, diag + jitter)
-        low, info = dpotrf(low, lower=1, overwrite_a=1)
-        if info == 0:
-            return low, jitter
-        jitter = initial * scale if jitter == 0.0 else jitter * 10.0
+        a = np.array(a.T, order="F")
+    diag = a.diagonal() + shift
+    a_diag = a.T.reshape(-1)[:: a.shape[0] + 1]  # a.T is C-contiguous: a view
+    a_diag[...] = diag
+    jitter = 0.0
+    while not _factor_invert(a):
+        if jitter == 0.0:
+            scale = float(diag.mean() if stat == "mean" else diag.max())
+            if not np.isfinite(scale) or scale <= 0.0:
+                scale = 1.0
+            jitter = initial * scale
+        else:
+            jitter *= 10.0
         if jitter > maximum * scale * (1.0 + 1e-12):
             raise SingularMatrixError(
                 f"Cholesky failed at jitter {jitter:.3e} (scale {scale:.3e})"
             )
+        _mirror_upper(a)
+        a_diag[...] = diag + jitter
+    if not (a_diag.min() > 0.0 and a_diag.max() < np.inf):
+        raise SingularMatrixError(
+            "non-finite matrix: its inverse Cholesky factor has a diagonal "
+            "that is not finite and positive"
+        )
+    return a, jitter
 
 
-def tri_inv(low):
-    """Invert a lower-triangular factor in place; returns ``low``.
+def _factor_invert(a):
+    """Overwrite the lower triangle of C with W = L^{-1}; False on a failed pivot.
 
-    ``low`` must be zero above its diagonal and is best Fortran-ordered, as
-    LAPACK returns it.  With low = [[A, 0], [B, C]], the inverse is
-    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: both diagonal blocks are inverted
-    recursively, then B is updated by two GEMMs on views, so most of the
-    work runs at matrix-multiply speed rather than at the speed of LAPACK
-    ``dtrtri``.  The zero block above the diagonal is the scratch output of
-    the first product and is zeroed again afterwards, so no half-size block
-    is copied.  Blocks of order at most ``TRI_INV_LEAF`` go to ``dtrtri``
-    (a leaf that is not contiguous is copied).  Raises
-    :class:`SingularMatrixError` on a zero pivot.
+    ``a`` is square and Fortran-contiguous.  With C = [[C11, .], [C21, C22]]
+    and W11 = L11^{-1} from the leading block, L21 = C21 W11^T (BLAS
+    ``dtrmm``), the trailing block recurses on S = C22 - L21 L21^T (``dsyrk``)
+    and W21 = -W22 L21 W11 (two ``dtrmm``), so no triangular solve runs
+    (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Review 2004).  SciPy's BLAS
+    wrappers take contiguous blocks, so each block is copied in and out, at
+    most two half-order blocks at a time; the copies carry the strict upper
+    triangle through unchanged.  Blocks of order at most ``TRI_INV_LEAF``
+    go to LAPACK ``dpotrf`` + ``dtrtri``.
     """
-    n = low.shape[0]
+    n = a.shape[0]
     if n <= TRI_INV_LEAF:
-        inv, info = dtrtri(low, lower=1, overwrite_c=1)
-        if info != 0:
-            raise SingularMatrixError(f"dtrtri failed with info {info}")
-        if inv is not low:
-            low[...] = inv
-        return low
+        _, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            _, info = dtrtri(a, lower=1, overwrite_c=1)
+        return info == 0
     h = n // 2
-    a, b, c, scratch = low[:h, :h], low[h:, :h], low[h:, h:], low[:h, h:]
-    tri_inv(a)
-    tri_inv(c)
-    np.matmul(a.T, b.T, out=scratch)  # (B A^-1)^T
-    np.matmul(c, scratch.T, out=b)
-    np.negative(b, out=b)
-    scratch[...] = 0.0
-    return low
+    w11 = np.array(a[:h, :h], order="F")
+    if not _factor_invert(w11):
+        return False
+    l21 = dtrmm(1.0, w11, a[h:, :h], side=1, lower=1, trans_a=1)
+    a[:h, :h] = w11
+    del w11
+    s = dsyrk(-1.0, l21, beta=1.0, c=a[h:, h:], lower=1)
+    a[h:, :h] = l21
+    del l21
+    if not _factor_invert(s):
+        return False
+    w21 = dtrmm(-1.0, s, a[h:, :h], lower=1)
+    a[h:, h:] = s
+    del s
+    w11 = np.array(a[:h, :h], order="F")
+    a[h:, :h] = dtrmm(1.0, w11, w21, side=1, lower=1, overwrite_b=1)
+    return True
 
 
-def solve_spd(low, b):
-    """Solve ``a x = b`` given the lower Cholesky factor of ``a``."""
-    x, info = dpotrs(low, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with info {info}")
-    return x
+def _mirror_upper(a):
+    """Copy the strict upper triangle of square ``a`` onto its lower one."""
+    n = a.shape[0]
+    for j0 in range(0, n, TRI_INV_LEAF):
+        j1 = min(j0 + TRI_INV_LEAF, n)
+        a[j1:, j0:j1] = a[j0:j1, j1:].T
+        block = a[j0:j1, j0:j1]
+        np.copyto(block, block.T.copy(), where=np.tri(j1 - j0, k=-1, dtype=bool))
+
+
+def solve_spd(w, b):
+    """Solve ``C x = b`` given W = L^{-1} in the lower triangle of ``w``.
+
+    With C = L L^T, x = W^T (W b): two BLAS triangular products.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        return dtrmv(w, dtrmv(w, b, lower=1), lower=1, trans=1, overwrite_x=1)
+    return dtrmm(1.0, w, dtrmm(1.0, w, b, lower=1), lower=1, trans_a=1, overwrite_b=1)
 
 
 def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):
@@ -102,8 +138,10 @@ def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):
     # a non-positive diagonal leaves nothing to scale jitter against
     if float(np.max(np.diagonal(a))) > 0.0:
         try:
-            low, _ = chol_with_jitter(a, initial=initial, maximum=maximum, stat="max")
-            return solve_spd(low, b)
+            w, _ = chol_with_jitter(
+                np.array(a, order="F"), initial=initial, maximum=maximum, stat="max"
+            )
+            return solve_spd(w, b)
         except SingularMatrixError:
             pass
     w, v = eigh(a, check_finite=False)

@@ -182,7 +182,7 @@ def test_fit_records_its_training(monkeypatch):
 
 @pytest.mark.parametrize("n", [30, 300])
 def test_factorize_stores_the_inverse_cholesky_factor(n):
-    # n=300 takes the recursive path of linalg.tri_inv.
+    # n=300 takes the recursive path of linalg.chol_with_jitter.
     x, y = sample_problem(n, 2, seed=14)
     hp = Hyperparams(1.5, [0.7, 1.2], 0.05)
     model = factorize(x, y, hp)
@@ -283,16 +283,27 @@ def test_shape_validation():
         fit(np.zeros((0, 1)), np.zeros(0))
 
 
-def test_likelihood_holds_about_two_n_by_n_buffers():
-    # K, then K o C^{-1} in its storage, and one factor buffer, plus
-    # n x (D + 1) temporaries; a third full matrix would peak above 3 n^2
-    # doubles.
-    x, y = sample_problem(n=400, d=2, seed=9)
+def peak_in_n_squared_doubles(func, n=400):
+    """tracemalloc peak of one call at n=400, D=2, in units of n^2 doubles."""
+    x, y = sample_problem(n=n, d=2, seed=9)
     hp = Hyperparams(1.0, [0.3, 0.3], 0.1)
     tracemalloc.start()
     try:
-        log_marginal_likelihood(x, y, hp)
+        func(x, y, hp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * 400**2
+    return peak / (8 * n**2)
+
+
+def test_likelihood_holds_one_n_by_n_buffer():
+    # K above the diagonal and C, W, C^{-1}, C^{-1} o K on and below it share
+    # one buffer; the factorization adds at most two half-order blocks
+    # (n^2 / 2 doubles), plus n x (D + 1) temporaries.  A second full
+    # matrix would peak above 2 n^2 doubles.
+    assert peak_in_n_squared_doubles(log_marginal_likelihood) <= 1.6
+
+
+def test_factorize_holds_one_n_by_n_buffer():
+    # The model keeps the kernel buffer as L^{-1}; the same bound holds.
+    assert peak_in_n_squared_doubles(factorize) <= 1.6

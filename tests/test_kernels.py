@@ -137,6 +137,21 @@ def test_hyperparams_must_be_positive():
     assert Hyperparams(1.0, [1.0], 0.0).noise_variance == 0.0
 
 
+@pytest.mark.parametrize("field", ["signal_variance", "lengthscales", "noise_variance"])
+def test_hyperparams_reject_nan_naming_the_field(field):
+    values = {"signal_variance": 1.0, "lengthscales": [1.0, 2.0], "noise_variance": 0.1}
+    values[field] = [1.0, np.nan] if field == "lengthscales" else np.nan
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**values)
+
+
+def test_hyperparams_leave_infinities_to_the_range_checks():
+    # The optimizer can reach +inf through from_log_vector's exp; it stays legal.
+    assert Hyperparams(np.inf, [np.inf], np.inf).signal_variance == np.inf
+    with pytest.raises(ValueError, match="signal variance"):
+        Hyperparams(-np.inf, [1.0], 0.1)
+
+
 def test_zero_noise_has_no_log_vector():
     with pytest.raises(ValueError, match="zero noise"):
         Hyperparams(1.0, [1.0], 0.0).to_log_vector()

@@ -1,4 +1,4 @@
-"""Jittered Cholesky ladder, triangular inversion and the robust PSD solver."""
+"""Jittered inverse-Cholesky ladder, the solve from it and the robust PSD solver."""
 
 import tracemalloc
 
@@ -7,13 +7,7 @@ import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from gpexperts import SingularMatrixError
-from gpexperts.linalg import (
-    TRI_INV_LEAF,
-    chol_with_jitter,
-    solve_psd_robust,
-    solve_spd,
-    tri_inv,
-)
+from gpexperts.linalg import chol_with_jitter, solve_psd_robust, solve_spd
 
 
 def spd(n, seed, boost=1.0):
@@ -88,11 +82,21 @@ def late_pivot_singular(n=8, seed=7):
 
 
 def test_factorization_leaves_the_input_untouched():
+    # An array that is not Fortran-ordered is factored in a copy.
     for a in (spd(6, 8), late_pivot_singular()):
         before = a.copy()
         chol_with_jitter(a, shift=0.25)
         chol_with_jitter(a)
         np.testing.assert_array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", [8, 300])
+def test_factorization_never_writes_the_upper_triangle(n):
+    a = np.array(spd(n, n), order="F")
+    upper = np.triu(a, 1)
+    w, _ = chol_with_jitter(a, shift=0.25)
+    assert w is a
+    np.testing.assert_array_equal(np.triu(a, 1), upper)
 
 
 def test_jittered_factor_is_rebuilt_from_the_input():
@@ -101,15 +105,30 @@ def test_jittered_factor_is_rebuilt_from_the_input():
     a = late_pivot_singular() - 0.5 * np.eye(8)
     _, info = dpotrf(a + 0.5 * np.eye(8), lower=1)
     assert info == 8
-    low, jitter = chol_with_jitter(a, shift=0.5)
+    w, jitter = chol_with_jitter(a, shift=0.5)
     assert jitter > 0.0
-    np.testing.assert_array_equal(np.triu(low, 1), 0.0)
-    target = a + (0.5 + jitter) * np.eye(8)
-    np.testing.assert_allclose(low @ low.T, target, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(np.triu(w, 1), np.triu(a, 1))
+    ref, ref_jitter = chol_with_jitter(a + 0.5 * np.eye(8), shift=jitter)
+    assert ref_jitter == 0.0
+    np.testing.assert_array_equal(np.tril(w), np.tril(ref))
+
+
+def test_late_pivot_failure_retries_from_the_pristine_matrix():
+    # The last pivot of n=300 sits in the last leaf, after the recursion has
+    # overwritten the lower triangle of every earlier block.
+    n = 300
+    a = late_pivot_singular(n, seed=11)
+    a[-1, -1] -= 1e-6 * a.diagonal().mean()
+    w, jitter = chol_with_jitter(np.array(a, order="F"))
+    assert jitter > 0.0
+    ref, ref_jitter = chol_with_jitter(np.array(a, order="F"), shift=jitter)
+    assert ref_jitter == 0.0
+    np.testing.assert_array_equal(np.tril(w), np.tril(ref))
+    np.testing.assert_array_equal(np.triu(w, 1), np.triu(a, 1))
 
 
 def test_shift_matches_adding_it_to_the_diagonal_first():
-    for a in (spd(6, 9), late_pivot_singular() - 0.5 * np.eye(8)):
+    for a in (spd(6, 9), late_pivot_singular() - 0.5 * np.eye(8), spd(300, 9)):
         shifted = a + 0.5 * np.eye(a.shape[0])
         low, jitter = chol_with_jitter(a, shift=0.5)
         low_ref, jitter_ref = chol_with_jitter(shifted)
@@ -117,38 +136,53 @@ def test_shift_matches_adding_it_to_the_diagonal_first():
         np.testing.assert_array_equal(low, low_ref)
 
 
-def lower_factor(n, seed):
-    low, _ = chol_with_jitter(spd(n, seed))
-    return low
-
-
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 600, 1000])
 def test_tri_inv_matches_dtrtri_in_place(n):
-    low = lower_factor(n, seed=n)
+    # The triangular inverse W = L^{-1} that chol_with_jitter leaves in
+    # place, against LAPACK's dtrtri of dpotrf's factor.
+    a = spd(n, seed=n)
+    low, info = dpotrf(a, lower=1)
+    assert info == 0
     ref, info = dtrtri(low, lower=1)
     assert info == 0
-    out = tri_inv(low)
-    assert out is low
-    assert not np.any(np.triu(low, 1))
-    assert np.max(np.abs(low - ref)) <= 1e-13 * np.max(np.abs(ref))
+    buf = np.array(a, order="F")
+    w, _ = chol_with_jitter(buf)
+    assert w is buf
+    w = np.tril(w)
+    assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_allclose(w @ a @ w.T, np.eye(n), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n, pivot", [(5, 3), (300, 250)])
 def test_tri_inv_zero_pivot_raises(n, pivot):
-    low = lower_factor(n, seed=1)
-    low[pivot, pivot] = 0.0
-    with pytest.raises(SingularMatrixError):
-        tri_inv(low)
+    # A zeroed diagonal entry leaves a pivot that no jitter on the ladder
+    # can lift; at n=300 it sits in the last leaf of the recursion.
+    a = spd(n, seed=1)
+    a[pivot, pivot] = 0.0
+    with pytest.raises(SingularMatrixError, match="jitter"):
+        chol_with_jitter(a)
 
 
-def test_tri_inv_copies_no_half_size_block():
-    # Only a leaf that is not contiguous is copied; a copy of any half-size
-    # block at n=600 (300^2 doubles) would exceed this bound.
-    low = lower_factor(600, seed=3)
+@pytest.mark.parametrize("n, cell, value", [
+    (3, None, np.nan), (300, (260, 40), np.nan), (300, (10, 2), np.inf),
+])
+def test_non_finite_matrix_raises(n, cell, value):
+    a = np.full((n, n), value) if cell is None else spd(n, seed=2)
+    if cell is not None:
+        a[cell] = a[cell[::-1]] = value
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        chol_with_jitter(a)
+
+
+def test_factorization_holds_two_half_order_blocks_at_most():
+    # The recursion copies each block it hands to BLAS; at most two
+    # half-order blocks (n^2 / 2 doubles) are alive at a time.
+    n = 600
+    a = np.array(spd(n, seed=3), order="F")
     tracemalloc.start()
     try:
-        tri_inv(low)
+        chol_with_jitter(a)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * TRI_INV_LEAF**2 + 8192
+    assert peak <= 1.05 * 8 * n**2 / 2
