@@ -64,7 +64,10 @@ score("poe", poe_aggregate(ensemble, data.x_test, scheme="ones"))
 score("gpoe", poe_aggregate(ensemble, data.x_test, scheme="uniform"))
 score("bcm", bcm_aggregate(ensemble, data.x_test, scheme="ones"))
 score("rbcm", bcm_aggregate(ensemble, data.x_test, scheme="diff_entropy"))
-score("grbcm", grbcm_aggregate(ensemble, data.x_test, base_choice="random", seed=3))
+# grbcm fuses through one communication expert of the caller's choosing;
+# this demo draws it at random.
+base = int(np.random.default_rng(3).integers(ensemble.n_experts))
+score("grbcm", grbcm_aggregate(ensemble, data.x_test, base))
 score("npae", npae_aggregate(ensemble, data.x_test))
 
 # The dependent-expert rule (npae) weighs experts through the covariance of

@@ -30,6 +30,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from . import committee, metrics, npae, selection
 from .data import load_delimited, synth_dataset
 from .experts import train_ensemble
@@ -44,11 +46,14 @@ def _committee(rule, **fixed):
 
 
 def _grbcm(ensemble, xs, subset, graph, seed):
+    """grbcm's base: a seeded random expert, or the graph's top-ranked one.
+
+    ``subset`` goes by keyword, as for every rule: tracers read it there.
+    """
     if subset is None:
-        return committee.grbcm_aggregate(ensemble, xs, base_choice="random", seed=seed)
-    return committee.grbcm_aggregate(
-        ensemble, xs, base_choice="top_importance", subset=subset, order=graph.order
-    )
+        base = int(np.random.default_rng(seed).integers(ensemble.n_experts))
+        return committee.grbcm_aggregate(ensemble, xs, base)
+    return committee.grbcm_aggregate(ensemble, xs, int(graph.order[0]), subset=subset)
 
 
 # base name -> predict(model, x_test, subset, graph, seed); model is the full
@@ -258,13 +263,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def render_report(report: ExperimentReport, fmt: str = "json") -> str:
     """Serialize a report to JSON or CSV text (deterministic for equal inputs)."""
     if fmt == "json":
-        payload = {
-            "config": report.config,
-            "selection": report.selection,
-            "training": report.training,
-            "results": [asdict(r) for r in report.results],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

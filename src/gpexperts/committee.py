@@ -98,39 +98,25 @@ def bcm_aggregate(
 
 
 def grbcm_aggregate(
-    ensemble: ExpertEnsemble,
-    xs,
-    base_choice: str = "random",
-    subset=None,
-    seed=0,
-    order=None,
+    ensemble: ExpertEnsemble, xs, base: int, subset=None
 ) -> PredictiveDist:
     """Robust committee fusion through a shared communication expert.
 
-    One part is designated the base; every other participating expert is
-    refit (same hyperparameters) on its own part joined with the base part,
-    and the augmented posteriors are fused with the base posterior as the
-    committee base.  The augmented expert with the lowest index always gets
-    beta = 1; the others get the information-gain weights
+    Expert ``base``, which must be in the subset, is the communication
+    expert (Liu, Ong, Shen & Cai, ICML 2018); which one to take is the
+    caller's choice.  Every other participating expert is refit (same
+    hyperparameters) on its own part joined with the base part, and the
+    augmented posteriors are fused with the base posterior as the committee
+    base.  The augmented expert with the lowest index always gets beta = 1;
+    the others get the information-gain weights
     0.5 * (log var_b - log var_{b,i}).  The subset is taken in index order,
     so its given order does not matter.
-
-    base_choice is "random" (seeded) or "top_importance", which takes the
-    head of ``order`` (an expert ranking, most important first).
     """
     subset = np.sort(ensemble.subset_or_all(subset))
-    if ensemble.n_experts < 2 or subset.size < 2:
+    if subset.size < 2:
         raise ValueError("need at least two experts, one of which becomes the base")
-    if base_choice == "random":
-        base = int(np.random.default_rng(seed).choice(subset))
-    elif base_choice == "top_importance":
-        if order is None:
-            raise ValueError("base_choice='top_importance' needs an expert ranking")
-        base = int(order[0])
-        if base not in subset:
-            raise ValueError("ranked base expert is not in the subset")
-    else:
-        raise ValueError(f"unknown base_choice {base_choice!r}")
+    if base not in subset:
+        raise ValueError(f"base expert {base} is not in the subset")
 
     base_mean, base_var = (a[:, 0] for a in ensemble.moments(xs, [base]))
     b, hp = ensemble.experts[base], ensemble.hp

@@ -140,13 +140,12 @@ def load_delimited(
     target_column: int = -1,
     train_fraction: float = 0.9,
     seed=0,
-    n_train: int | None = None,
 ) -> Dataset:
     """Load a numeric CSV or whitespace table and split it for benchmarking.
 
     A single non-numeric first line is treated as a header.  The split is a
-    seeded shuffle; ``n_train`` overrides the fraction with an explicit
-    training-row count.
+    seeded shuffle that puts floor(train_fraction * n) rows, at least two,
+    in the training set and the rest in the test set.
     """
     table = _parse_table(path)
     n, n_cols = table.shape
@@ -156,12 +155,11 @@ def load_delimited(
         raise ValueError(f"{path}: target column {target_column} out of range")
     y = table[:, target_column]
     x = np.delete(table, target_column % n_cols, axis=1)
-    if n_train is None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        n_train = int(math.floor(train_fraction * n))
-    if not 2 <= n_train < n:
-        raise ValueError(f"split leaves no usable train/test rows (n_train={n_train})")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+    n_train = int(math.floor(train_fraction * n))
+    if n_train < 2:
+        raise ValueError(f"split leaves under two training rows (n_train={n_train})")
     perm = np.random.default_rng(seed).permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     return _normalize(x[tr], y[tr], x[te], y[te])

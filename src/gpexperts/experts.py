@@ -112,21 +112,19 @@ def train_ensemble(
     x,
     y,
     partitioning: Partitioning,
-    init: Hyperparams | None = None,
     restarts: int = 1,
     seed=0,
 ) -> ExpertEnsemble:
-    """Fit shared hyperparameters across all parts, then factorize each expert."""
+    """Fit shared hyperparameters across all parts, starting from
+    :func:`~gpexperts.gp.default_init`, then factorize each expert."""
     x, y = _prepare_xy(x, y)
     if partitioning.assignments.shape[0] != x.shape[0]:
         raise ValueError("partitioning does not cover the training set")
-    if init is None:
-        init = default_init(x)
     parts = [
         (x[idx], y[idx])
         for idx in (partitioning.indices(i) for i in range(partitioning.n_parts))
     ]
-    hp, info = _optimize_shared(parts, init, restarts, seed)
+    hp, info = _optimize_shared(parts, default_init(x), restarts, seed)
     experts = [factorize(px, py, hp) for px, py in parts]
     return ExpertEnsemble(experts, hp, partitioning, info)
 

@@ -38,7 +38,7 @@ from scipy.linalg.blas import dsymm, dtrmm
 from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
-from .kernels import Hyperparams, kernel_matrix
+from .kernels import Hyperparams, as_points, kernel_matrix
 from .linalg import SingularMatrixError, chol_with_jitter, solve_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -118,9 +118,7 @@ class GpModel:
 
 
 def _prepare_xy(x, y):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_points(x)
     y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} rows of inputs but {y.shape[0]} targets")
@@ -185,10 +183,7 @@ def _times_transpose_below(a):
 
 def default_init(x) -> Hyperparams:
     """Heuristic starting point: unit signal, per-dimension input spread."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    spread = np.std(x, axis=0)
+    spread = np.std(as_points(x), axis=0)
     spread[spread <= 0] = 1.0
     return Hyperparams(1.0, spread, 0.1)
 
@@ -244,12 +239,11 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     return Hyperparams.from_log_vector(best.x), info
 
 
-def fit(x, y, init: Hyperparams | None = None, restarts: int = 1, seed=0) -> GpModel:
-    """Train a GP on the full data by maximizing the log marginal likelihood."""
+def fit(x, y, restarts: int = 1, seed=0) -> GpModel:
+    """Train a GP on the full data by maximizing the log marginal likelihood,
+    starting from :func:`default_init`."""
     x, y = _prepare_xy(x, y)
-    if init is None:
-        init = default_init(x)
-    hp, info = _optimize_shared([(x, y)], init, restarts, seed)
+    hp, info = _optimize_shared([(x, y)], default_init(x), restarts, seed)
     model = factorize(x, y, hp)
     model.training = info
     return model
@@ -281,9 +275,6 @@ def _member_pass(model: GpModel, xs):
     right in place, and v^T, shape (t, n), lives in the kernel's storage.
     The latent variance is signal_variance - c per test point.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
     ks = kernel_matrix(model.x, xs, model.hp)
     means = ks.T @ model.alpha
     vt = dtrmm(1.0, model.chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)

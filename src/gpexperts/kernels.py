@@ -71,9 +71,10 @@ class Hyperparams:
         return Hyperparams(float(vals[0]), vals[1:-1].copy(), float(vals[-1]))
 
 
-def _as_2d(x):
+def as_points(x) -> np.ndarray:
+    """Inputs as an (n, D) float array: a 1-D array is n points of one input."""
     x = np.asarray(x, dtype=float)
-    return x[None, :] if x.ndim == 1 else x
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _check_dims(x, x2, hp):
@@ -89,7 +90,7 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     Squared distances are computed from explicit coordinate differences, so
     identical rows give exactly k = signal_variance.
     """
-    x, x2 = _as_2d(x), _as_2d(x2)
+    x, x2 = as_points(x), as_points(x2)
     _check_dims(x, x2, hp)
     scale = 1.0 / np.sqrt(hp.lengthscales)
     k = cdist(x * scale, x2 * scale, metric="sqeuclidean")
@@ -110,7 +111,7 @@ def kernel_grad(x, hp: Hyperparams) -> np.ndarray:
     no longer calls it, since the traces it needs reduce to one weighted
     matrix (see :mod:`gpexperts.gp`).
     """
-    x = _as_2d(x)
+    x = as_points(x)
     if x.shape[1] != hp.dim:
         raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
     k = kernel_matrix(x, x, hp)

@@ -123,12 +123,13 @@ def solve_spd(w, b):
     return dtrmm(1.0, w, dtrmm(1.0, w, b, lower=1), lower=1, trans_a=1, overwrite_b=1)
 
 
-def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):
+def solve_psd_robust(a, b):
     """Solve ``a x = b`` for symmetric PSD ``a`` that may be singular.
 
-    Tries Cholesky with escalating jitter (scaled by the max diagonal entry);
-    if the matrix never factorizes, falls back to an eigendecomposition
-    pseudo-inverse that drops eigenvalues below ``n * eps * lambda_max``.
+    Tries Cholesky with jitter escalating from 1e-10 to 1e-6 of the max
+    diagonal entry; if the matrix never factorizes, falls back to an
+    eigendecomposition pseudo-inverse that drops eigenvalues below
+    ``n * eps * lambda_max``.
 
     This is a reference solve for the tests; NPAE no longer calls it, since
     its deflating Cholesky keeps the far experts that this jitter and cut
@@ -139,7 +140,7 @@ def solve_psd_robust(a, b, initial=1e-10, maximum=1e-6):
     if float(np.max(np.diagonal(a))) > 0.0:
         try:
             w, _ = chol_with_jitter(
-                np.array(a, order="F"), initial=initial, maximum=maximum, stat="max"
+                np.array(a, order="F"), initial=1e-10, maximum=1e-6, stat="max"
             )
             return solve_spd(w, b)
         except SingularMatrixError:

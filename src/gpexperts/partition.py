@@ -5,6 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .kernels import as_points
+
 
 @dataclass
 class Partitioning:
@@ -90,9 +92,7 @@ def _lloyd(x, centers, max_iter):
 
 def partition_kmeans(x, n_parts: int, seed=0, max_iter: int = 100) -> Partitioning:
     """Cluster inputs into ``n_parts`` local regions with seeded K-means."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_points(x)
     if not 1 <= n_parts <= x.shape[0]:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={x.shape[0]}")
     rng = np.random.default_rng(seed)

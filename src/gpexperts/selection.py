@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.sparse.csgraph import connected_components
 
 from .experts import ExpertEnsemble
 
@@ -77,15 +78,8 @@ def _penalized_objective(s, omega, lam):
 
 def _components(s, lam):
     """Connected components, as sorted indices, of the graph |S_ij| > lam."""
-    adj = (np.abs(s) > lam) | np.eye(s.shape[0], dtype=bool)
-    unseen, components = np.ones(s.shape[0], dtype=bool), []
-    while unseen.any():
-        reach = adj[np.argmax(unseen)]
-        while not np.array_equal(grown := adj[reach].any(axis=0), reach):
-            reach = grown
-        components.append(np.flatnonzero(reach))
-        unseen &= ~reach
-    return components
+    count, labels = connected_components(np.abs(s) > lam, directed=False)
+    return [np.flatnonzero(labels == c) for c in range(count)]
 
 
 def _gista(s, lam, thresh, budget):
@@ -125,13 +119,7 @@ def _gista(s, lam, thresh, budget):
         yield omega
 
 
-def graphical_lasso(
-    s,
-    lam: float,
-    tol: float = 1e-3,
-    max_iter: int = 10000,
-    return_history: bool = False,
-):
+def graphical_lasso(s, lam: float, tol: float = 1e-3, max_iter: int = 10000):
     """l1-penalized precision estimate maximizing log det O - tr(SO) - lam*|O|_1.
 
     Only off-diagonal entries are penalized.  Exact covariance thresholding
@@ -144,8 +132,10 @@ def graphical_lasso(
     |W_ij - S_ij| <= lam, and W_ij - S_ij = lam * sign(O_ij) on edges.
     ``max_iter`` caps the proximal steps over all components, so a run that
     takes all of them did not converge: it returns the last iterate with a
-    warning.  ``return_history`` adds the whole-matrix objective after each
-    accepted step, which never decreases.
+    warning.
+
+    Returns ``(omega, objectives)``: the estimate, and the whole-matrix
+    objective after each accepted step, which never decreases.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -169,7 +159,7 @@ def graphical_lasso(
     if len(objectives) >= max_iter:
         message = f"graphical lasso did not converge in {max_iter} proximal steps"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return (omega, objectives) if return_history else omega
+    return omega, objectives
 
 
 def rank_importance(omega):
@@ -203,9 +193,7 @@ def expert_graph(
 ) -> ExpertGraph:
     """Estimate the expert graph (``tol``, ``max_iter``: see graphical_lasso)."""
     cov = prediction_covariance(ensemble, xs)
-    omega, history = graphical_lasso(
-        cov, lam, tol=tol, max_iter=max_iter, return_history=True
-    )
+    omega, history = graphical_lasso(cov, lam, tol=tol, max_iter=max_iter)
     importance, order = rank_importance(omega)
     selected = select_experts(order, ensemble.n_experts, alpha)
     steps, components = len(history), len(_components(cov, lam))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import manual_ensemble
+from gpexperts import bench
 from gpexperts import (
     Hyperparams,
     bcm_aggregate,
@@ -176,7 +177,7 @@ def test_rbcm_downweights_the_clueless_expert():
 def test_grbcm_two_experts_equal_augmented_model():
     ens = make_ensemble(n=30, m=2, seed=9)
     xs = np.linspace(0.1, 0.9, 8)[:, None]
-    fused = grbcm_aggregate(ens, xs, base_choice="top_importance", order=[0, 1])
+    fused = grbcm_aggregate(ens, xs, 0)
     base, other = ens.experts[0], ens.experts[1]
     aug = factorize(
         np.vstack([base.x, other.x]),
@@ -191,7 +192,7 @@ def test_grbcm_two_experts_equal_augmented_model():
 def test_grbcm_three_experts_match_manual_fusion():
     ens = make_ensemble(n=45, m=3, seed=10)
     xs = np.linspace(0.1, 0.9, 8)[:, None]
-    fused = grbcm_aggregate(ens, xs, base_choice="top_importance", order=[2, 0, 1])
+    fused = grbcm_aggregate(ens, xs, 2)
 
     base = ens.experts[2]
     base_pred = expert_predict(base, xs)
@@ -224,26 +225,33 @@ def test_grbcm_three_experts_match_manual_fusion():
 
 
 def test_grbcm_random_base_is_seeded():
+    # The benchmark's unstarred grbcm draws its base from the run's seed.
     ens = make_ensemble(n=40, m=4, seed=11)
     xs = np.linspace(0.2, 0.8, 5)[:, None]
-    a = grbcm_aggregate(ens, xs, base_choice="random", seed=5)
-    b = grbcm_aggregate(ens, xs, base_choice="random", seed=5)
+    a = bench.METHODS["grbcm"](ens, xs, None, None, 5)
+    b = bench.METHODS["grbcm"](ens, xs, None, None, 5)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.variances, b.variances)
+    ref = grbcm_aggregate(ens, xs, int(np.random.default_rng(5).integers(4)))
+    np.testing.assert_array_equal(a.means, ref.means)
+    # the draw is the one a seeded choice over all experts makes, so the
+    # benchmark's reports keep their base expert
+    for m in (2, 3, 10, 40):
+        for seed in range(200):
+            draw = np.random.default_rng(seed).integers(m)
+            assert draw == np.random.default_rng(seed).choice(np.arange(m))
 
 
 def test_grbcm_argument_validation():
     ens = make_ensemble(n=30, m=3, seed=12)
     xs = np.array([[0.5]])
     single = make_ensemble(n=20, m=1, seed=13)
-    with pytest.raises(ValueError):
-        grbcm_aggregate(single, xs)
-    with pytest.raises(ValueError):
-        grbcm_aggregate(ens, xs, base_choice="top_importance")  # no order
-    with pytest.raises(ValueError):
-        grbcm_aggregate(ens, xs, base_choice="top_importance", order=[2], subset=[0, 1])
-    with pytest.raises(ValueError):
-        grbcm_aggregate(ens, xs, base_choice="median")
+    with pytest.raises(ValueError, match="at least two"):
+        grbcm_aggregate(single, xs, 0)
+    with pytest.raises(ValueError, match="not in the subset"):
+        grbcm_aggregate(ens, xs, 2, subset=[0, 1])
+    with pytest.raises(ValueError, match="not in the subset"):
+        grbcm_aggregate(ens, xs, 3)
 
 
 FUSION_RULES = {
@@ -254,11 +262,9 @@ FUSION_RULES = {
         ens, xs, subset=sub, scheme="diff_entropy"
     ),
     "npae": lambda ens, xs, sub: npae_aggregate(ens, xs, subset=sub),
-    "grbcm": lambda ens, xs, sub: grbcm_aggregate(
-        ens, xs, base_choice="top_importance", subset=sub, order=[3]
-    ),
+    "grbcm": lambda ens, xs, sub: grbcm_aggregate(ens, xs, 3, subset=sub),
     "grbcm-random-base": lambda ens, xs, sub: grbcm_aggregate(
-        ens, xs, base_choice="random", subset=sub, seed=4
+        ens, xs, int(np.random.default_rng(4).choice(np.sort(sub))), subset=sub
     ),
 }
 

@@ -181,16 +181,17 @@ def test_load_split_is_deterministic_and_loses_nothing(tmp_path):
     )
 
 
-def test_load_explicit_train_count(tmp_path):
+def test_load_train_count_is_floor_of_fraction(tmp_path):
     path = tmp_path / "count.csv"
     write_csv(path, ten_rows())
-    ds = load_delimited(path, n_train=4)
+    ds = load_delimited(path, train_fraction=0.49)
     assert ds.n_train == 4
     assert ds.n_test == 6
-    with pytest.raises(ValueError):
-        load_delimited(path, n_train=10)  # leaves no test rows
-    with pytest.raises(ValueError):
-        load_delimited(path, train_fraction=1.5)
+    with pytest.raises(ValueError, match="n_train=1"):
+        load_delimited(path, train_fraction=0.19)  # one training row
+    for fraction in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="train_fraction"):
+            load_delimited(path, train_fraction=fraction)
 
 
 def test_load_normalizes_with_train_stats(tmp_path):

@@ -203,7 +203,7 @@ def test_each_member_is_predicted_once_per_test_set(
     graph = expert_graph(ens, xs, lam=0.05)
     poe_aggregate(ens, xs)
     bcm_aggregate(ens, xs, scheme="diff_entropy")
-    grbcm_aggregate(ens, xs, base_choice="top_importance", order=graph.order)
+    grbcm_aggregate(ens, xs, int(graph.order[0]))
     npae_aggregate(ens, xs)
     npae_aggregate(ens, xs, subset=graph.selected)
     members = [c for c in calls if any(c is e for e in ens.experts)]

@@ -126,6 +126,17 @@ def test_dimension_mismatch_rejected():
         kernel_grad(np.zeros((3, 1)), hp)
 
 
+def test_one_dimensional_arrays_are_points_of_one_input():
+    x = np.linspace(0.0, 1.0, 5)
+    hp = Hyperparams(1.0, [0.1], 0.01)
+    column = x[:, None]
+    k = kernel_matrix(x, x, hp)
+    assert k.shape == (5, 5)
+    np.testing.assert_array_equal(k, kernel_matrix(column, column, hp))
+    np.testing.assert_array_equal(kernel_matrix(column, x[:2], hp), k[:, :2])
+    np.testing.assert_array_equal(kernel_grad(x, hp), kernel_grad(column, hp))
+
+
 def test_hyperparams_must_be_positive():
     with pytest.raises(ValueError):
         Hyperparams(0.0, [1.0], 0.1)
