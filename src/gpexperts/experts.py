@@ -91,7 +91,8 @@ class ExpertEnsemble:
         """NPAE's pieces at ``xs``: means and c_i = ||v_i||^2, each (t, m),
         and the memo's read-only w_i = L_i^{-T} v_i = C_i^{-1} k(X_i, xs),
         (n_i, t), per expert of ``subset``.  A second in-place ``dtrmm``
-        turns v_i into w_i on first request, so other rules never pay it.
+        turns v_i into w_i on first request, so only the rules that read
+        w_i pay it: NPAE for its subset, grbcm for its base expert.
         """
         means, _ = self.moments(xs, subset)
         subset = self.subset_or_all(subset)

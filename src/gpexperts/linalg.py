@@ -15,7 +15,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix stays non-factorizable after jitter escalation."""
 
 
-def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
+def chol_with_jitter(a, initial=1e-10, maximum=1e-4, scale=None, shift=0.0):
     """Inverse Cholesky factor W = L^{-1} of symmetric ``a + shift * I``.
 
     C = a + shift * I is read on and below the diagonal of ``a``, and W is
@@ -23,9 +23,9 @@ def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
     in a Fortran-ordered copy otherwise.  The strict upper triangle is never
     written.  The first attempt uses no jitter.  On failure, the lower
     triangle is rebuilt from the strict upper one and the original diagonal,
-    ``initial * s`` is added to the diagonal, where ``s`` is the mean (or
-    max) of the shifted diagonal, and the jitter grows tenfold per retry
-    until it would exceed ``maximum * s``.
+    ``initial * s`` is added to the diagonal, where ``s`` is ``scale`` or,
+    when that is None, the mean of the shifted diagonal, and the jitter
+    grows tenfold per retry until it would exceed ``maximum * s``.
 
     Returns ``(W, jitter)``: the array holding W in its lower triangle, and
     the jitter actually applied (0.0 for a clean factorization).  Raises
@@ -43,7 +43,8 @@ def chol_with_jitter(a, initial=1e-10, maximum=1e-4, stat="mean", shift=0.0):
     jitter = 0.0
     while not _factor_invert(a):
         if jitter == 0.0:
-            scale = float(diag.mean() if stat == "mean" else diag.max())
+            if scale is None:
+                scale = float(diag.mean())
             if not np.isfinite(scale) or scale <= 0.0:
                 scale = 1.0
             jitter = initial * scale
@@ -136,11 +137,12 @@ def solve_psd_robust(a, b):
     would wipe out (see :mod:`gpexperts.npae`).
     """
     a = np.asarray(a, dtype=float)
+    top = float(np.max(np.diagonal(a)))
     # a non-positive diagonal leaves nothing to scale jitter against
-    if float(np.max(np.diagonal(a))) > 0.0:
+    if top > 0.0:
         try:
             w, _ = chol_with_jitter(
-                np.array(a, order="F"), initial=1e-10, maximum=1e-6, stat="max"
+                np.array(a, order="F"), initial=1e-10, maximum=1e-6, scale=top
             )
             return solve_spd(w, b)
         except SingularMatrixError:

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import gpexperts.committee
+import gpexperts.experts
+import gpexperts.gp
+import gpexperts.linalg
 from conftest import manual_ensemble
 from gpexperts import bench
 from gpexperts import (
+    ExpertEnsemble,
     Hyperparams,
     bcm_aggregate,
     compute_weights,
@@ -13,6 +18,7 @@ from gpexperts import (
     grbcm_aggregate,
     npae_aggregate,
     partition_kmeans,
+    partition_random,
     poe_aggregate,
     train_ensemble,
 )
@@ -252,6 +258,123 @@ def test_grbcm_argument_validation():
         grbcm_aggregate(ens, xs, 2, subset=[0, 1])
     with pytest.raises(ValueError, match="not in the subset"):
         grbcm_aggregate(ens, xs, 3)
+
+
+def random_parts_8d(n=120, m=4, seed=14):
+    # Random parts of 8-D inputs: every part spans the whole domain, so each
+    # one overlaps the base.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 8))
+    y = np.sin(x @ rng.normal(size=8)) + 0.05 * rng.normal(size=n)
+    hp = Hyperparams(1.3, np.full(8, 2.5), 0.02)
+    parts = partition_random(n, m, seed=seed)
+    return manual_ensemble(
+        [(x[parts.indices(i)], y[parts.indices(i)]) for i in range(m)], hp
+    ), rng.uniform(-1.0, 1.0, size=(15, 8))
+
+
+def augmented_moments(ens, xs, base, monkeypatch):
+    """grbcm's augmented means and variances, as handed to the fusion."""
+    seen = []
+
+    def recorded(means, variances, *args):
+        seen.append((means, variances))
+        return fuse(means, variances, *args)
+
+    fuse = gpexperts.committee._fuse
+    monkeypatch.setattr(gpexperts.committee, "_fuse", recorded)
+    grbcm_aggregate(ens, xs, base)
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["random-8d", "duplicated"])
+def test_grbcm_augmented_experts_match_a_joint_refit(case, monkeypatch):
+    # Oracle: refit the GP on [X_b; X_i] and predict with it.  For the
+    # duplicated ensemble every part repeats the base, which the Schur update
+    # meets as heavy cancellation in C_i - G_i G_i^T.
+    if case == "duplicated":
+        ens, xs, base = duplicated(4), np.linspace(-0.2, 1.2, 11)[:, None], 1
+    else:
+        (ens, xs), base = random_parts_8d(), 2
+    means, variances = augmented_moments(ens, xs, base, monkeypatch)
+    b, hp = ens.experts[base], ens.hp
+    for col, i in enumerate(i for i in range(ens.n_experts) if i != base):
+        e = ens.experts[i]
+        ref = expert_predict(
+            factorize(np.vstack([b.x, e.x]), np.concatenate([b.y, e.y]), hp), xs
+        )
+        scale = np.max(np.abs(ref.means))
+        np.testing.assert_allclose(means[:, col], ref.means, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            variances[:, col], ref.variances, rtol=0, atol=1e-12 * hp.signal_variance
+        )
+
+
+def test_grbcm_jitters_a_singular_schur_complement_on_the_joint_scale(monkeypatch):
+    # Noise-free duplicated parts: S_i = 0 in exact arithmetic, so only
+    # jitter factors it.  Scaled like the refit's jitter on the joint matrix,
+    # the ladder reaches the refit's answer, the base's own posterior, to
+    # within the 1e-10 jitter both add.
+    x = np.linspace(0.0, 1.2, 5)[:, None]
+    hp = Hyperparams(1.0, [0.05], 0.0)
+    ens = manual_ensemble([(x, np.cos(3 * x).ravel())] * 3, hp)
+    xs = np.linspace(-0.09, 1.31, 9)[:, None]
+    means, variances = augmented_moments(ens, xs, 0, monkeypatch)
+    b = ens.experts[0]
+    joint = factorize(np.vstack([b.x, b.x]), np.concatenate([b.y, b.y]), hp)
+    assert joint.jitter > 0.0
+    ref = expert_predict(joint, xs)
+    for col in range(2):
+        np.testing.assert_allclose(means[:, col], ref.means, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(variances[:, col], ref.variances, rtol=0, atol=1e-9)
+
+
+def test_grbcm_and_npae_do_not_depend_on_the_memo_state():
+    # grbcm whitens its base in the ensemble's memo, NPAE whitens every
+    # member: whichever runs first, both give bit-identical output.
+    ens = make_ensemble(n=60, m=4, seed=15)
+    xs = np.linspace(-0.1, 1.1, 17)[:, None]
+
+    def fresh():
+        return ExpertEnsemble(ens.experts, ens.hp, ens.partitioning)
+
+    grbcm_cold = grbcm_aggregate(fresh(), xs, 1)
+    npae_cold = npae_aggregate(fresh(), xs)
+    warm = fresh()
+    npae_aggregate(warm, xs)
+    grbcm_warm = grbcm_aggregate(warm, xs, 1)
+    warm = fresh()
+    grbcm_aggregate(warm, xs, 1)
+    npae_warm = npae_aggregate(warm, xs)
+    for cold, hot in ((grbcm_cold, grbcm_warm), (npae_cold, npae_warm)):
+        np.testing.assert_array_equal(hot.means, cold.means)
+        np.testing.assert_array_equal(hot.variances, cold.variances)
+
+
+def test_grbcm_factors_only_part_sized_matrices(monkeypatch):
+    ens = make_ensemble(n=70, m=5, seed=16)
+    xs = np.linspace(0.0, 1.0, 9)[:, None]
+    base = 3
+    factorized, orders = [], []
+
+    def counted_factorize(*args, **kwargs):
+        factorized.append(args)
+        return factorize(*args, **kwargs)
+
+    def counted_chol(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return chol(a, *args, **kwargs)
+
+    chol = gpexperts.committee.chol_with_jitter
+    for module in (gpexperts.gp, gpexperts.experts):
+        monkeypatch.setattr(module, "factorize", counted_factorize)
+    for module in (gpexperts.committee, gpexperts.gp, gpexperts.linalg):
+        monkeypatch.setattr(module, "chol_with_jitter", counted_chol)
+    grbcm_aggregate(ens, xs, base)
+    assert factorized == []
+    sizes = [e.x.shape[0] for i, e in enumerate(ens.experts) if i != base]
+    assert len(orders) == len(sizes)
+    assert max(orders) <= max(sizes)
 
 
 FUSION_RULES = {

@@ -209,7 +209,7 @@ def test_each_member_is_predicted_once_per_test_set(
     members = [c for c in calls if any(c is e for e in ens.experts)]
     assert len(members) == ens.n_experts
     assert all(any(c is e for c in members) for e in ens.experts)
-    assert len(calls) == ens.n_experts + ens.n_experts - 1  # grbcm's augmented
+    assert len(calls) == ens.n_experts
 
     def assert_direct(points, subset=(0, 1, 2)):
         means, variances = ens.moments(points, list(subset))

@@ -38,6 +38,17 @@ def test_indefinite_matrix_exhausts_ladder():
         chol_with_jitter(-np.eye(3))
 
 
+def test_jitter_ladder_steps_in_the_given_scale():
+    # Indefinite at 1e-19, like the rounding left of a matrix that cancelled
+    # to zero: steps of its own diagonal's size stop short of 1e-19, while
+    # steps in a given scale of 1 factor it at the first one.
+    a = np.array([[1e-20, 1e-19], [1e-19, 1e-20]])
+    with pytest.raises(SingularMatrixError):
+        chol_with_jitter(a)
+    _, jitter = chol_with_jitter(a, scale=1.0)
+    assert jitter == 1e-10
+
+
 def test_solve_spd_matrix_rhs():
     a = spd(5, 2)
     low, _ = chol_with_jitter(a)
