@@ -68,8 +68,7 @@ METHODS = {
     "grbcm": _grbcm,
     "npae": lambda ens, xs, subset, *_: npae.npae_aggregate(ens, xs, subset=subset),
 }
-BASE_METHODS = tuple(METHODS)
-METHOD_NAMES = BASE_METHODS + tuple(m + "*" for m in BASE_METHODS if m != "fullgp")
+METHOD_NAMES = tuple(METHODS) + tuple(m + "*" for m in METHODS if m != "fullgp")
 
 
 @dataclass

@@ -17,10 +17,10 @@ from .gp import (
     TrainingInfo,
     _member_pass,
     _optimize_shared,
-    _predict_latent,
     _prepare_xy,
     default_init,
     factorize,
+    gp_predict,
 )
 from .kernels import Hyperparams
 from .partition import Partitioning
@@ -38,7 +38,7 @@ class ExpertEnsemble:
     hp: Hyperparams
     partitioning: Partitioning
     training: TrainingInfo | None = None
-    # (test set, means, variances, c, v_i^T or w_i^T per expert, which are w_i^T)
+    # (test set, means, c, v_i^T or w_i^T per expert, which are w_i^T)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -65,7 +65,8 @@ class ExpertEnsemble:
 
         One column per expert of ``subset`` (None: all), in its order.  The
         last test set is kept as a private copy, compared by value, so each
-        expert is predicted at most once per test set.  The memo also keeps
+        expert is predicted at most once per test set.  The memo keeps the
+        means, c_i (a variance is signal_variance - c_i, clipped at 0) and
         v_i^T = (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when no
         NPAE follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
         """
@@ -74,18 +75,15 @@ class ExpertEnsemble:
         if self._memo is None or not np.array_equal(xs, self._memo[0]):
             shape, m = (xs.shape[0], self.n_experts), self.n_experts
             self._memo = (xs.copy(), np.empty(shape), np.empty(shape),
-                          np.empty(shape), [None] * m, np.zeros(m, dtype=bool))
-        xs, means, variances, target_cov, vts, _ = self._memo
-        for i in subset:
-            if vts[i] is None:
-                e = self.experts[i]
-                means[:, i], vts[i], c = _member_pass(e, xs)
-                target_cov[:, i] = c
-                variances[:, i] = np.maximum(e.hp.signal_variance - c, 0.0)
+                          [None] * m, np.zeros(m, dtype=bool))
+        xs, means, target_cov, vts, _ = self._memo
+        for i in [i for i in subset if vts[i] is None]:
+            means[:, i], vts[i], target_cov[:, i] = _member_pass(self.experts[i], xs)
         # Fancy-indexed columns come back Fortran-ordered; row sums over
         # them would round differently from sums over stacked columns.
+        c = np.ascontiguousarray(target_cov[:, subset])
         return (np.ascontiguousarray(means[:, subset]),
-                np.ascontiguousarray(variances[:, subset]))
+                np.maximum(self.hp.signal_variance - c, 0.0))
 
     def npae_moments(self, xs, subset=None):
         """NPAE's pieces at ``xs``: means and c_i = ||v_i||^2, each (t, m),
@@ -96,7 +94,7 @@ class ExpertEnsemble:
         """
         means, _ = self.moments(xs, subset)
         subset = self.subset_or_all(subset)
-        _, _, _, target_cov, vts, whitened = self._memo
+        _, _, target_cov, vts, whitened = self._memo
         for i in subset[~whitened[subset]]:
             w_t = dtrmm(1.0, self.experts[i].chol_inv, vts[i], side=1, lower=1,
                         overwrite_b=1)
@@ -132,4 +130,4 @@ def train_ensemble(
 
 def expert_predict(expert: GpModel, xs) -> PredictiveDist:
     """Posterior marginals of the latent function under one expert."""
-    return _predict_latent(expert, xs)
+    return gp_predict(expert, xs)

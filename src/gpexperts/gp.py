@@ -281,12 +281,6 @@ def _member_pass(model: GpModel, xs):
     return means, vt, np.einsum("ij,ij->i", vt, vt)
 
 
-def _predict_latent(model: GpModel, xs) -> PredictiveDist:
-    """Posterior mean and latent variance at ``xs`` under a factorized model."""
-    means, _, c = _member_pass(model, xs)
-    return PredictiveDist(means, np.maximum(model.hp.signal_variance - c, 0.0))
-
-
 def gp_predict(model: GpModel, xs) -> PredictiveDist:
     """Posterior marginals of the latent function at the test inputs.
 
@@ -294,4 +288,5 @@ def gp_predict(model: GpModel, xs) -> PredictiveDist:
     (0, signal_variance]; add the model's noise variance for an
     observation-space prediction.
     """
-    return _predict_latent(model, xs)
+    means, _, c = _member_pass(model, xs)
+    return PredictiveDist(means, np.maximum(model.hp.signal_variance - c, 0.0))

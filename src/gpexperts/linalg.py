@@ -15,7 +15,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix stays non-factorizable after jitter escalation."""
 
 
-def chol_with_jitter(a, initial=1e-10, maximum=1e-4, scale=None, shift=0.0):
+def chol_with_jitter(a, maximum=1e-4, scale=None, shift=0.0):
     """Inverse Cholesky factor W = L^{-1} of symmetric ``a + shift * I``.
 
     C = a + shift * I is read on and below the diagonal of ``a``, and W is
@@ -23,7 +23,7 @@ def chol_with_jitter(a, initial=1e-10, maximum=1e-4, scale=None, shift=0.0):
     in a Fortran-ordered copy otherwise.  The strict upper triangle is never
     written.  The first attempt uses no jitter.  On failure, the lower
     triangle is rebuilt from the strict upper one and the original diagonal,
-    ``initial * s`` is added to the diagonal, where ``s`` is ``scale`` or,
+    ``1e-10 * s`` is added to the diagonal, where ``s`` is ``scale`` or,
     when that is None, the mean of the shifted diagonal, and the jitter
     grows tenfold per retry until it would exceed ``maximum * s``.
 
@@ -47,7 +47,7 @@ def chol_with_jitter(a, initial=1e-10, maximum=1e-4, scale=None, shift=0.0):
                 scale = float(diag.mean())
             if not np.isfinite(scale) or scale <= 0.0:
                 scale = 1.0
-            jitter = initial * scale
+            jitter = 1e-10 * scale
         else:
             jitter *= 10.0
         if jitter > maximum * scale * (1.0 + 1e-12):
@@ -141,9 +141,7 @@ def solve_psd_robust(a, b):
     # a non-positive diagonal leaves nothing to scale jitter against
     if top > 0.0:
         try:
-            w, _ = chol_with_jitter(
-                np.array(a, order="F"), initial=1e-10, maximum=1e-6, scale=top
-            )
+            w, _ = chol_with_jitter(np.array(a, order="F"), maximum=1e-6, scale=top)
             return solve_spd(w, b)
         except SingularMatrixError:
             pass

@@ -25,13 +25,15 @@ cannot resolve.  What is left to NPAE is the pairwise assembly.
 
 Every test point needs its own small solve of the n_experts-sized system;
 restricting ``subset`` to a selected group of experts shrinks that system,
-which is where graph-based selection earns its speedup.  The systems of all
-test points are factored and forward-substituted together, on one path, by a
-deflating Cholesky: where an expert's pivot shows that it adds nothing beyond
-the experts before it (a duplicated expert, say), that expert is dropped at
-that point, and the point gets NPAE over the remaining experts.  No jitter is
-added and no eigenvalue is cut, so far experts with tiny but exact c[i] keep
-their weight even when the raw condition number of M reaches 1e25.
+which is where graph-based selection earns its speedup.  Only M's lower
+triangle is assembled, straight into the buffer that factors it.  The systems
+of all test points are factored and forward-substituted together, on one
+path, by a deflating Cholesky: where an expert's pivot shows that it adds
+nothing beyond the experts before it (a duplicated expert, say), that expert
+is dropped at that point, and the point gets NPAE over the remaining experts.
+No jitter is added and no eigenvalue is cut, so far experts with tiny but
+exact c[i] keep their weight even when the raw condition number of M reaches
+1e25.
 """
 
 import numpy as np
@@ -41,28 +43,28 @@ from .kernels import kernel_matrix
 
 
 def _assemble(ensemble, xs, subset):
-    """Batched covariance pieces for all test points at once.
+    """NPAE's factor buffer g, (m + 2, m, t), for all test points at once.
 
-    Returns (target_cov (t, m), mean_cov (t, m, m), expert_means (t, m)).
-    Means, c_i and w_i come from the ensemble's member pass; the
-    cross-kernels between parts do not depend on the test point and are
-    formed once per pair, and everything per-point is pure products.
+    ``g[j, i, t]`` is M[j, i] at point t for j >= i; the strict upper
+    triangle stays zero.  ``g[m]`` holds the expert means and ``g[m + 1]``
+    the c_i.  Means, c_i and w_i come from the ensemble's member pass; the
+    cross-kernels between parts are formed once per pair, and everything
+    per-point is pure products.
     """
     means, target_cov, ws = ensemble.npae_moments(xs, subset)
     hp = ensemble.hp
     experts = [ensemble.experts[i] for i in subset]
-    m, nt = len(experts), target_cov.shape[0]
+    m = len(experts)
 
-    mean_cov = np.empty((nt, m, m))
+    g = np.zeros((m + 2, m, target_cov.shape[0]))
+    g[m], g[m + 1] = means.T, target_cov.T
     for i in range(m):
         # w_i (K_i + noise I) w_i^T collapses to w_i^T k(X_i, x*).
-        mean_cov[:, i, i] = target_cov[:, i]
+        g[i, i] = g[m + 1, i]
         for j in range(i + 1, m):
             kij = kernel_matrix(experts[i].x, experts[j].x, hp)
-            cov = np.einsum("ij,ij->j", kij.T @ ws[i], ws[j])
-            mean_cov[:, i, j] = cov
-            mean_cov[:, j, i] = cov
-    return target_cov, mean_cov, means
+            g[j, i] = np.einsum("ij,ij->j", kij.T @ ws[i], ws[j])
+    return g
 
 
 def _deflating_factor(g):
@@ -98,20 +100,17 @@ def _deflating_factor(g):
 def npae_aggregate(ensemble, xs, subset=None) -> PredictiveDist:
     """Aggregate expert predictions through their joint covariance.
 
-    Factors every point's M = L_M L_M^T in one batch; with z = L_M^{-1}[mu, c]
-    the mean is z_c . z_mu and the variance prior - ||z_c||^2.  An expert
-    that adds nothing beyond the others at a point (e.g. a duplicate) is
-    dropped there and flagged in ``deflated``.  A point with a non-finite
-    input or result reverts to the prior and is flagged in ``failed``.
+    Factors every point's M = L_M L_M^T in one batch, in the buffer that
+    :func:`_assemble` fills; with z = L_M^{-1}[mu, c] the mean is z_c . z_mu
+    and the variance prior - ||z_c||^2.  An expert that adds nothing beyond
+    the others at a point (e.g. a duplicate) is dropped there and flagged in
+    ``deflated``.  A point with a non-finite input or result reverts to the
+    prior and is flagged in ``failed``.
     """
     subset = ensemble.subset_or_all(subset)
-    target_cov, mean_cov, means = _assemble(ensemble, xs, subset)
+    g = _assemble(ensemble, xs, subset)
     prior_var = float(ensemble.hp.signal_variance)
-    m = mean_cov.shape[1]
-
-    g = np.empty((m + 2, m, target_cov.shape[0]))
-    g[:m] = mean_cov.transpose(1, 2, 0)
-    g[m], g[m + 1] = means.T, target_cov.T
+    m = g.shape[1]
     failed = ~np.isfinite(g).all(axis=(0, 1))
     deflated = _deflating_factor(g)
     z_mu, z_c = g[m], g[m + 1]

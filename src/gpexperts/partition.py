@@ -15,13 +15,12 @@ class Partitioning:
     assignments[t] is the owning expert index in [0, n_parts); every expert
     owns at least one point.  ``iterations`` counts k-means' Lloyd
     iterations and ``converged`` says whether the last one moved no point;
-    a random split runs none and leaves ``converged`` None.
+    a random split runs none and leaves ``converged`` None.  The strategy
+    and seed that made the split stay with the caller.
     """
 
     assignments: np.ndarray
     n_parts: int
-    strategy: str
-    seed: int
     iterations: int = 0
     converged: bool | None = None
 
@@ -98,7 +97,7 @@ def partition_kmeans(x, n_parts: int, seed=0, max_iter: int = 100) -> Partitioni
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(x, n_parts, rng)
     assign, history, converged = _lloyd(x, centers, max_iter)
-    return Partitioning(assign, n_parts, "kmeans", seed, len(history), converged)
+    return Partitioning(assign, n_parts, len(history), converged)
 
 
 def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:
@@ -114,4 +113,4 @@ def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:
         size = base + (1 if j < extra else 0)
         assign[order[start : start + size]] = j
         start += size
-    return Partitioning(assign, n_parts, "random", seed)
+    return Partitioning(assign, n_parts)

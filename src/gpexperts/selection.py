@@ -19,6 +19,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .experts import ExpertEnsemble
 
+# Proximal-step budget of the graphical lasso, over all components.
+GLASSO_MAX_ITER = 10000
+
 
 @dataclass
 class ExpertGraph:
@@ -27,16 +30,15 @@ class ExpertGraph:
     ``order`` ranks experts most-connected first (ties broken by ascending
     index); ``selected`` is the sorted index set of the kept experts.
     ``steps`` and ``converged`` describe the graphical lasso's proximal steps;
-    ``components`` counts the connected components screening found.
+    ``components`` counts the connected components screening found.  The
+    penalty and kept fraction stay with the caller of :func:`expert_graph`.
     """
 
     sample_cov: np.ndarray
     precision: np.ndarray
-    penalty: float
     importance: np.ndarray
     order: np.ndarray
     selected: np.ndarray
-    alpha: float
     steps: int
     converged: bool
     components: int
@@ -119,7 +121,7 @@ def _gista(s, lam, thresh, budget):
         yield omega
 
 
-def graphical_lasso(s, lam: float, tol: float = 1e-3, max_iter: int = 10000):
+def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     """l1-penalized precision estimate maximizing log det O - tr(SO) - lam*|O|_1.
 
     Only off-diagonal entries are penalized.  Exact covariance thresholding
@@ -184,21 +186,20 @@ def select_experts(order, n_experts: int, alpha: float) -> np.ndarray:
 
 
 def expert_graph(
-    ensemble: ExpertEnsemble,
-    xs,
-    lam: float = 0.1,
-    alpha: float = 1.0,
-    tol: float = 1e-3,
-    max_iter: int = 10000,
+    ensemble: ExpertEnsemble, xs, lam: float = 0.1, alpha: float = 1.0
 ) -> ExpertGraph:
-    """Estimate the expert graph (``tol``, ``max_iter``: see graphical_lasso)."""
+    """Estimate the expert graph at penalty ``lam``; keep the top ``alpha``.
+
+    The graphical lasso runs at its default ``tol`` and gets
+    ``max_iter=GLASSO_MAX_ITER`` by keyword.
+    """
     cov = prediction_covariance(ensemble, xs)
-    omega, history = graphical_lasso(cov, lam, tol=tol, max_iter=max_iter)
+    omega, history = graphical_lasso(cov, lam, max_iter=GLASSO_MAX_ITER)
     importance, order = rank_importance(omega)
     selected = select_experts(order, ensemble.n_experts, alpha)
     steps, components = len(history), len(_components(cov, lam))
-    return ExpertGraph(cov, omega, lam, importance, order, selected, alpha,
-                       steps, steps < max_iter, components)
+    return ExpertGraph(cov, omega, importance, order, selected,
+                       steps, steps < GLASSO_MAX_ITER, components)
 
 
 def save_graph(graph: ExpertGraph, path) -> None:

@@ -39,7 +39,7 @@ def manual_ensemble(datasets, hp):
     experts = [factorize(x, y, hp) for x, y in datasets]
     sizes = [np.asarray(x).shape[0] for x, _ in datasets]
     assign = np.repeat(np.arange(len(sizes)), sizes)
-    parts = Partitioning(assign, len(sizes), "manual", 0)
+    parts = Partitioning(assign, len(sizes))
     return ExpertEnsemble(experts, hp, parts)
 
 

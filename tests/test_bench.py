@@ -14,10 +14,19 @@ import pytest
 import gpexperts.bench
 import gpexperts.experts
 import gpexperts.npae
-from gpexperts import ExperimentConfig, emit_report, run_experiment
+import gpexperts.selection
+from gpexperts import (
+    ExperimentConfig,
+    emit_report,
+    partition_kmeans,
+    run_experiment,
+    synth_dataset,
+    train_ensemble,
+)
 from gpexperts.bench import METHOD_NAMES, main, render_report
 
 FAST = dict(n=150, n_test=30, n_experts=3, seed=0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +156,13 @@ def test_deflated_points_reach_the_json_rows_only(basic_report, monkeypatch):
     assemble = gpexperts.npae._assemble
 
     def duplicate_first(*args):
-        # expert 1 becomes an exact, noise-free copy of expert 0
-        target_cov, mean_cov, means = (a.copy() for a in assemble(*args))
-        mean_cov[:, 1, :] = mean_cov[:, 0, :]
-        mean_cov[:, :, 1] = mean_cov[:, :, 0]
-        target_cov[:, 1], means[:, 1] = target_cov[:, 0], means[:, 0]
-        return target_cov, mean_cov, means
+        # expert 1 becomes an exact, noise-free copy of expert 0: in g's lower
+        # triangle, M[1, 0] = M[1, 1] = M[0, 0] and row j of column 1 copies
+        # column 0 for j > 1, right-hand sides included
+        g = assemble(*args)
+        g[1, 0] = g[0, 0]
+        g[1:, 1] = g[1:, 0]
+        return g
 
     monkeypatch.setattr(gpexperts.npae, "_assemble", duplicate_first)
     config = ExperimentConfig(methods=("poe", "npae"), measure_time=False, **FAST)
@@ -316,7 +326,7 @@ def test_cli_stdout_and_module_entry(tmp_path):
 
 
 def load_perfbench_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -345,3 +355,26 @@ def test_perfbench_sees_one_aggregator_call_per_method():
     for name, (_, kwargs) in zip(METHOD_NAMES, calls):
         if name.endswith("*"):
             assert kwargs.get("subset") is not None, name
+
+
+def test_perfbench_reads_the_glasso_budget_expert_graph_passes():
+    # perfbench's graphical-lasso hook reads max_iter from the call's keywords
+    # and falls back to 100; this graph takes more steps than that.
+    tracer = load_perfbench_tracer()
+    data = synth_dataset(600, 60, 0.2, seed=0)
+    parts = partition_kmeans(data.x_train, 12, seed=1)
+    ens = train_ensemble(data.x_train, data.y_train, parts, seed=2)
+    specs = tracer.STAGE_SPECS + tracer.LAYER_SPECS
+    with tracer.installed(tracer.Tracer(), specs) as tr:
+        graph = gpexperts.selection.expert_graph(ens, data.x_test, lam=0.05)
+    assert graph.steps > 100
+    assert tr.counts["selection.glasso_sweeps"] == graph.steps
+    assert tr.counts["selection.glasso_converged"] == int(graph.converged)
+
+
+def test_perfbench_workload_runs_one_traced_repeat_cleanly(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    harness = importlib.import_module("harness")
+    record = harness.run_workload("synth-3k-m40-select", 1, 0, True, ROOT, tmp_path)
+    assert record["correct"] and record["problems"] == [] and record["failed"] == 0
+    assert record["repeats"] == 1

@@ -55,7 +55,7 @@ def test_identical_parts_give_identical_experts():
     xa, ya = sample_problem(20, seed=3)
     x = np.vstack([xa, xa])
     y = np.concatenate([ya, ya])
-    parts = Partitioning(np.repeat([0, 1], 20), 2, "manual", 0)
+    parts = Partitioning(np.repeat([0, 1], 20), 2)
     ens = train_ensemble(x, y, parts, restarts=1, seed=0)
     xs = np.linspace(0, 1, 15)[:, None]
     p0 = expert_predict(ens.experts[0], xs)
@@ -173,7 +173,7 @@ def test_subset_validation(small_ensemble):
 
 def test_partition_must_cover_training_set():
     x, y = sample_problem(10, seed=4)
-    parts = Partitioning(np.zeros(8, dtype=int), 1, "manual", 0)
+    parts = Partitioning(np.zeros(8, dtype=int), 1)
     with pytest.raises(ValueError):
         train_ensemble(x, y, parts)
 

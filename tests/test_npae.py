@@ -49,8 +49,28 @@ def dense_cov_oracle(ensemble, x_star, noise_free_diag):
     return ka, big
 
 
+def pack(target_cov, mean_cov, means):
+    """``_assemble``'s factor buffer g from dense (t, m), (t, m, m), (t, m) pieces.
+
+    g holds M's lower triangle, zeros above it, then the means and c as rows.
+    """
+    m = target_cov.shape[1]
+    g = np.zeros((m + 2, m, target_cov.shape[0]))
+    g[:m] = np.tril(mean_cov).transpose(1, 2, 0)
+    g[m], g[m + 1] = means.T, target_cov.T
+    return g
+
+
+def unpack(g):
+    """The dense (target_cov, mean_cov, means) that :func:`pack` packs into g."""
+    m = g.shape[1]
+    low = np.tril(g[:m].transpose(2, 0, 1))
+    return g[m + 1].T.copy(), low + np.tril(low, -1).transpose(0, 2, 1), g[m].T.copy()
+
+
 def noise_free_pieces(ensemble, xs):
-    """``_assemble``'s pieces with the noise term left out of M's diagonal."""
+    """Dense NPAE pieces (see :func:`unpack`) with the noise term left out of
+    M's diagonal."""
     pieces = [dense_cov_oracle(ensemble, xs[t : t + 1], True) for t in range(len(xs))]
     means = [expert_predict(e, xs).means for e in ensemble.experts]
     return (
@@ -63,7 +83,7 @@ def noise_free_pieces(ensemble, xs):
 def test_assembled_cov_matches_dense_construction():
     ens = make_ensemble(36, 3, seed=1)
     x_star = np.array([[0.4]])
-    target_cov, mean_cov, _ = _assemble(ens, x_star, np.arange(3))
+    target_cov, mean_cov, _ = unpack(_assemble(ens, x_star, np.arange(3)))
     ka, big = dense_cov_oracle(ens, x_star, False)
     np.testing.assert_allclose(target_cov[0], ka, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(mean_cov[0], big, rtol=1e-9, atol=1e-12)
@@ -76,7 +96,7 @@ def test_single_expert_cov_collapses_to_scalar_identity():
         x = np.array([[0.0], [0.7], [1.3]])
         y = np.array([0.5, -0.2, 0.9])
         ens = manual_ensemble([(x, y)], hp)
-        target_cov, mean_cov, _ = _assemble(ens, np.array([[0.4]]), [0])
+        target_cov, mean_cov, _ = unpack(_assemble(ens, np.array([[0.4]]), [0]))
         c = kernel_matrix(x, x, hp) + noise * np.eye(3)
         ks = kernel_matrix(x, np.array([[0.4]]), hp).ravel()
         expected = ks @ np.linalg.solve(c, ks)
@@ -90,7 +110,7 @@ def test_duplicate_experts_are_perfectly_correlated_without_noise():
     y = np.array([0.5, -0.2, 0.9])
     ens = manual_ensemble([(x, y), (x, y)], hp)
     _, clean = dense_cov_oracle(ens, np.array([[0.4]]), True)
-    _, noisy, _ = _assemble(ens, np.array([[0.4]]), np.arange(2))
+    _, noisy, _ = unpack(_assemble(ens, np.array([[0.4]]), np.arange(2)))
     # the cross term is the noise-free variance of either expert's mean
     assert noisy[0, 0, 1] == pytest.approx(clean[0, 0], rel=1e-12)
     assert clean[0, 1] == pytest.approx(clean[0, 0], rel=1e-12)
@@ -119,7 +139,7 @@ def test_aggregate_duplicate_experts_equals_single_expert(monkeypatch):
     xs = np.linspace(-0.1, 1.1, 9)[:, None]
     pieces = {1: noise_free_pieces(single, xs), 2: noise_free_pieces(double, xs)}
     monkeypatch.setattr(
-        gpexperts.npae, "_assemble", lambda ens, xs, subset: pieces[len(subset)]
+        gpexperts.npae, "_assemble", lambda ens, xs, subset: pack(*pieces[len(subset)])
     )
     a = npae_aggregate(single, xs)
     b = npae_aggregate(double, xs)
@@ -150,7 +170,9 @@ def test_aggregate_subset_of_one_is_that_expert():
 def test_no_weight_vector_beats_the_solved_one():
     # expected squared error prior - 2 w'kA + w'KA w is minimized by the solve
     ens = make_ensemble(45, 3, seed=6)
-    target_cov, mean_cov, _ = (a[0] for a in _assemble(ens, [[0.55]], np.arange(3)))
+    target_cov, mean_cov, _ = (
+        a[0] for a in unpack(_assemble(ens, [[0.55]], np.arange(3)))
+    )
     w_star = np.linalg.solve(mean_cov, target_cov)
 
     def expected_sq_err(w):
@@ -203,7 +225,7 @@ def per_point_reference(target_cov, mean_cov, means, prior_var):
 def test_batched_solve_matches_per_point_robust_solves():
     ens = make_ensemble(120, 5, seed=10)
     xs = np.linspace(-0.2, 1.2, 80)[:, None]
-    pieces = _assemble(ens, xs, np.arange(5))
+    pieces = unpack(_assemble(ens, xs, np.arange(5)))
     mean, var = per_point_reference(*pieces, ens.hp.signal_variance)
     agg = npae_aggregate(ens, xs)
     assert agg.failed is None
@@ -218,7 +240,7 @@ def test_points_with_a_redundant_expert_deflate_it(monkeypatch):
     ens = make_ensemble(90, 4, seed=11)
     xs = np.linspace(0.0, 1.0, 25)[:, None]
     bad = [3, 17, 18]
-    clean = _assemble(ens, xs, np.arange(4))
+    clean = unpack(_assemble(ens, xs, np.arange(4)))
     target_cov, mean_cov, means = (a.copy() for a in clean)
     for t in bad:
         mean_cov[t, 1, :] = mean_cov[t, 0, :]
@@ -229,7 +251,7 @@ def test_points_with_a_redundant_expert_deflate_it(monkeypatch):
             np.linalg.cholesky(mean_cov[t])
 
     def npae_on(pieces):
-        monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: pieces)
+        monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: pack(*pieces))
         return npae_aggregate(ens, xs)
 
     agg = npae_on((target_cov, mean_cov, means))
@@ -256,11 +278,11 @@ def test_an_expert_that_adds_little_is_kept(monkeypatch):
     ens = make_ensemble(90, 4, seed=11)
     xs = np.linspace(0.0, 1.0, 25)[:, None]
     ref = npae_aggregate(ens, xs)
-    target_cov, mean_cov, means = _assemble(ens, xs, np.arange(4))
+    target_cov, mean_cov, means = unpack(_assemble(ens, xs, np.arange(4)))
     mix = np.eye(4)
     mix[1, :2] = 1.0, 1e-4
     mixed = (target_cov @ mix.T, mix @ mean_cov @ mix.T, means @ mix.T)
-    monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: mixed)
+    monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: pack(*mixed))
     agg = npae_aggregate(ens, xs)
     assert agg.deflated is None and agg.failed is None
     np.testing.assert_allclose(agg.means, ref.means, rtol=0, atol=1e-7)
@@ -289,7 +311,7 @@ def test_extrapolating_points_match_the_scaled_refined_solve():
     xs = np.array([[1.8], [2.0], [2.5], [3.0]])
     agg = npae_aggregate(ens, xs)
     assert agg.failed is None and agg.deflated is None
-    pieces = _assemble(ens, xs, np.arange(10))
+    pieces = unpack(_assemble(ens, xs, np.arange(10)))
     assert np.linalg.cond(pieces[1][-1]) > 1e20
     for t in range(xs.shape[0]):
         mean, var = scaled_refined_reference(
@@ -303,16 +325,48 @@ def test_point_with_non_finite_cov_reverts_to_prior_and_is_flagged(monkeypatch):
     ens = make_ensemble(60, 3, seed=12)
     xs = np.linspace(0.0, 1.0, 6)[:, None]
     target_cov, mean_cov, means = (
-        a.copy() for a in _assemble(ens, xs, np.arange(3))
+        a.copy() for a in unpack(_assemble(ens, xs, np.arange(3)))
     )
     mean_cov[2, 1, 0] = mean_cov[2, 0, 1] = np.nan
     monkeypatch.setattr(
-        gpexperts.npae, "_assemble", lambda *a: (target_cov, mean_cov, means)
+        gpexperts.npae, "_assemble", lambda *a: pack(target_cov, mean_cov, means)
     )
     agg = npae_aggregate(ens, xs)
     np.testing.assert_array_equal(agg.failed, np.arange(6) == 2)
     assert agg.means[2] == 0.0 and agg.variances[2] == ens.hp.signal_variance
     assert np.all(agg.variances[agg.failed == 0] < ens.hp.signal_variance)
+
+
+def test_the_strict_upper_triangle_of_m_is_never_read(monkeypatch):
+    # Expert 1 duplicates expert 0 at every third point, so it deflates there,
+    # and point 4 gets a NaN below the diagonal, so it fails.  Random finite
+    # values above the diagonal must change no output, bit for bit.
+    ens = make_ensemble(60, 4, seed=13)
+    xs = np.linspace(-0.1, 1.1, 12)[:, None]
+    assemble = gpexperts.npae._assemble
+    rng = np.random.default_rng(0)
+
+    def marked(ens, xs, subset, fill_upper=False):
+        g = assemble(ens, xs, subset)
+        g[1, 0, ::3] = g[0, 0, ::3]
+        g[1:, 1, ::3] = g[1:, 0, ::3]
+        g[3, 2, 4] = np.nan
+        if fill_upper:
+            rows, cols = np.triu_indices(g.shape[1], 1)
+            g[rows, cols] = rng.uniform(-1e3, 1e3, size=(rows.size, g.shape[2]))
+        return g
+
+    monkeypatch.setattr(gpexperts.npae, "_assemble", marked)
+    ref = npae_aggregate(ens, xs)
+    monkeypatch.setattr(
+        gpexperts.npae, "_assemble", lambda *a: marked(*a, fill_upper=True)
+    )
+    agg = npae_aggregate(ens, xs)
+    assert ref.deflated.any() and ref.failed.any()
+    assert agg.means.tobytes() == ref.means.tobytes()
+    assert agg.variances.tobytes() == ref.variances.tobytes()
+    np.testing.assert_array_equal(agg.deflated, ref.deflated)
+    np.testing.assert_array_equal(agg.failed, ref.failed)
 
 
 def test_after_selection_npae_forms_only_part_by_part_kernels(monkeypatch):

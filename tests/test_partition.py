@@ -104,14 +104,14 @@ def test_part_count_bounds_rejected():
 
 def test_partitioning_validates_assignments():
     with pytest.raises(ValueError):
-        Partitioning(np.array([0, 1, 3]), 3, "manual", 0)  # index out of range
+        Partitioning(np.array([0, 1, 3]), 3)  # index out of range
     with pytest.raises(ValueError):
-        Partitioning(np.array([0, 0, 2]), 3, "manual", 0)  # part 1 empty
+        Partitioning(np.array([0, 0, 2]), 3)  # part 1 empty
     with pytest.raises(ValueError, match="out of range"):
-        Partitioning(np.array([0, -1, 1]), 2, "manual", 0)
+        Partitioning(np.array([0, -1, 1]), 2)
     with pytest.raises(ValueError, match="integers"):
-        Partitioning(np.array([0.0, 1.0, 1.5]), 2, "manual", 0)
-    ok = Partitioning(np.array([1, 0, 1]), 2, "manual", 0)
+        Partitioning(np.array([0.0, 1.0, 1.5]), 2)
+    ok = Partitioning(np.array([1, 0, 1]), 2)
     np.testing.assert_array_equal(ok.indices(1), [0, 2])
 
 
@@ -141,7 +141,7 @@ def test_lloyd_centers_are_the_masked_cluster_means_bit_for_bit():
 
 
 def test_sizes_count_the_points_of_each_part():
-    parts = Partitioning(np.array([2, 0, 2, 1, 2]), 3, "manual", 0)
+    parts = Partitioning(np.array([2, 0, 2, 1, 2]), 3)
     np.testing.assert_array_equal(parts.sizes, [1, 1, 3])
     x = np.random.default_rng(13).normal(size=(60, 2))
     parts = partition_kmeans(x, 5, seed=2)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gpexperts.selection
 from gpexperts import (
     Hyperparams,
     expert_graph,
@@ -218,14 +219,17 @@ def test_glasso_history_rises_across_components():
     assert history[-1] == pytest.approx(_penalized_objective(s, omega, lam), rel=1e-12)
 
 
-def test_expert_graph_reports_solver_diagnostics(small_ensemble, small_grid):
+def test_expert_graph_reports_solver_diagnostics(
+    small_ensemble, small_grid, monkeypatch
+):
     graph = expert_graph(small_ensemble, small_grid, lam=0.05)
     _, history = graphical_lasso(graph.sample_cov, 0.05)
     assert graph.steps == len(history) > 1
     assert graph.converged
     assert 1 <= graph.components < small_ensemble.n_experts
+    monkeypatch.setattr(gpexperts.selection, "GLASSO_MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="converge"):
-        capped = expert_graph(small_ensemble, small_grid, lam=0.05, max_iter=1)
+        capped = expert_graph(small_ensemble, small_grid, lam=0.05)
     assert capped.steps == 1 and not capped.converged
 
 
@@ -278,7 +282,6 @@ def test_expert_graph_end_to_end(small_ensemble, small_grid):
     assert graph.selected.shape == (2,)  # ceil(0.5 * 3)
     assert set(graph.selected) <= set(range(m))
     np.testing.assert_array_equal(graph.selected, np.sort(graph.selected))
-    assert graph.penalty == 0.05 and graph.alpha == 0.5
 
 
 def test_expert_graph_deterministic(small_ensemble, small_grid):
