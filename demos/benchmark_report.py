@@ -25,7 +25,10 @@ config = ExperimentConfig(
 report = run_experiment(config)
 
 # A starred method reruns its base rule on the experts the dependency graph
-# kept, so its expert subset shows up in the report metadata.
+# kept, so its expert subset shows up in the report metadata, next to the
+# graph itself: one [i, j, precision] entry per diagonal entry and per edge.
+edges = report.selection["edges"]
+print(f"graph: {sum(i != j for i, j, _ in edges)} edges among {config.n_experts} experts")
 print(f"kept experts: {report.selection['selected']}")
 print(f"ranked order: {report.selection['order']}\n")
 

@@ -8,7 +8,7 @@ dependency graph ranks experts by connectivity so aggregation can run on an
 important subset only.
 """
 
-from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment
+from .bench import ExperimentConfig, ExperimentReport, run_experiment
 from .committee import bcm_aggregate, compute_weights, grbcm_aggregate, poe_aggregate
 from .data import Dataset, load_delimited, synth_dataset, synth_f
 from .experts import ExpertEnsemble, expert_predict, train_ensemble
@@ -31,7 +31,6 @@ from .selection import (
     graphical_lasso,
     prediction_covariance,
     rank_importance,
-    save_graph,
     select_experts,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "TrainingError",
     "bcm_aggregate",
     "compute_weights",
-    "emit_report",
     "expert_graph",
     "expert_predict",
     "fit",
@@ -71,7 +69,6 @@ __all__ = [
     "prediction_covariance",
     "rank_importance",
     "run_experiment",
-    "save_graph",
     "select_experts",
     "smse",
     "synth_dataset",

@@ -14,9 +14,12 @@ converged.  Each JSON result row counts, as ``failed_points``, the test
 points its method flagged in ``PredictiveDist.failed``, and as
 ``deflated_points`` those flagged in ``PredictiveDist.deflated`` (points
 where NPAE dropped a redundant expert; 0 for every other rule); the CSV
-report leaves both out.  MSLL scores the predictive distribution of the held-out
-observation, so the trained noise variance is added to the latent predictive
-variances before scoring.
+report leaves both out.  The JSON ``selection`` block (when a starred
+method ran) carries the expert graph as ``edges``: ``[i, j, precision]``
+triples, row-major, for each diagonal and nonzero upper entry.  MSLL
+scores the predictive distribution of the held-out observation, so the
+trained noise variance is added to the latent predictive variances before
+scoring.
 
 Run from the command line via ``gpexperts-bench`` or
 ``python -m gpexperts.bench``.
@@ -87,7 +90,6 @@ class ExperimentConfig:
     seed: int = 0
     restarts: int = 1
     measure_time: bool = True
-    dump_graph: str | None = None
 
     def __post_init__(self):
         if self.partition not in ("kmeans", "random"):
@@ -103,8 +105,6 @@ class ExperimentConfig:
             raise ValueError("penalty must be >= 0")
         if self.n_experts < 1:
             raise ValueError("need at least one expert")
-        if self.dump_graph and all(m == "fullgp" for m in self.methods):
-            raise ValueError("--dump-graph needs at least one expert-based method")
 
 
 @dataclass
@@ -180,14 +180,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ensemble_seconds = clock() - t0
 
     graph, graph_seconds = None, 0.0
-    if (wants_graph or config.dump_graph) and ensemble is not None:
+    if wants_graph:
         t0 = clock()
         graph = selection.expert_graph(
             ensemble, dataset.x_test, lam=config.penalty, alpha=config.alpha
         )
         graph_seconds = clock() - t0
-        if config.dump_graph:
-            selection.save_graph(graph, config.dump_graph)
 
     full_model, full_seconds = None, 0.0
     if "fullgp" in config.methods:
@@ -215,9 +213,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "jitter": full_model.jitter,
         }
     if graph is not None:
+        # every diagonal entry (the precision is positive definite) and edge
+        omega = graph.precision
+        rows, cols = np.nonzero(np.triu(omega))
         report.selection = {
-            "penalty": config.penalty,
-            "alpha": config.alpha,
+            "edges": [[i, j, float(omega[i, j])]
+                      for i, j in zip(rows.tolist(), cols.tolist())],
             "importance": [float(v) for v in graph.importance],
             "order": [int(v) for v in graph.order],
             "selected": [int(v) for v in graph.selected],
@@ -286,18 +287,6 @@ def render_report(report: ExperimentReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def emit_report(report: ExperimentReport, fmt: str = "json", path=None) -> str:
-    """Render the report; write it to ``path`` when given, else return only."""
-    text = render_report(report, fmt)
-    if path is not None:
-        try:
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise OSError(f"cannot write report to {path}: {err}") from err
-    return text
-
-
 def _method_list(text):
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
@@ -326,8 +315,6 @@ _CONFIG_OPTIONS = (
     ("--seed", "seed", dict(type=int)),
     ("--restarts", "restarts",
      dict(type=int, help="hyperparameter optimizer restarts")),
-    ("--dump-graph", "dump_graph",
-     dict(help="also write the expert precision matrix as an edge-list CSV")),
 )
 
 
@@ -361,8 +348,10 @@ def _config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = run_experiment(_config(args))
-        text = emit_report(report, fmt=args.format, path=args.out)
+        text = render_report(run_experiment(_config(args)), args.format)
+        if args.out is not None:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

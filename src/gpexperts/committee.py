@@ -11,8 +11,8 @@ Without a base the base terms are dropped: that is the product rule.  With
 a base it is the committee rule.  The base of bcm and rbcm is the prior,
 zero mean with the observation-space variance k(x*, x*) + noise, since the
 committee correction conditions on noisy targets; the base of grbcm is its
-communication expert's posterior.  A committee point whose precision is
-not positive falls back to the prior and is flagged.
+communication expert's posterior.  Under every rule, a point whose fused
+precision is not positive falls back to the prior and is flagged.
 
 Weight schemes: "ones" gives the plain product of experts / committee
 machine, "uniform" (1/m) the conservative generalized product, and
@@ -51,28 +51,23 @@ def compute_weights(scheme: str, variances: np.ndarray, prior_var: float) -> np.
     raise ValueError(f"unknown weight scheme {scheme!r}; use one of {WEIGHT_SCHEMES}")
 
 
-def _fuse(means, variances, betas, base=None, prior_var=None) -> PredictiveDist:
+def _fuse(means, variances, betas, prior_var, base=None) -> PredictiveDist:
     """The module's fusion formula over (t, m) expert moments and weights.
 
     ``base`` is None for the product rule, else the committee base's
-    (mean, variance); committee points whose precision is not positive get
+    (mean, variance); points whose fused precision is not positive get
     zero mean and ``prior_var`` and are flagged.
     """
     precision = np.sum(betas / variances, axis=1)
     numer = np.sum(betas * means / variances, axis=1)
-    if base is None:
-        if np.any(precision <= 0):
-            raise ValueError(
-                "fused precision must be positive; got a zero-weight point"
-            )
-        out_var = 1.0 / precision
-        return PredictiveDist(out_var * numer, out_var)
-    base_mean, base_var = base
-    rest = 1.0 - np.sum(betas, axis=1)
-    precision = precision + rest / base_var
+    if base is not None:
+        base_mean, base_var = base
+        rest = 1.0 - np.sum(betas, axis=1)
+        precision = precision + rest / base_var
+        numer = numer + rest * base_mean / base_var
     bad = precision <= 0
     out_var = 1.0 / np.where(bad, 1.0 / prior_var, precision)
-    out_mean = out_var * np.where(bad, 0.0, numer + rest * base_mean / base_var)
+    out_mean = out_var * np.where(bad, 0.0, numer)
     return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
 
 
@@ -82,11 +77,13 @@ def poe_aggregate(
     """Product-of-experts fusion: precisions add, weighted by the scheme.
 
     scheme="ones" is the classic product; scheme="uniform" the generalized
-    product whose fused variance is m times less confident.
+    product whose fused variance is m times less confident.  A point where
+    every weight is 0 (under "diff_entropy") gets the prior and is flagged.
     """
     means, variances = ensemble.moments(xs, subset)
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
-    return _fuse(means, variances, compute_weights(scheme, variances, prior_var))
+    betas = compute_weights(scheme, variances, prior_var)
+    return _fuse(means, variances, betas, prior_var)
 
 
 def bcm_aggregate(
@@ -101,7 +98,7 @@ def bcm_aggregate(
     means, variances = ensemble.moments(xs, subset)
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
     betas = compute_weights(scheme, variances, prior_var)
-    return _fuse(means, variances, betas, (0.0, prior_var), prior_var)
+    return _fuse(means, variances, betas, prior_var, (0.0, prior_var))
 
 
 def grbcm_aggregate(
@@ -169,4 +166,4 @@ def grbcm_aggregate(
         aug_vars[:, col] = np.maximum(hp.signal_variance - c, 0.0)
     betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])
     betas[:, 0] = 1.0
-    return _fuse(aug_means, aug_vars, betas, (base_mean, base_var), prior_var)
+    return _fuse(aug_means, aug_vars, betas, prior_var, (base_mean, base_var))

@@ -273,8 +273,12 @@ def _member_pass(model: GpModel, xs):
     v = L^{-1} k(x, xs) is one BLAS triangular product: ks.T of a C-ordered
     ``ks`` is Fortran-ordered, so ``dtrmm`` multiplies it by L^{-T} from the
     right in place, and v^T, shape (t, n), lives in the kernel's storage.
-    The latent variance is signal_variance - c per test point.
+    The latent variance is signal_variance - c per test point.  Every
+    prediction comes through here, so here non-finite test inputs raise.
     """
+    xs = as_points(xs)
+    if not np.isfinite(xs).all():
+        raise ValueError("test inputs must be finite")
     ks = kernel_matrix(model.x, xs, model.hp)
     means = ks.T @ model.alpha
     vt = dtrmm(1.0, model.chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)

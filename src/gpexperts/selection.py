@@ -201,18 +201,3 @@ def expert_graph(
     return ExpertGraph(cov, omega, importance, order, selected,
                        steps, steps < GLASSO_MAX_ITER, components)
 
-
-def save_graph(graph: ExpertGraph, path) -> None:
-    """Write the precision matrix as an edge list CSV: i, j, precision.
-
-    Upper-triangle entries only; the diagonal is always included, while
-    off-diagonal rows appear only for nonzero entries (the graph's edges).
-    """
-    omega = graph.precision
-    lines = ["i,j,precision"]
-    for i in range(omega.shape[0]):
-        for j in range(i, omega.shape[0]):
-            if i == j or omega[i, j] != 0.0:
-                lines.append(f"{i},{j},{float(omega[i, j])!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ import gpexperts.npae
 import gpexperts.selection
 from gpexperts import (
     ExperimentConfig,
-    emit_report,
     partition_kmeans,
     run_experiment,
     synth_dataset,
@@ -52,8 +51,6 @@ def test_config_validation():
         ExperimentConfig(partition="grid")
     with pytest.raises(ValueError):
         ExperimentConfig(n_experts=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(methods=("fullgp",), dump_graph="graph.csv")
 
 
 def test_report_has_one_row_per_method(basic_report):
@@ -241,23 +238,44 @@ def test_disabling_timing_makes_reports_reproducible():
     assert all(r["train_seconds"] == 0.0 for r in payload["results"])
 
 
-def test_emit_report_writes_file(tmp_path, basic_report):
-    out = tmp_path / "report.csv"
-    text = emit_report(basic_report, fmt="csv", path=out)
-    assert out.read_text() == text
-    with pytest.raises(OSError):
-        emit_report(basic_report, path=tmp_path / "missing" / "report.json")
+def test_report_carries_the_expert_graph(monkeypatch):
+    original, graphs = gpexperts.selection.expert_graph, []
+
+    def keep(*args, **kwargs):
+        graphs.append(original(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(gpexperts.selection, "expert_graph", keep)
+    config = ExperimentConfig(methods=("gpoe*",), alpha=0.5, penalty=0.01, **FAST)
+    report = run_experiment(config)
+    edges = json.loads(render_report(report))["selection"]["edges"]
+    (omega,) = [g.precision for g in graphs]
+    m = omega.shape[0]
+    rebuilt = np.zeros((m, m))
+    for i, j, value in edges:
+        rebuilt[i, j] = rebuilt[j, i] = value
+    np.testing.assert_array_equal(rebuilt, omega)  # JSON floats round-trip
+    off_diagonal = np.count_nonzero(np.triu(omega, 1))
+    assert off_diagonal > 0 and len(edges) == m + off_diagonal
+    assert [e[:2] for e in edges] == sorted(e[:2] for e in edges)  # row-major
 
 
-def test_dump_graph_writes_edge_list(tmp_path):
-    graph_path = tmp_path / "graph.csv"
-    config = ExperimentConfig(
-        methods=("gpoe*",), alpha=0.5, dump_graph=str(graph_path), **FAST
-    )
-    run_experiment(config)
-    lines = graph_path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,precision"
-    assert len(lines) >= 4  # three diagonal entries at minimum
+SMALL_RUN = ["--n", "80", "--ntest", "10", "--experts", "2", "--seed", "1",
+             "--methods", "poe,npae*", "--no-timing"]
+
+
+def test_cli_names_an_out_path_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main([*SMALL_RUN, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_cli_out_file_is_the_stdout_text(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([*SMALL_RUN, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(SMALL_RUN) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_cli_writes_report_and_exits_zero(tmp_path):
@@ -284,14 +302,14 @@ def test_cli_defaults_are_the_config_defaults():
             "--noise-sd", "0.3", "--target-col", "2", "--train-fraction", "0.5",
             "--experts", "4", "--partition", "random", "--methods", "poe, npae*",
             "--alpha", "0.5", "--lambda", "0.2", "--seed", "3", "--restarts", "2",
-            "--dump-graph", "g.csv", "--no-timing",
+            "--no-timing",
         ]
     )
     assert gpexperts.bench._config(args) == ExperimentConfig(
         data="rows.csv", n=50, n_test=7, noise_sd=0.3, target_column=2,
         train_fraction=0.5, n_experts=4, partition="random",
         methods=("poe", "npae*"), alpha=0.5, penalty=0.2, seed=3, restarts=2,
-        measure_time=False, dump_graph="g.csv",
+        measure_time=False,
     )
 
 

@@ -133,6 +133,22 @@ def test_positive_variance_required():
         poe_aggregate(ens, np.array([[0.5]]))
 
 
+def test_a_zero_weight_point_falls_back_to_the_prior_under_poe_as_under_bcm():
+    # at x = 5 both noise-free one-point experts sit at the prior, so every
+    # diff_entropy weight is 0 and the product has no precision left
+    hp = Hyperparams(1.0, [0.01], 0.0)
+    ens = manual_ensemble(
+        [(np.array([[0.0]]), np.array([1.0])), (np.array([[1.0]]), np.array([-1.0]))],
+        hp,
+    )
+    xs = np.array([[0.5], [5.0]])
+    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    committee = bcm_aggregate(ens, xs, scheme="diff_entropy")
+    np.testing.assert_array_equal(fused.failed, [False, True])
+    assert fused.means[1] == 0.0 and fused.variances[1] == hp.signal_variance
+    assert committee.means[1] == 0.0 and committee.variances[1] == hp.signal_variance
+
+
 def test_bcm_single_expert_is_that_expert():
     ens = make_ensemble(seed=5)
     xs = np.linspace(0.1, 0.9, 5)[:, None]

@@ -223,3 +223,24 @@ def test_each_member_is_predicted_once_per_test_set(
     xs *= 0.5  # the caller's array changes in place after a call
     assert_direct(xs)
     assert_direct(xs + 0.1)  # a new test set of the same shape
+
+
+NON_FINITE_CALLS = {
+    "gp_predict": lambda ens, xs: gp_predict(ens.experts[0], xs),
+    "poe": lambda ens, xs: poe_aggregate(ens, xs),
+    "rbcm": lambda ens, xs: bcm_aggregate(ens, xs, scheme="diff_entropy"),
+    "grbcm": lambda ens, xs: grbcm_aggregate(ens, xs, 0),
+    "npae": lambda ens, xs: npae_aggregate(ens, xs),
+    "expert_graph": lambda ens, xs: expert_graph(ens, xs),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_test_point_raises_the_same_error_everywhere(
+    small_ensemble, small_grid, call, value
+):
+    xs = small_grid.copy()
+    xs[3, 0] = value
+    with pytest.raises(ValueError, match="test inputs must be finite"):
+        NON_FINITE_CALLS[call](small_ensemble, xs)

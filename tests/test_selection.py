@@ -13,7 +13,6 @@ from gpexperts import (
     graphical_lasso,
     prediction_covariance,
     rank_importance,
-    save_graph,
     select_experts,
     synth_f,
 )
@@ -289,21 +288,3 @@ def test_expert_graph_deterministic(small_ensemble, small_grid):
     b = expert_graph(small_ensemble, small_grid, lam=0.1, alpha=0.5)
     np.testing.assert_array_equal(a.precision, b.precision)
     np.testing.assert_array_equal(a.selected, b.selected)
-
-
-def test_save_graph_round_trip(tmp_path, small_ensemble, small_grid):
-    graph = expert_graph(small_ensemble, small_grid, lam=0.05, alpha=1.0)
-    path = tmp_path / "graph.csv"
-    save_graph(graph, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,precision"
-    m = graph.precision.shape[0]
-    rebuilt = np.zeros((m, m))
-    for line in lines[1:]:
-        i, j, val = line.split(",")
-        rebuilt[int(i), int(j)] = float(val)
-        rebuilt[int(j), int(i)] = float(val)
-    np.testing.assert_array_equal(rebuilt, graph.precision)  # repr is lossless
-    # only the diagonal plus true edges are stored
-    edges = np.count_nonzero(np.triu(graph.precision, k=1))
-    assert len(lines) - 1 == m + edges
