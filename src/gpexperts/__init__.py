@@ -9,7 +9,7 @@ important subset only.
 """
 
 from .bench import ExperimentConfig, ExperimentReport, run_experiment
-from .committee import bcm_aggregate, compute_weights, grbcm_aggregate, poe_aggregate
+from .committee import bcm_aggregate, grbcm_aggregate, poe_aggregate
 from .data import Dataset, load_delimited, synth_dataset, synth_f
 from .experts import ExpertEnsemble, expert_predict, train_ensemble
 from .gp import (
@@ -49,7 +49,6 @@ __all__ = [
     "SingularMatrixError",
     "TrainingError",
     "bcm_aggregate",
-    "compute_weights",
     "expert_graph",
     "expert_predict",
     "fit",

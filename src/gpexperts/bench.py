@@ -225,7 +225,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "graph_seconds": graph_seconds,
             "glasso_steps": graph.steps,
             "glasso_converged": graph.converged,
-            "components": graph.components,
+            "components": len(graph.components),
         }
 
     for name in config.methods:

@@ -7,12 +7,13 @@ fuse them through weighted precisions, all by one formula (``_fuse``):
     mean      = (sum_i beta_i mu_i / var_i
                  + (1 - sum_i beta_i) mu_base / var_base) / precision
 
-Without a base the base terms are dropped: that is the product rule.  With
-a base it is the committee rule.  The base of bcm and rbcm is the prior,
-zero mean with the observation-space variance k(x*, x*) + noise, since the
-committee correction conditions on noisy targets; the base of grbcm is its
-communication expert's posterior.  Under every rule, a point whose fused
-precision is not positive falls back to the prior and is flagged.
+Without a base the base terms are dropped: that is the product rule, whose
+prior is the latent k(x*, x*), as the fused variances are.  With a base it is
+the committee rule.  The base of bcm and rbcm is the prior, zero mean with
+the observation-space variance k(x*, x*) + noise, since the committee
+correction conditions on noisy targets; the base of grbcm is its communication
+expert's posterior.  A point whose fused precision is not positive gets the
+prior and is flagged.
 
 Weight schemes: "ones" gives the plain product of experts / committee
 machine, "uniform" (1/m) the conservative generalized product, and
@@ -77,12 +78,16 @@ def poe_aggregate(
     """Product-of-experts fusion: precisions add, weighted by the scheme.
 
     scheme="ones" is the classic product; scheme="uniform" the generalized
-    product whose fused variance is m times less confident.  A point where
-    every weight is 0 (under "diff_entropy") gets the prior and is flagged.
+    product whose fused variance is m times less confident.  "diff_entropy"
+    weights sum to 1 at each point (Deisenroth & Ng, ICML 2015), so no fused
+    variance exceeds the largest member's; where all are 0, the latent prior.
     """
     means, variances = ensemble.moments(xs, subset)
-    prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
+    prior_var = ensemble.hp.signal_variance  # latent, as the fused variances are
     betas = compute_weights(scheme, variances, prior_var)
+    if scheme == "diff_entropy":
+        total = np.sum(betas, axis=1, keepdims=True)
+        betas = np.divide(betas, total, out=np.zeros_like(betas), where=total > 0)
     return _fuse(means, variances, betas, prior_var)
 
 

@@ -6,7 +6,6 @@ only.  Metrics downstream are computed on this normalized scale; the
 statistics kept in ``Dataset.norm`` map predictions back.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +53,7 @@ def _normalize(x_train, y_train, x_test, y_test) -> Dataset:
     x_std = x_train.std(axis=0)
     x_std[x_std <= 0] = 1.0
     y_mean = float(y_train.mean())
-    y_std = float(y_train.std())
-    if y_std <= 0:
-        y_std = 1.0
+    y_std = float(y_train.std()) or 1.0
     stats = NormStats(x_mean, x_std, y_mean, y_std)
     return Dataset(
         (x_train - x_mean) / x_std,
@@ -90,8 +87,7 @@ def synth_dataset(
 
 def _parse_table(path):
     rows, linenos = [], []
-    delimiter = None
-    first_line = True
+    delimiter, first_line = None, True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -157,7 +153,7 @@ def load_delimited(
     x = np.delete(table, target_column % n_cols, axis=1)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    n_train = int(math.floor(train_fraction * n))
+    n_train = int(train_fraction * n)  # floor: the product is positive
     if n_train < 2:
         raise ValueError(f"split leaves under two training rows (n_train={n_train})")
     perm = np.random.default_rng(seed).permutation(n)

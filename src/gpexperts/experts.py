@@ -65,20 +65,22 @@ class ExpertEnsemble:
 
         One column per expert of ``subset`` (None: all), in its order.  The
         last test set is kept as a private copy, compared by value, so each
-        expert is predicted at most once per test set.  The memo keeps the
-        means, c_i (a variance is signal_variance - c_i, clipped at 0) and
-        v_i^T = (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when no
-        NPAE follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
+        expert is predicted at most once per test set; a new one replaces it
+        once its first member pass accepts it.  The memo keeps the means, c_i
+        (a variance is signal_variance - c_i, clipped at 0) and v_i^T =
+        (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when no NPAE
+        follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
         """
         subset = self.subset_or_all(subset)
-        xs = np.asarray(xs, dtype=float)
-        if self._memo is None or not np.array_equal(xs, self._memo[0]):
+        xs, memo = np.asarray(xs, dtype=float), self._memo
+        if memo is None or not np.array_equal(xs, memo[0]):
             shape, m = (xs.shape[0], self.n_experts), self.n_experts
-            self._memo = (xs.copy(), np.empty(shape), np.empty(shape),
-                          [None] * m, np.zeros(m, dtype=bool))
-        xs, means, target_cov, vts, _ = self._memo
+            memo = (xs.copy(), np.empty(shape), np.empty(shape),
+                    [None] * m, np.zeros(m, dtype=bool))
+        xs, means, target_cov, vts, _ = memo
         for i in [i for i in subset if vts[i] is None]:
             means[:, i], vts[i], target_cov[:, i] = _member_pass(self.experts[i], xs)
+            self._memo = memo
         # Fancy-indexed columns come back Fortran-ordered; row sums over
         # them would round differently from sums over stacked columns.
         c = np.ascontiguousarray(target_cov[:, subset])

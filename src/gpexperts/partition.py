@@ -7,6 +7,8 @@ from scipy.spatial.distance import cdist
 
 from .kernels import as_points
 
+LLOYD_MAX_ITER = 100  # Lloyd-iteration budget of k-means
+
 
 @dataclass
 class Partitioning:
@@ -89,14 +91,14 @@ def _lloyd(x, centers, max_iter):
     return assign, history, not changed
 
 
-def partition_kmeans(x, n_parts: int, seed=0, max_iter: int = 100) -> Partitioning:
+def partition_kmeans(x, n_parts: int, seed=0) -> Partitioning:
     """Cluster inputs into ``n_parts`` local regions with seeded K-means."""
     x = as_points(x)
     if not 1 <= n_parts <= x.shape[0]:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={x.shape[0]}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(x, n_parts, rng)
-    assign, history, converged = _lloyd(x, centers, max_iter)
+    assign, history, converged = _lloyd(x, centers, LLOYD_MAX_ITER)
     return Partitioning(assign, n_parts, len(history), converged)
 
 

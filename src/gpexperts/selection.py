@@ -29,9 +29,9 @@ class ExpertGraph:
 
     ``order`` ranks experts most-connected first (ties broken by ascending
     index); ``selected`` is the sorted index set of the kept experts.
-    ``steps`` and ``converged`` describe the graphical lasso's proximal steps;
-    ``components`` counts the connected components screening found.  The
-    penalty and kept fraction stay with the caller of :func:`expert_graph`.
+    ``steps`` and ``converged`` describe the graphical lasso's proximal steps
+    and ``components`` its screening's components, as sorted index arrays.
+    The penalty and kept fraction stay with the caller of :func:`expert_graph`.
     """
 
     sample_cov: np.ndarray
@@ -41,7 +41,7 @@ class ExpertGraph:
     selected: np.ndarray
     steps: int
     converged: bool
-    components: int
+    components: list
 
 
 def prediction_covariance(ensemble: ExpertEnsemble, xs) -> np.ndarray:
@@ -76,12 +76,6 @@ def _penalized_objective(s, omega, lam):
         return -np.inf
     off_l1 = np.sum(np.abs(omega)) - np.sum(np.abs(np.diagonal(omega)))
     return logdet - float(np.sum(s * omega)) - lam * off_l1
-
-
-def _components(s, lam):
-    """Connected components, as sorted indices, of the graph |S_ij| > lam."""
-    count, labels = connected_components(np.abs(s) > lam, directed=False)
-    return [np.flatnonzero(labels == c) for c in range(count)]
 
 
 def _gista(s, lam, thresh, budget):
@@ -136,8 +130,8 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     takes all of them did not converge: it returns the last iterate with a
     warning.
 
-    Returns ``(omega, objectives)``: the estimate, and the whole-matrix
-    objective after each accepted step, which never decreases.
+    Returns ``(omega, objectives, components)``: the estimate, the whole-matrix
+    objective after each accepted step (never falling), the sorted components.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -152,7 +146,9 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     omega, objectives = np.diag(1.0 / diag), []
     thresh = tol * (lam if lam > 0 else float(np.max(np.abs(s))))
     alone = -np.log(diag) - 1.0  # objective of each expert at O_ii = 1/S_ii
-    for comp in [c for c in _components(s, lam) if c.size > 1]:
+    count, labels = connected_components(np.abs(s) > lam, directed=False)
+    components = [np.flatnonzero(labels == c) for c in range(count)]
+    for comp in [c for c in components if c.size > 1]:
         block, sub = np.ix_(comp, comp), s[np.ix_(comp, comp)]
         rest = (objectives[-1] if objectives else np.sum(alone)) - np.sum(alone[comp])
         for iterate in _gista(sub, lam, thresh, max_iter - len(objectives)):
@@ -161,7 +157,7 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     if len(objectives) >= max_iter:
         message = f"graphical lasso did not converge in {max_iter} proximal steps"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return omega, objectives
+    return omega, objectives, components
 
 
 def rank_importance(omega):
@@ -194,10 +190,9 @@ def expert_graph(
     ``max_iter=GLASSO_MAX_ITER`` by keyword.
     """
     cov = prediction_covariance(ensemble, xs)
-    omega, history = graphical_lasso(cov, lam, max_iter=GLASSO_MAX_ITER)
+    omega, history, components = graphical_lasso(cov, lam, max_iter=GLASSO_MAX_ITER)
     importance, order = rank_importance(omega)
     selected = select_experts(order, ensemble.n_experts, alpha)
-    steps, components = len(history), len(_components(cov, lam))
-    return ExpertGraph(cov, omega, importance, order, selected,
-                       steps, steps < GLASSO_MAX_ITER, components)
+    return ExpertGraph(cov, omega, importance, order, selected, len(history),
+                       len(history) < GLASSO_MAX_ITER, components)
 

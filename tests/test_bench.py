@@ -248,8 +248,11 @@ def test_report_carries_the_expert_graph(monkeypatch):
     monkeypatch.setattr(gpexperts.selection, "expert_graph", keep)
     config = ExperimentConfig(methods=("gpoe*",), alpha=0.5, penalty=0.01, **FAST)
     report = run_experiment(config)
-    edges = json.loads(render_report(report))["selection"]["edges"]
-    (omega,) = [g.precision for g in graphs]
+    selection = json.loads(render_report(report))["selection"]
+    edges = selection["edges"]
+    (graph,) = graphs
+    omega = graph.precision
+    assert selection["components"] == len(graph.components)
     m = omega.shape[0]
     rebuilt = np.zeros((m, m))
     for i, j, value in edges:
@@ -388,6 +391,15 @@ def test_perfbench_reads_the_glasso_budget_expert_graph_passes():
     assert graph.steps > 100
     assert tr.counts["selection.glasso_sweeps"] == graph.steps
     assert tr.counts["selection.glasso_converged"] == int(graph.converged)
+
+
+def test_perfbench_selftest_oracles_accept_the_library(monkeypatch):
+    # the benchmark's self-test feeds its oracles the library's outputs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    selftest = importlib.import_module("selftest")
+    failures = []
+    selftest.oracle_rejections(failures)
+    assert failures == []
 
 
 def test_perfbench_workload_runs_one_traced_repeat_cleanly(monkeypatch, tmp_path):

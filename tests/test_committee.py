@@ -13,7 +13,6 @@ from gpexperts import (
     ExpertEnsemble,
     Hyperparams,
     bcm_aggregate,
-    compute_weights,
     expert_predict,
     grbcm_aggregate,
     npae_aggregate,
@@ -22,6 +21,7 @@ from gpexperts import (
     poe_aggregate,
     train_ensemble,
 )
+from gpexperts.committee import compute_weights
 from gpexperts.gp import factorize
 
 
@@ -147,6 +147,48 @@ def test_a_zero_weight_point_falls_back_to_the_prior_under_poe_as_under_bcm():
     np.testing.assert_array_equal(fused.failed, [False, True])
     assert fused.means[1] == 0.0 and fused.variances[1] == hp.signal_variance
     assert committee.means[1] == 0.0 and committee.variances[1] == hp.signal_variance
+
+
+def test_poe_weighs_and_falls_back_against_the_latent_prior():
+    # the fused variances are latent: an expert at k(x, x) has no information
+    # gain, even where the observation-space prior k(x, x) + noise is larger.
+    # At x = 0.3 expert 0 has barely seen the point (0 < c_0 < 1e-3): its
+    # weight is about c_0 / 2, and unnormalised the product would answer
+    # about 2 / c_0, far above the prior.
+    hp = Hyperparams(1.0, [0.01], 0.1)
+    ens = manual_ensemble(
+        [(np.array([[0.0]]), np.array([1.0])), (np.array([[1.0]]), np.array([-1.0]))],
+        hp,
+    )
+    xs = np.array([[0.0], [0.3], [5.0]])
+    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    np.testing.assert_array_equal(fused.failed, [False, False, True])
+    assert fused.means[2] == 0.0 and fused.variances[2] == hp.signal_variance
+    means, variances = expert_moments(ens, xs[:2])
+    assert 0.0 < hp.signal_variance - variances[1, 0] < 1e-3
+    assert np.all(variances[:, 1] == hp.signal_variance)  # no gain: weight 0
+    assert np.all(fused.variances <= hp.signal_variance)
+    # expert 0 holds all of the weight, so the product is expert 0
+    np.testing.assert_allclose(fused.variances[:2], variances[:, 0], rtol=1e-15)
+    np.testing.assert_allclose(fused.means[:2], means[:, 0], rtol=1e-15)
+
+
+def test_poe_diff_entropy_weights_are_normalised():
+    # the generalized product: weights sum to 1 per point, so the fused
+    # variance is a weighted harmonic mean of the member variances
+    ens = make_ensemble(seed=4)
+    xs = np.linspace(-0.5, 1.5, 41)[:, None]
+    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    assert fused.failed is None
+    means, variances = expert_moments(ens, xs)
+    beta = compute_weights("diff_entropy", variances, ens.hp.signal_variance)
+    beta /= beta.sum(axis=1, keepdims=True)
+    prec = np.sum(beta / variances, axis=1)
+    np.testing.assert_allclose(fused.variances, 1.0 / prec, rtol=1e-12)
+    mean = np.sum(beta * means / variances, axis=1) / prec
+    np.testing.assert_allclose(fused.means, mean, rtol=1e-12, atol=1e-14)
+    assert np.all(fused.variances <= variances.max(axis=1) * (1 + 1e-12))
+    assert np.all(fused.variances >= variances.min(axis=1) * (1 - 1e-12))
 
 
 def test_bcm_single_expert_is_that_expert():

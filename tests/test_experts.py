@@ -225,6 +225,39 @@ def test_each_member_is_predicted_once_per_test_set(
     assert_direct(xs + 0.1)  # a new test set of the same shape
 
 
+@pytest.mark.parametrize("one_d", [False, True])
+def test_a_rejected_test_set_keeps_the_memo(
+    small_ensemble, small_grid, monkeypatch, one_d
+):
+    ens = ExpertEnsemble(
+        small_ensemble.experts, small_ensemble.hp, small_ensemble.partitioning
+    )
+    calls = []
+    member_pass = gpexperts.experts._member_pass
+
+    def counted(model, xs):
+        # whether the memo already holds the test set being filled
+        calls.append(ens._memo is not None and np.array_equal(ens._memo[0], xs))
+        return member_pass(model, xs)
+
+    monkeypatch.setattr(gpexperts.experts, "_member_pass", counted)
+    good = small_grid[:, 0].copy() if one_d else small_grid.copy()
+    first = poe_aggregate(ens, good)
+    assert len(calls) == ens.n_experts
+    bad = good.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="test inputs must be finite"):
+        poe_aggregate(ens, bad)
+    before = len(calls)
+    again = poe_aggregate(ens, good)
+    assert len(calls) == before
+    np.testing.assert_array_equal(again.means, first.means)
+    np.testing.assert_array_equal(again.variances, first.variances)
+    # a new test set replaces the old memo after its first member pass
+    poe_aggregate(ens, good * 0.5)
+    assert calls[before:] == [False] + [True] * (ens.n_experts - 1)
+
+
 NON_FINITE_CALLS = {
     "gp_predict": lambda ens, xs: gp_predict(ens.experts[0], xs),
     "poe": lambda ens, xs: poe_aggregate(ens, xs),

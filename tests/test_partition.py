@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gpexperts.partition
 from gpexperts import Partitioning, partition_kmeans, partition_random
 from gpexperts.partition import _kmeans_pp_centers, _lloyd
 
@@ -115,21 +116,23 @@ def test_partitioning_validates_assignments():
     np.testing.assert_array_equal(ok.indices(1), [0, 2])
 
 
-def test_kmeans_reports_lloyd_iterations():
+def test_kmeans_reports_lloyd_iterations(monkeypatch):
     x = np.random.default_rng(8).normal(size=(60, 2))
     parts = partition_kmeans(x, 4, seed=9)
     centers = _kmeans_pp_centers(x, 4, np.random.default_rng(9))
     _, history, _ = _lloyd(x, centers, max_iter=100)
     assert parts.iterations == len(history) >= 2
-    assert partition_kmeans(x, 4, seed=9, max_iter=1).iterations == 1
     assert partition_random(60, 4, seed=9).iterations == 0
+    monkeypatch.setattr(gpexperts.partition, "LLOYD_MAX_ITER", 1)
+    assert partition_kmeans(x, 4, seed=9).iterations == 1
 
 
-def test_kmeans_reports_whether_lloyd_converged():
+def test_kmeans_reports_whether_lloyd_converged(monkeypatch):
     x = np.random.default_rng(8).normal(size=(60, 2))
     assert partition_kmeans(x, 4, seed=9).converged is True
-    assert partition_kmeans(x, 4, seed=9, max_iter=1).converged is False
     assert partition_random(60, 4, seed=9).converged is None
+    monkeypatch.setattr(gpexperts.partition, "LLOYD_MAX_ITER", 1)
+    assert partition_kmeans(x, 4, seed=9).converged is False
 
 
 def test_lloyd_centers_are_the_masked_cluster_means_bit_for_bit():

@@ -88,7 +88,7 @@ def test_covariance_needs_multiple_points(small_ensemble):
 def test_glasso_zero_penalty_inverts(small_ensemble):
     for seed in range(5):
         s = random_correlation(6, seed)
-        omega, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=200)
+        omega, _, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=200)
         ref = np.linalg.inv(s)
         rel = np.linalg.norm(omega - ref) / np.linalg.norm(ref)
         assert rel < 1e-5
@@ -96,12 +96,12 @@ def test_glasso_zero_penalty_inverts(small_ensemble):
 
 def test_glasso_two_by_two_closed_forms():
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
-    omega0, _ = graphical_lasso(s, 0.0, tol=1e-8)
+    omega0, _, _ = graphical_lasso(s, 0.0, tol=1e-8)
     np.testing.assert_allclose(
         omega0, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=1e-6
     )
     # off-diagonal penalty shrinks the fitted covariance toward s12 - lam
-    omega, _ = graphical_lasso(s, 0.2, tol=1e-8)
+    omega, _, _ = graphical_lasso(s, 0.2, tol=1e-8)
     w = np.array([[1.0, 0.3], [0.3, 1.0]])
     np.testing.assert_allclose(omega, np.linalg.inv(w), atol=1e-4)
 
@@ -109,7 +109,7 @@ def test_glasso_two_by_two_closed_forms():
 def test_glasso_full_shrinkage_is_diagonal():
     s = random_correlation(5, 3)
     lam = float(np.abs(s - np.diag(np.diagonal(s))).max())
-    omega, _ = graphical_lasso(s, lam + 0.01)
+    omega, _, _ = graphical_lasso(s, lam + 0.01)
     off = omega - np.diag(np.diagonal(omega))
     np.testing.assert_array_equal(off, 0.0)
     np.testing.assert_allclose(np.diagonal(omega), 1.0 / np.diagonal(s), rtol=1e-10)
@@ -119,14 +119,14 @@ def test_glasso_objective_never_decreases():
     for seed in (0, 1):
         s = random_correlation(8, seed)
         for lam in (0.0, 0.05, 0.3):
-            _, history = graphical_lasso(s, lam)
+            _, history, _ = graphical_lasso(s, lam)
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs >= -1e-10)
 
 
 def test_glasso_zeros_are_exact():
     s = random_correlation(8, 4)
-    omega, _ = graphical_lasso(s, 0.3)
+    omega, _, _ = graphical_lasso(s, 0.3)
     off = omega[~np.eye(8, dtype=bool)]
     assert np.any(off == 0.0)  # soft thresholding writes literal zeros
 
@@ -135,7 +135,7 @@ def test_glasso_sparsity_grows_with_penalty():
     s = random_correlation(10, 5)
     nonzeros = []
     for lam in (0.01, 0.05, 0.1, 0.3, 0.7):
-        omega, _ = graphical_lasso(s, lam)
+        omega, _, _ = graphical_lasso(s, lam)
         nonzeros.append(int(np.count_nonzero(omega) - 10))
     assert nonzeros == sorted(nonzeros, reverse=True)
 
@@ -143,7 +143,7 @@ def test_glasso_sparsity_grows_with_penalty():
 def test_glasso_result_beats_diagonal_start():
     s = random_correlation(6, 6)
     lam = 0.1
-    omega, _ = graphical_lasso(s, lam)
+    omega, _, _ = graphical_lasso(s, lam)
     start = np.diag(1.0 / np.diagonal(s))
     assert _penalized_objective(s, omega, lam) >= _penalized_objective(s, start, lam)
 
@@ -170,7 +170,7 @@ def test_glasso_kkt_on_rank_deficient_cov():
     lam, tol = 0.1, 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, _ = graphical_lasso(s, lam, tol=tol)
+        omega, _, _ = graphical_lasso(s, lam, tol=tol)
     gap = np.linalg.inv(omega) - s
     off = ~np.eye(m, dtype=bool)
     edges = off & (omega != 0.0)
@@ -184,10 +184,10 @@ def test_glasso_kkt_on_rank_deficient_cov():
 def test_glasso_block_diagonal_matches_blocks_solved_alone():
     s, even, odd = two_interleaved_blocks()
     lam = 0.05
-    omega, _ = graphical_lasso(s, lam)
+    omega, _, _ = graphical_lasso(s, lam)
     for idx in (even, odd):
         block = np.ix_(idx, idx)
-        alone, _ = graphical_lasso(s[block], lam)
+        alone, _, _ = graphical_lasso(s[block], lam)
         assert np.count_nonzero(np.triu(alone, 1)) > 0
         np.testing.assert_allclose(omega[block], alone, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(omega[np.ix_(even, odd)], 0.0)
@@ -199,7 +199,7 @@ def test_glasso_isolated_experts_get_exact_inverse_variance():
     for i, scale in ((1, 3.7), (4, 0.3)):
         s[i, :] = s[:, i] = np.clip(s[:, i], -lam, lam)
         s[i, i] = scale
-    omega, _ = graphical_lasso(s, lam)
+    omega, _, _ = graphical_lasso(s, lam)
     for i, scale in ((1, 3.7), (4, 0.3)):
         assert omega[i, i] == 1.0 / scale
         np.testing.assert_array_equal(np.delete(omega[i], i), 0.0)
@@ -211,7 +211,7 @@ def test_glasso_history_rises_across_components():
     s[8, :] = s[:, 8] = 0.0  # an isolated expert as a third component
     s[8, 8] = 2.0
     lam = 0.05
-    omega, history = graphical_lasso(s, lam)
+    omega, history, _ = graphical_lasso(s, lam)
     assert len(history) > 2
     assert np.all(np.diff(history) >= 0.0)
     # each entry is the objective of the whole matrix, not of one block
@@ -222,14 +222,63 @@ def test_expert_graph_reports_solver_diagnostics(
     small_ensemble, small_grid, monkeypatch
 ):
     graph = expert_graph(small_ensemble, small_grid, lam=0.05)
-    _, history = graphical_lasso(graph.sample_cov, 0.05)
+    _, history, _ = graphical_lasso(graph.sample_cov, 0.05)
     assert graph.steps == len(history) > 1
     assert graph.converged
-    assert 1 <= graph.components < small_ensemble.n_experts
+    assert 1 <= len(graph.components) < small_ensemble.n_experts
     monkeypatch.setattr(gpexperts.selection, "GLASSO_MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="converge"):
         capped = expert_graph(small_ensemble, small_grid, lam=0.05)
     assert capped.steps == 1 and not capped.converged
+
+
+def twelve_local_experts():
+    """12 local GP experts along a sinusoid and 40 test points; at lam = 0.3
+    screening splits them into 7 components, one of them not contiguous."""
+    from conftest import manual_ensemble
+
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(0.0, 1.0, size=240))
+    y = synth_f(x) + rng.normal(0.0, 0.2, size=240)
+    blocks = [
+        (xb[:, None], yb)
+        for xb, yb in zip(np.split(x, 12), np.split((y - y.mean()) / y.std(), 12))
+    ]
+    ens = manual_ensemble(blocks, Hyperparams(1.0, [0.05], 0.04))
+    return ens, np.linspace(0.0, 1.0, 40)[:, None]
+
+
+def test_expert_graph_screens_once(monkeypatch):
+    ens, xs = twelve_local_experts()
+    calls = []
+    screen = gpexperts.selection.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(gpexperts.selection, "connected_components", counted)
+    expert_graph(ens, xs, lam=0.3)
+    assert len(calls) == 1
+
+
+def test_expert_graph_keeps_the_screening_components():
+    ens, xs = twelve_local_experts()
+    lam = 0.3
+    graph = expert_graph(ens, xs, lam=lam)
+    comps = graph.components
+    assert len(comps) > 2 and any(c.size > 2 for c in comps)
+    assert all(np.all(np.diff(c) > 0) for c in comps)
+    np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(12))
+    # reachability by repeated squaring of the screened adjacency
+    reach = (np.abs(graph.sample_cov) > lam) | np.eye(12, dtype=bool)
+    for _ in range(4):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    expected = {tuple(np.flatnonzero(row)) for row in reach}
+    assert {tuple(c.tolist()) for c in comps} == expected
+    for a in comps:  # the precision is block diagonal over them
+        rest = np.setdiff1d(np.arange(12), a)
+        np.testing.assert_array_equal(graph.precision[np.ix_(a, rest)], 0.0)
 
 
 def test_rank_importance_hand_example():
