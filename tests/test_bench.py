@@ -378,9 +378,10 @@ def test_perfbench_sees_one_aggregator_call_per_method():
             assert kwargs.get("subset") is not None, name
 
 
-def test_perfbench_reads_the_glasso_budget_expert_graph_passes():
+def test_perfbench_reads_the_glasso_budget_expert_graph_passes(monkeypatch):
     # perfbench's graphical-lasso hook reads max_iter from the call's keywords
-    # and falls back to 100; this graph takes more steps than that.
+    # and falls back to 100, so only a budget below that shows which it read:
+    # a run capped at 2 steps uses them all and must count as not converged.
     tracer = load_perfbench_tracer()
     data = synth_dataset(600, 60, 0.2, seed=0)
     parts = partition_kmeans(data.x_train, 12, seed=1)
@@ -388,9 +389,15 @@ def test_perfbench_reads_the_glasso_budget_expert_graph_passes():
     specs = tracer.STAGE_SPECS + tracer.LAYER_SPECS
     with tracer.installed(tracer.Tracer(), specs) as tr:
         graph = gpexperts.selection.expert_graph(ens, data.x_test, lam=0.05)
-    assert graph.steps > 100
+    assert 2 < graph.steps < gpexperts.selection.GLASSO_MAX_ITER and graph.converged
     assert tr.counts["selection.glasso_sweeps"] == graph.steps
-    assert tr.counts["selection.glasso_converged"] == int(graph.converged)
+    assert tr.counts["selection.glasso_converged"] == 1
+    monkeypatch.setattr(gpexperts.selection, "GLASSO_MAX_ITER", 2)
+    with tracer.installed(tracer.Tracer(), specs) as tr:
+        with pytest.warns(RuntimeWarning, match="converge"):
+            capped = gpexperts.selection.expert_graph(ens, data.x_test, lam=0.05)
+    assert tr.counts["selection.glasso_sweeps"] == capped.steps == 2
+    assert tr.counts["selection.glasso_converged"] == 0 == capped.converged
 
 
 def test_perfbench_selftest_oracles_accept_the_library(monkeypatch):
