@@ -52,12 +52,25 @@ def compute_weights(scheme: str, variances: np.ndarray, prior_var: float) -> np.
     raise ValueError(f"unknown weight scheme {scheme!r}; use one of {WEIGHT_SCHEMES}")
 
 
-def _fuse(means, variances, betas, prior_var, base=None) -> PredictiveDist:
+def _set_aside_exact(means, variances):
+    """Variances with each 0 set to 1, and the rows that held one with their
+    fused means.  A member of variance 0 (a noise-free expert at its own
+    training input) has infinite precision: every rule's limit there is its
+    mean, with variance 0.  Several at one point give the mean of their means.
+    """
+    zero = variances == 0
+    rows = np.flatnonzero(zero.any(axis=1))
+    z = zero[rows]
+    exact = rows, np.sum(means[rows] * z, axis=1) / z.sum(axis=1)
+    return np.where(zero, 1.0, variances), exact
+
+
+def _fuse(means, variances, betas, prior_var, exact, base=None) -> PredictiveDist:
     """The module's fusion formula over (t, m) expert moments and weights.
 
     ``base`` is None for the product rule, else the committee base's
     (mean, variance); points whose fused precision is not positive get
-    zero mean and ``prior_var`` and are flagged.
+    zero mean and ``prior_var`` and are flagged.  ``exact`` rows get variance 0.
     """
     precision = np.sum(betas / variances, axis=1)
     numer = np.sum(betas * means / variances, axis=1)
@@ -69,6 +82,7 @@ def _fuse(means, variances, betas, prior_var, base=None) -> PredictiveDist:
     bad = precision <= 0
     out_var = 1.0 / np.where(bad, 1.0 / prior_var, precision)
     out_mean = out_var * np.where(bad, 0.0, numer)
+    out_mean[exact[0]], out_var[exact[0]], bad[exact[0]] = exact[1], 0.0, False
     return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
 
 
@@ -83,12 +97,13 @@ def poe_aggregate(
     variance exceeds the largest member's; where all are 0, the latent prior.
     """
     means, variances = ensemble.moments(xs, subset)
+    variances, exact = _set_aside_exact(means, variances)
     prior_var = ensemble.hp.signal_variance  # latent, as the fused variances are
     betas = compute_weights(scheme, variances, prior_var)
     if scheme == "diff_entropy":
         total = np.sum(betas, axis=1, keepdims=True)
         betas = np.divide(betas, total, out=np.zeros_like(betas), where=total > 0)
-    return _fuse(means, variances, betas, prior_var)
+    return _fuse(means, variances, betas, prior_var, exact)
 
 
 def bcm_aggregate(
@@ -101,9 +116,10 @@ def bcm_aggregate(
     fall back to the prior and are flagged.
     """
     means, variances = ensemble.moments(xs, subset)
+    variances, exact = _set_aside_exact(means, variances)
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
     betas = compute_weights(scheme, variances, prior_var)
-    return _fuse(means, variances, betas, prior_var, (0.0, prior_var))
+    return _fuse(means, variances, betas, prior_var, exact, (0.0, prior_var))
 
 
 def grbcm_aggregate(
@@ -169,6 +185,8 @@ def grbcm_aggregate(
         aug_means[:, col] = base_mean + ut @ dtrmv(w_s, r, lower=1, overwrite_x=1)
         c = c_b + np.einsum("ij,ij->i", ut, ut)
         aug_vars[:, col] = np.maximum(hp.signal_variance - c, 0.0)
+    aug_vars, exact = _set_aside_exact(aug_means, aug_vars)
+    base_var[exact[0]] = 1.0  # where the base is exact, so is every augmented expert
     betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])
     betas[:, 0] = 1.0
-    return _fuse(aug_means, aug_vars, betas, prior_var, (base_mean, base_var))
+    return _fuse(aug_means, aug_vars, betas, prior_var, exact, (base_mean, base_var))

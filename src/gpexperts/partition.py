@@ -81,10 +81,8 @@ def _lloyd(x, centers, max_iter):
             counts[empty] = 1
         changed = np.any(new_assign != assign)
         assign = new_assign
-        # Stably sorted, each cluster's slice holds the rows a mask selects.
-        rows, ends = x[np.argsort(assign, kind="stable")], np.cumsum(counts)
-        for j in range(m):
-            centers[j] = rows[ends[j] - counts[j] : ends[j]].mean(axis=0)
+        for d in range(x.shape[1]):
+            centers[:, d] = np.bincount(assign, weights=x[:, d], minlength=m) / counts
         history.append(float(np.sum((x - centers[assign]) ** 2)))
         if not changed:
             break

@@ -126,11 +126,57 @@ def test_gpoe_uniform_variance_is_m_times_plain_product():
 
 
 def test_positive_variance_required():
-    # a noiseless expert has exactly zero latent variance at its own point
-    hp = Hyperparams(1.0, [1.0], 0.0)
-    ens = manual_ensemble([(np.array([[0.5]]), np.array([1.0]))], hp)
-    with pytest.raises(ValueError):
-        poe_aggregate(ens, np.array([[0.5]]))
+    # the rules set exact members aside before weighing the others
+    with pytest.raises(ValueError, match="strictly positive"):
+        compute_weights("ones", np.array([[0.5, 0.0]]), 1.0)
+
+
+ZERO_NOISE_RULES = {
+    "poe": lambda ens, xs: poe_aggregate(ens, xs),
+    "gpoe": lambda ens, xs: poe_aggregate(ens, xs, scheme="uniform"),
+    "bcm": lambda ens, xs: bcm_aggregate(ens, xs),
+    "rbcm": lambda ens, xs: bcm_aggregate(ens, xs, scheme="diff_entropy"),
+    "grbcm": lambda ens, xs: grbcm_aggregate(ens, xs, 0),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ZERO_NOISE_RULES))
+def test_zero_noise_rules_return_the_interpolant_at_training_inputs(rule):
+    # at x = 0 and x = 1 one noise-free member has variance 0: the limit of
+    # the precision formula is its mean, as NPAE answers there (grbcm's
+    # augmented means interpolate to rounding)
+    hp = Hyperparams(1.0, [0.1], 0.0)
+    ens = manual_ensemble(
+        [(np.array([[0.0], [0.5]]), np.array([1.0, 0.3])),
+         (np.array([[1.0]]), np.array([-1.0]))],
+        hp,
+    )
+    xs = np.array([[0.0], [1.0], [0.7]])
+    fused = ZERO_NOISE_RULES[rule](ens, xs)
+    np.testing.assert_allclose(fused.means[:2], [1.0, -1.0], rtol=1e-12)
+    np.testing.assert_array_equal(fused.variances[:2], 0.0)
+    assert fused.failed is None
+    np.testing.assert_allclose(npae_aggregate(ens, xs[:2]).means, [1.0, -1.0])
+    # the other points fuse as before
+    alone = ZERO_NOISE_RULES[rule](ens, xs[2:])
+    np.testing.assert_array_equal(fused.means[2:], alone.means)
+    np.testing.assert_array_equal(fused.variances[2:], alone.variances)
+    assert alone.variances[0] > 0.0
+
+
+@pytest.mark.parametrize("rule", sorted(ZERO_NOISE_RULES))
+def test_several_exact_members_fuse_to_the_mean_of_their_means(rule):
+    # experts 1 and 2 both interpolate x = 0, with targets 1 and 3
+    hp = Hyperparams(1.0, [0.1], 0.0)
+    ens = manual_ensemble(
+        [(np.array([[0.5]]), np.array([0.0])),
+         (np.array([[0.0]]), np.array([1.0])),
+         (np.array([[0.0]]), np.array([3.0]))],
+        hp,
+    )
+    fused = ZERO_NOISE_RULES[rule](ens, np.array([[0.0]]))
+    assert fused.means[0] == pytest.approx(2.0, rel=1e-12)
+    assert fused.variances[0] == 0.0
 
 
 def test_a_zero_weight_point_falls_back_to_the_prior_under_poe_as_under_bcm():

@@ -66,6 +66,53 @@ def test_matrix_exact_on_identical_rows():
     assert k[0, 1] == k[1, 0]
 
 
+@pytest.mark.parametrize("dim", [2, 8])
+def test_gemm_path_matches_pairwise_eval_across_scales(dim):
+    # lengthscales over four decades, inputs far from the origin
+    rng = np.random.default_rng(dim)
+    hp = Hyperparams(1.7, rng.permutation(np.geomspace(1e-2, 1e2, dim)), 0.0)
+    x, x2 = 1e3 + rng.uniform(size=(40, dim)), 1e3 + rng.uniform(size=(30, dim))
+    for a, b in ((x, x2), (x2, x), (x, x)):
+        ref = [[kernel_eval(p, q, hp) for q in b] for p in a]
+        np.testing.assert_allclose(kernel_matrix(a, b, hp), ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_gemm_self_kernel_is_symmetric_with_an_exact_diagonal(dim):
+    # n > 128: the upper triangle is mirrored panel by panel
+    rng = np.random.default_rng(10 + dim)
+    hp = Hyperparams(1.9, rng.uniform(0.5, 2.0, dim), 0.0)
+    x = 1e3 + rng.normal(size=(300, dim))
+    k = kernel_matrix(x, x, hp)
+    np.testing.assert_array_equal(np.diagonal(k), 1.9)
+    np.testing.assert_array_equal(k, k.T)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_gemm_path_never_exceeds_the_signal_variance(dim):
+    # widely spread equal rows: the GEMM's cancellation error in log k
+    # (a few ulps of |a|^2) goes both ways, and the clip cuts the upward side
+    rng = np.random.default_rng(30 + dim)
+    hp = Hyperparams(1.9, np.ones(dim), 0.0)
+    x = 300.0 * rng.normal(size=(60, dim))
+    k = kernel_matrix(x, x.copy(), hp)
+    assert k.max() <= 1.9 * (1.0 + 2.0**-51)  # exp(log 1.9) may round up
+    np.testing.assert_allclose(np.diagonal(k), 1.9, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_gemm_column_slices_match_the_full_call(dim):
+    # one GEMM call rounds by its block shape: a slice may differ by a few ulps
+    rng = np.random.default_rng(20 + dim)
+    hp = Hyperparams(1.3, np.geomspace(0.3 * dim, 10.0 * dim, dim), 0.0)
+    x, x2 = 1e3 + rng.uniform(size=(150, dim)), 1e3 + rng.uniform(size=(257, dim))
+    full = kernel_matrix(x, x2, hp)
+    for j0, j1 in ((0, 1), (17, 18), (3, 40), (100, 257), (0, 256)):
+        np.testing.assert_array_max_ulp(
+            kernel_matrix(x, x2[j0:j1], hp), full[:, j0:j1], maxulp=4
+        )
+
+
 def test_matrix_far_points_decay_to_zero():
     hp = Hyperparams(1.0, [1.0], 0.0)
     k = kernel_matrix(np.array([[0.0]]), np.array([[1e4]]), hp)
@@ -180,12 +227,12 @@ def test_log_vector_round_trip():
 
 def test_kernel_matrix_allocates_only_its_output():
     rng = np.random.default_rng(4)
-    hp = Hyperparams(1.5, [0.1, 0.2], 0.0)
-    x, x2 = rng.uniform(size=(500, 2)), rng.uniform(size=(300, 2))
-    tracemalloc.start()
-    try:
-        k = kernel_matrix(x, x2, hp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * k.nbytes
+    for hp in (Hyperparams(1.5, [0.1, 0.2], 0.0), Hyperparams(1.5, np.full(8, 0.3), 0.0)):
+        x, x2 = rng.uniform(size=(500, hp.dim)), rng.uniform(size=(300, hp.dim))
+        tracemalloc.start()
+        try:
+            k = kernel_matrix(x, x2, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * k.nbytes
