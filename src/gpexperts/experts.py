@@ -31,14 +31,15 @@ class ExpertEnsemble:
     """All experts plus the shared hyperparameters and source partitioning.
 
     ``experts`` holds one :class:`gpexperts.gp.GpModel` per part;
-    ``training`` describes the optimizer run that chose ``hp``.
+    ``training`` describes the optimizer run that chose ``hp``.  ``_memo``
+    holds the last test set, the means, c and, per expert, v_i^T, or w_i^T
+    once :meth:`npae_moments` has made it read-only (see :meth:`moments`).
     """
 
     experts: list
     hp: Hyperparams
     partitioning: Partitioning
     training: TrainingInfo | None = None
-    # (test set, means, c, v_i^T or w_i^T per expert, which are w_i^T)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -74,10 +75,9 @@ class ExpertEnsemble:
         subset = self.subset_or_all(subset)
         xs, memo = np.asarray(xs, dtype=float), self._memo
         if memo is None or not np.array_equal(xs, memo[0]):
-            shape, m = (xs.shape[0], self.n_experts), self.n_experts
-            memo = (xs.copy(), np.empty(shape), np.empty(shape),
-                    [None] * m, np.zeros(m, dtype=bool))
-        xs, means, target_cov, vts, _ = memo
+            shape = (xs.shape[0], self.n_experts)
+            memo = (xs.copy(), np.empty(shape), np.empty(shape), [None] * shape[1])
+        xs, means, target_cov, vts = memo
         for i in [i for i in subset if vts[i] is None]:
             means[:, i], vts[i], target_cov[:, i] = _member_pass(self.experts[i], xs)
             self._memo = memo
@@ -96,11 +96,11 @@ class ExpertEnsemble:
         """
         means, _ = self.moments(xs, subset)
         subset = self.subset_or_all(subset)
-        _, _, target_cov, vts, whitened = self._memo
-        for i in subset[~whitened[subset]]:
+        _, _, target_cov, vts = self._memo
+        for i in [i for i in subset if vts[i].flags.writeable]:
             w_t = dtrmm(1.0, self.experts[i].chol_inv, vts[i], side=1, lower=1,
                         overwrite_b=1)
-            w_t.flags.writeable, vts[i], whitened[i] = False, w_t, True
+            w_t.flags.writeable, vts[i] = False, w_t
         return (means, np.ascontiguousarray(target_cov[:, subset]),
                 [vts[i].T for i in subset])
 

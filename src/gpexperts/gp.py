@@ -39,12 +39,9 @@ from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from .kernels import Hyperparams, as_points, kernel_matrix
-from .linalg import SingularMatrixError, chol_with_jitter, solve_spd
+from .linalg import PANEL, SingularMatrixError, chol_with_jitter, solve_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Column width of the elementwise passes over one triangle of an n x n buffer.
-PANEL = 128
 
 # Optimizer budget shared by single-model and ensemble training.
 MAX_OPT_ITER = 200

@@ -87,13 +87,6 @@ def as_points(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
-def _check_dims(x, x2, hp):
-    if x.shape[1] != x2.shape[1]:
-        raise ValueError(f"input dims differ: {x.shape[1]} vs {x2.shape[1]}")
-    if x.shape[1] != hp.dim:
-        raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
-
-
 def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """Cross-kernel matrix of shape (n, m), C-ordered, for row sets ``x`` and ``x2``.
 
@@ -102,7 +95,10 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """
     same = x2 is x
     x, x2 = as_points(x), as_points(x2)
-    _check_dims(x, x2, hp)
+    if x.shape[1] != x2.shape[1]:
+        raise ValueError(f"input dims differ: {x.shape[1]} vs {x2.shape[1]}")
+    if x.shape[1] != hp.dim:
+        raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
     scale = 1.0 / np.sqrt(hp.lengthscales)
     if x.shape[1] == 1:
         k = cdist(x * scale, x2 * scale, metric="sqeuclidean")
@@ -136,9 +132,7 @@ def kernel_grad(x, hp: Hyperparams) -> np.ndarray:
     matrix (see :mod:`gpexperts.gp`).
     """
     x = as_points(x)
-    if x.shape[1] != hp.dim:
-        raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
-    k = kernel_matrix(x, x, hp)
+    k = kernel_matrix(x, x, hp)  # checks the inputs' dimension
     out = np.empty((1 + hp.dim, x.shape[0], x.shape[0]))
     out[0] = k
     for d in range(hp.dim):

@@ -10,6 +10,9 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 # chol_with_jitter outweighs its TRMM/SYRK speed.
 TRI_INV_LEAF = 128
 
+# Column width of the panel passes over one triangle of an n x n buffer.
+PANEL = 128
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix stays non-factorizable after jitter escalation."""
@@ -106,8 +109,8 @@ def _factor_invert(a):
 def _mirror_upper(a):
     """Copy the strict upper triangle of square ``a`` onto its lower one."""
     n = a.shape[0]
-    for j0 in range(0, n, TRI_INV_LEAF):
-        j1 = min(j0 + TRI_INV_LEAF, n)
+    for j0 in range(0, n, PANEL):
+        j1 = min(j0 + PANEL, n)
         a[j1:, j0:j1] = a[j0:j1, j1:].T
         block = a[j0:j1, j0:j1]
         np.copyto(block, block.T.copy(), where=np.tri(j1 - j0, k=-1, dtype=bool))

@@ -8,7 +8,7 @@ to the rest and carry the most information, so aggregation can keep only the
 top-connected fraction.  Raw magnitudes (no correlation rescaling) matter:
 weak experts predict low-amplitude curves, which ranks them last.  The
 graphical lasso is solved by sign-consistent Newton steps on each screened
-component (see :func:`graphical_lasso`).
+component until its KKT gate passes (see :func:`graphical_lasso`).
 """
 
 import math
@@ -34,9 +34,9 @@ class ExpertGraph:
 
     ``order`` ranks experts most-connected first (ties broken by ascending
     index); ``selected`` is the sorted index set of the kept experts.
-    ``steps`` counts the graphical lasso's Newton steps, ``converged`` says
-    that it met its KKT gate within ``GLASSO_MAX_ITER`` of them, and
-    ``components`` holds its screening's components, as sorted index arrays.
+    ``steps`` counts the graphical lasso's Newton steps, ``converged`` is its
+    verdict (whether the estimate passed its KKT gate), and ``components``
+    holds its screening's components, as sorted index arrays.
     The penalty and kept fraction stay with the caller of :func:`expert_graph`.
     """
 
@@ -112,7 +112,7 @@ def _pinned_solve(hess, slope, sign, start, target):
 
 
 def _newton(s, lam, thresh, budget):
-    """Sign-consistent Newton steps on one component; yields each step.
+    """Sign-consistent Newton steps on one component, at most ``budget``.
 
     The free set F holds the diagonal, the nonzeros, and the zeros where
     |S - W| > lam.  Each free off-diagonal entry takes an orthant sign z:
@@ -124,18 +124,20 @@ def _newton(s, lam, thresh, budget):
     such a step, so a backtracking line search on the exact objective takes
     the first length at which dpotrf factors the iterate and the objective
     rises by a share of its slope, or no move at all below a length of 2^-40.
-    Ends before ``budget`` steps only once the KKT residual is at most
-    ``thresh``.
+    Returns ``(iterates, converged)``: the iterate after each step, until the
+    KKT residual is at most ``thresh`` (converged) or ``budget`` steps are taken.
     """
     pen = lam * (1.0 - np.eye(len(s)))  # the diagonal is not penalized
     omega, w = np.diag(1.0 / np.diagonal(s)), np.diag(np.diagonal(s))
     value = _objective(s, omega, lam, np.sqrt(omega))  # a diagonal's factor
     rows, cols = np.triu_indices(len(s))
-    for _ in range(budget):
+    iterates = []
+    while True:
         grad = s - w
         # KKT residual: |g + lam sign O| on the support, |g| - lam off it
-        if np.all(np.abs(grad + pen * np.sign(omega)) - pen * (omega == 0) <= thresh):
-            return
+        met = np.all(np.abs(grad + pen * np.sign(omega)) - pen * (omega == 0) <= thresh)
+        if met or len(iterates) >= budget:
+            return iterates, bool(met)
         z = np.where(omega != 0, np.sign(omega), -np.sign(grad)) * (pen > 0)
         free = ((omega != 0) | (np.abs(grad) > pen))[rows, cols]
         i, j = rows[free], cols[free]
@@ -159,7 +161,7 @@ def _newton(s, lam, thresh, budget):
                 w = w + w.T - np.diag(np.diagonal(w))
                 omega, value = trial, new
                 break
-        yield omega
+        iterates.append(omega)
 
 
 def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
@@ -177,11 +179,12 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     on edges.  A step's Newton system has one row per free pair (i <= j) of
     its component, so it takes 8 |F|^2 bytes: 5.4 MB for a fully coupled
     component of 40 experts.  ``max_iter`` caps the Newton steps over all
-    components, so a run that takes all of them did not converge: it returns
-    the last iterate with a warning.
+    components; only the KKT gate says whether the run converged, and a run
+    that did not returns its last iterate with a warning.
 
-    Returns ``(omega, objectives, components)``: the estimate, the whole-matrix
-    objective after each accepted step (never falling), the sorted components.
+    Returns ``(omega, objectives, components, converged)``: the estimate, the
+    whole-matrix objective after each accepted step (never falling), the
+    sorted components and the KKT gate's verdict on the estimate.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -193,7 +196,7 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     if lam < 0:
         raise ValueError("penalty must be >= 0")
     diag = np.diagonal(s)
-    omega, objectives = np.diag(1.0 / diag), []
+    omega, objectives, converged = np.diag(1.0 / diag), [], True
     thresh = tol * (lam if lam > 0 else float(np.max(np.abs(s))))
     alone = -np.log(diag) - 1.0  # objective of each expert at O_ii = 1/S_ii
     count, labels = connected_components(np.abs(s) > lam, directed=False)
@@ -201,13 +204,15 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     for comp in [c for c in components if c.size > 1]:
         block, sub = np.ix_(comp, comp), s[np.ix_(comp, comp)]
         rest = (objectives[-1] if objectives else np.sum(alone)) - np.sum(alone[comp])
-        for iterate in _newton(sub, lam, thresh, max_iter - len(objectives)):
+        iterates, met = _newton(sub, lam, thresh, max_iter - len(objectives))
+        converged &= met
+        for iterate in iterates:
             omega[block] = iterate
             objectives.append(rest + _penalized_objective(sub, iterate, lam))
-    if len(objectives) >= max_iter:
+    if not converged:
         message = f"graphical lasso did not converge in {max_iter} Newton steps"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return omega, objectives, components
+    return omega, objectives, components, converged
 
 
 def rank_importance(omega):
@@ -240,9 +245,10 @@ def expert_graph(
     ``max_iter=GLASSO_MAX_ITER`` by keyword.
     """
     cov = prediction_covariance(ensemble, xs)
-    omega, history, components = graphical_lasso(cov, lam, max_iter=GLASSO_MAX_ITER)
+    omega, history, components, converged = graphical_lasso(
+        cov, lam, max_iter=GLASSO_MAX_ITER)
     importance, order = rank_importance(omega)
     selected = select_experts(order, ensemble.n_experts, alpha)
     return ExpertGraph(cov, omega, importance, order, selected, len(history),
-                       len(history) < GLASSO_MAX_ITER, components)
+                       converged, components)
 

@@ -195,7 +195,7 @@ def test_03_sparse_precision_solver():
         d = 1.0 / np.sqrt(np.diagonal(a))
         s = a * np.outer(d, d)
 
-        omega, history, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=300)
+        omega, history, _, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=300)
         ref = np.linalg.inv(s)
         worst_rel = max(
             worst_rel, float(np.linalg.norm(omega - ref) / np.linalg.norm(ref))
@@ -204,7 +204,7 @@ def test_03_sparse_precision_solver():
 
         previous = np.inf
         for lam in LAMBDA_GRID:
-            om, hist, _ = graphical_lasso(s, lam)
+            om, hist, _, _ = graphical_lasso(s, lam)
             monotone &= bool(np.all(np.diff(hist) >= -1e-10))
             nonzero = int(np.count_nonzero(om) - 10)
             sparsity &= nonzero <= previous

@@ -9,6 +9,8 @@ import gpexperts.gp
 from gpexperts import (
     Hyperparams,
     PredictiveDist,
+    SingularMatrixError,
+    TrainingError,
     fit,
     gp_predict,
     kernel_grad,
@@ -178,6 +180,44 @@ def test_fit_records_its_training(monkeypatch):
     assert info.evaluations > info.iterations >= 1
     assert info.converged and info.failed_restarts == 0
     assert model.jitter == 0.0
+
+
+def test_failed_restarts_are_skipped_and_counted(monkeypatch):
+    # The likelihood raises at every point off restart 0's own path, so the
+    # two perturbed restarts fail at their first evaluation.
+    x, y = sample_problem(25, 2, seed=8)
+    path = set()
+
+    def recording(px, py, hp):
+        path.add(hp.to_log_vector().tobytes())
+        return log_marginal_likelihood(px, py, hp)
+
+    def failing_off_path(px, py, hp):
+        if hp.to_log_vector().tobytes() not in path:
+            raise SingularMatrixError("off the first restart's path")
+        return log_marginal_likelihood(px, py, hp)
+
+    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", recording)
+    one = fit(x, y, restarts=1, seed=9)
+    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", failing_off_path)
+    three = fit(x, y, restarts=3, seed=9)
+    assert three.hp.signal_variance == one.hp.signal_variance
+    np.testing.assert_array_equal(three.hp.lengthscales, one.hp.lengthscales)
+    assert three.hp.noise_variance == one.hp.noise_variance
+    assert three.training.failed_restarts == 2
+    assert three.training.evaluations == one.training.evaluations + 2
+    assert three.training.iterations == one.training.iterations
+
+
+def test_fit_raises_when_every_restart_fails(monkeypatch):
+    def failing(px, py, hp):
+        raise SingularMatrixError("no factor")
+
+    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", failing)
+    x, y = sample_problem(25, 2, seed=8)
+    with pytest.raises(TrainingError, match="all optimizer restarts") as caught:
+        fit(x, y, restarts=3, seed=9)
+    assert isinstance(caught.value.__cause__, SingularMatrixError)
 
 
 @pytest.mark.parametrize("n", [30, 300])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from gpexperts import SingularMatrixError
+from gpexperts import Hyperparams, SingularMatrixError, kernel_matrix
 from gpexperts.linalg import chol_with_jitter, solve_psd_robust, solve_spd
 
 
@@ -86,6 +86,19 @@ def test_robust_solve_matches_pinv_on_duplicated_rows():
     np.testing.assert_allclose(a @ x, b, atol=1e-5)
 
 
+def test_robust_solve_falls_back_to_the_kept_eigenpairs():
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: no rung of jitter factors
+    # it, and the pseudo-inverse keeps the eigenvalue 3 of (1, 1) / sqrt(2).
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        chol_with_jitter(a, maximum=1e-6, scale=1.0)
+    b = np.array([1.0, 5.0])
+    np.testing.assert_allclose(solve_psd_robust(a, b), [1.0, 1.0], rtol=1e-14)
+    np.testing.assert_allclose(
+        solve_psd_robust(a, np.column_stack([b, -b])),
+        [[1.0, -1.0], [1.0, -1.0]], rtol=1e-14)
+
+
 def late_pivot_singular(n=8, seed=7):
     """PSD matrix of rank n - 1 whose leading (n-1) x (n-1) block is PD."""
     b = np.random.default_rng(seed).normal(size=(n, n - 1))
@@ -136,6 +149,22 @@ def test_late_pivot_failure_retries_from_the_pristine_matrix():
     assert ref_jitter == 0.0
     np.testing.assert_array_equal(np.tril(w), np.tril(ref))
     np.testing.assert_array_equal(np.triu(w, 1), np.triu(a, 1))
+
+
+def test_zero_pivot_in_the_leading_block_takes_the_first_rung():
+    # At n=300 the first pivot sits in the first leaf of the leading block;
+    # zeroing row and column 0 makes it exactly 0, and the first rung of
+    # jitter lifts it.
+    n = 300
+    x = np.random.default_rng(3).normal(size=(n, 8))
+    c = kernel_matrix(x, x, Hyperparams(1.0, np.ones(8), 0.1))
+    c[0, :] = c[:, 0] = 0.0
+    w, jitter = chol_with_jitter(np.array(c, order="F"))
+    assert jitter == 1e-10 * c.diagonal().mean()
+    np.testing.assert_array_equal(np.triu(w, 1), np.triu(c, 1))
+    w = np.tril(w)
+    np.testing.assert_allclose(w @ (c + jitter * np.eye(n)) @ w.T, np.eye(n),
+                               rtol=0, atol=1e-10)
 
 
 def test_shift_matches_adding_it_to_the_diagonal_first():

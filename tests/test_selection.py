@@ -88,7 +88,7 @@ def test_covariance_needs_multiple_points(small_ensemble):
 def test_glasso_zero_penalty_inverts(small_ensemble):
     for seed in range(5):
         s = random_correlation(6, seed)
-        omega, _, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=200)
+        omega, _, _, _ = graphical_lasso(s, 0.0, tol=1e-7, max_iter=200)
         ref = np.linalg.inv(s)
         rel = np.linalg.norm(omega - ref) / np.linalg.norm(ref)
         assert rel < 1e-5
@@ -96,12 +96,12 @@ def test_glasso_zero_penalty_inverts(small_ensemble):
 
 def test_glasso_two_by_two_closed_forms():
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
-    omega0, _, _ = graphical_lasso(s, 0.0, tol=1e-8)
+    omega0, _, _, _ = graphical_lasso(s, 0.0, tol=1e-8)
     np.testing.assert_allclose(
         omega0, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=1e-6
     )
     # off-diagonal penalty shrinks the fitted covariance toward s12 - lam
-    omega, _, _ = graphical_lasso(s, 0.2, tol=1e-8)
+    omega, _, _, _ = graphical_lasso(s, 0.2, tol=1e-8)
     w = np.array([[1.0, 0.3], [0.3, 1.0]])
     np.testing.assert_allclose(omega, np.linalg.inv(w), atol=1e-4)
 
@@ -109,7 +109,7 @@ def test_glasso_two_by_two_closed_forms():
 def test_glasso_full_shrinkage_is_diagonal():
     s = random_correlation(5, 3)
     lam = float(np.abs(s - np.diag(np.diagonal(s))).max())
-    omega, _, _ = graphical_lasso(s, lam + 0.01)
+    omega, _, _, _ = graphical_lasso(s, lam + 0.01)
     off = omega - np.diag(np.diagonal(omega))
     np.testing.assert_array_equal(off, 0.0)
     np.testing.assert_allclose(np.diagonal(omega), 1.0 / np.diagonal(s), rtol=1e-10)
@@ -119,14 +119,14 @@ def test_glasso_objective_never_decreases():
     for seed in (0, 1):
         s = random_correlation(8, seed)
         for lam in (0.0, 0.05, 0.3):
-            _, history, _ = graphical_lasso(s, lam)
+            _, history, _, _ = graphical_lasso(s, lam)
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs >= -1e-10)
 
 
 def test_glasso_zeros_are_exact():
     s = random_correlation(8, 4)
-    omega, _, _ = graphical_lasso(s, 0.3)
+    omega, _, _, _ = graphical_lasso(s, 0.3)
     off = omega[~np.eye(8, dtype=bool)]
     assert np.any(off == 0.0)  # a step pins entries to literal zeros
 
@@ -135,7 +135,7 @@ def test_glasso_sparsity_grows_with_penalty():
     s = random_correlation(10, 5)
     nonzeros = []
     for lam in (0.01, 0.05, 0.1, 0.3, 0.7):
-        omega, _, _ = graphical_lasso(s, lam)
+        omega, _, _, _ = graphical_lasso(s, lam)
         nonzeros.append(int(np.count_nonzero(omega) - 10))
     assert nonzeros == sorted(nonzeros, reverse=True)
 
@@ -143,7 +143,7 @@ def test_glasso_sparsity_grows_with_penalty():
 def test_glasso_result_beats_diagonal_start():
     s = random_correlation(6, 6)
     lam = 0.1
-    omega, _, _ = graphical_lasso(s, lam)
+    omega, _, _, _ = graphical_lasso(s, lam)
     start = np.diag(1.0 / np.diagonal(s))
     assert _penalized_objective(s, omega, lam) >= _penalized_objective(s, start, lam)
 
@@ -169,7 +169,7 @@ def assert_glasso_kkt(s, lam, tol):
     m = s.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, history, _ = graphical_lasso(s, lam, tol=tol)
+        omega, history, _, _ = graphical_lasso(s, lam, tol=tol)
     gap = np.linalg.inv(omega) - s
     off = ~np.eye(m, dtype=bool)
     edges = off & (omega != 0.0)
@@ -205,17 +205,17 @@ def test_glasso_takes_few_newton_steps_on_rank_deficient_cov():
     # hundreds to thousands, so this guards against a slide back.
     s = rank_deficient_expert_cov()
     for lam in (0.1, 0.03, 0.01):
-        _, history, _ = graphical_lasso(s, lam)
+        _, history, _, _ = graphical_lasso(s, lam)
         assert len(history) <= 40
 
 
 def test_glasso_block_diagonal_matches_blocks_solved_alone():
     s, even, odd = two_interleaved_blocks()
     lam = 0.05
-    omega, _, _ = graphical_lasso(s, lam)
+    omega, _, _, _ = graphical_lasso(s, lam)
     for idx in (even, odd):
         block = np.ix_(idx, idx)
-        alone, _, _ = graphical_lasso(s[block], lam)
+        alone, _, _, _ = graphical_lasso(s[block], lam)
         assert np.count_nonzero(np.triu(alone, 1)) > 0
         np.testing.assert_allclose(omega[block], alone, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(omega[np.ix_(even, odd)], 0.0)
@@ -227,7 +227,7 @@ def test_glasso_isolated_experts_get_exact_inverse_variance():
     for i, scale in ((1, 3.7), (4, 0.3)):
         s[i, :] = s[:, i] = np.clip(s[:, i], -lam, lam)
         s[i, i] = scale
-    omega, _, _ = graphical_lasso(s, lam)
+    omega, _, _, _ = graphical_lasso(s, lam)
     for i, scale in ((1, 3.7), (4, 0.3)):
         assert omega[i, i] == 1.0 / scale
         np.testing.assert_array_equal(np.delete(omega[i], i), 0.0)
@@ -239,7 +239,7 @@ def test_glasso_history_rises_across_components():
     s[8, :] = s[:, 8] = 0.0  # an isolated expert as a third component
     s[8, 8] = 2.0
     lam = 0.05
-    omega, history, _ = graphical_lasso(s, lam)
+    omega, history, _, _ = graphical_lasso(s, lam)
     assert len(history) > 2
     assert np.all(np.diff(history) >= 0.0)
     # each entry is the objective of the whole matrix, not of one block
@@ -250,7 +250,7 @@ def test_expert_graph_reports_solver_diagnostics(
     small_ensemble, small_grid, monkeypatch
 ):
     graph = expert_graph(small_ensemble, small_grid, lam=0.05)
-    _, history, _ = graphical_lasso(graph.sample_cov, 0.05)
+    _, history, _, _ = graphical_lasso(graph.sample_cov, 0.05)
     assert graph.steps == len(history) > 1
     assert graph.converged
     assert 1 <= len(graph.components) < small_ensemble.n_experts
@@ -365,3 +365,22 @@ def test_expert_graph_deterministic(small_ensemble, small_grid):
     b = expert_graph(small_ensemble, small_grid, lam=0.1, alpha=0.5)
     np.testing.assert_array_equal(a.precision, b.precision)
     np.testing.assert_array_equal(a.selected, b.selected)
+
+
+def test_a_solve_that_meets_the_gate_on_its_last_step_converged(
+    small_ensemble, small_grid, monkeypatch
+):
+    # The budget edge: given exactly the steps the uncapped solve takes, the
+    # last iterate passes the KKT gate, so the solve converged.
+    graph = expert_graph(small_ensemble, small_grid, lam=0.05)
+    k = graph.steps
+    monkeypatch.setattr(gpexperts.selection, "GLASSO_MAX_ITER", k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        edge = expert_graph(small_ensemble, small_grid, lam=0.05)
+        omega, history, _, converged = graphical_lasso(
+            graph.sample_cov, 0.05, max_iter=k)
+    assert edge.steps == k and edge.converged is True
+    np.testing.assert_array_equal(edge.precision, graph.precision)
+    assert len(history) == k and converged is True
+    np.testing.assert_array_equal(omega, graph.precision)
