@@ -8,7 +8,8 @@ Reports carry SMSE, MSLL, and MAE on the normalized target scale plus
 wall-clock training and prediction times, and serialize to JSON or CSV.  The
 JSON report's ``training`` block records, for the ensemble and for
 ``fullgp``, the optimizer's evaluation and iteration counts, whether it
-converged, how many restarts failed, and the factorization jitter; the
+converged, how many restarts failed, the largest jitter its likelihood
+evaluations needed, and the final factorization jitter; the
 ensemble's block adds k-means' Lloyd iteration count and whether Lloyd
 converged.  Each JSON result row counts, as ``failed_points``, the test
 points its method flagged in ``PredictiveDist.failed``, and as

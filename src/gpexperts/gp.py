@@ -28,6 +28,11 @@ cancellation.  B itself is never formed: with z = [1, x] (x centered),
 two symmetric products (BLAS ``dsymm``).  The first reads K from the upper
 triangle, with K's diagonal written back for that call; the second reads
 C^{-1} o K from the lower one.
+
+Neither the input checks nor z depend on the hyperparameters, so training
+prepares each data part once, as the triple (x, y, z), and every objective
+evaluation runs only the core :func:`_lml` on it.  The public
+:func:`log_marginal_likelihood` prepares its part and calls the same core.
 """
 
 import math
@@ -85,12 +90,16 @@ class TrainingInfo:
     part), ``iterations`` the L-BFGS-B iterations of the restarts that
     finished, and ``converged`` whether the kept restart met its gradient
     tolerance.  ``failed_restarts`` raised a numerical error and were skipped.
+    ``max_jitter`` is the largest diagonal jitter any factorization of the
+    kept restart needed, over all its evaluations and parts (0.0 when none
+    did).
     """
 
     evaluations: int
     iterations: int
     converged: bool
     failed_restarts: int
+    max_jitter: float
 
 
 @dataclass
@@ -126,6 +135,15 @@ def _prepare_xy(x, y):
     return x, y
 
 
+def _prepare_part(x, y):
+    """Validated (x, y) and the design z = [1, x - mean(x)] of the gradient."""
+    x, y = _prepare_xy(x, y)
+    z = np.empty((x.shape[0], x.shape[1] + 1))
+    z[:, 0] = 1.0
+    np.subtract(x, x.mean(axis=0), out=z[:, 1:])
+    return x, y, z
+
+
 def log_marginal_likelihood(x, y, hp: Hyperparams):
     """Log evidence of the data under the GP and its gradient.
 
@@ -133,10 +151,20 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     hyperparameter vector [log signal_variance, log lengthscales...,
     log noise_variance].
     """
-    x, y = _prepare_xy(x, y)
+    value, grad, _ = _lml(*_prepare_part(x, y), hp)
+    return value, grad
+
+
+def _lml(x, y, z, hp: Hyperparams):
+    """:func:`log_marginal_likelihood` of a prepared part, plus its jitter.
+
+    ``x``, ``y`` and ``z`` come from :func:`_prepare_part`.  Returns
+    ``(value, grad, jitter)``, the last being the diagonal jitter the
+    factorization of C needed.
+    """
     n = x.shape[0]
     # K is symmetric, so its Fortran-ordered transpose is K too.
-    w, _ = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
+    w, jitter = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
     alpha = solve_spd(w, y)
     value = (
         -0.5 * float(y @ alpha)
@@ -149,9 +177,7 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     # B z for z = [1, x_c]: K (alpha o z) reads the upper triangle, with K's
     # own diagonal written back for that product; C^{-1} o K then replaces
     # C^{-1} below it.
-    z = np.empty((n, hp.dim + 1))
-    z[:, 0] = 1.0
-    xc = np.subtract(x, x.mean(axis=0), out=z[:, 1:])
+    xc = z[:, 1:]
     diag[...] = hp.signal_variance
     g = alpha[:, None] * dsymm(1.0, c_inv, alpha[:, None] * z, lower=0)
     _times_transpose_below(c_inv)
@@ -162,7 +188,7 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     grad[0] = 0.5 * float(r.sum())
     grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
     grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv_diag.sum())
-    return value, grad
+    return value, grad, jitter
 
 
 def _times_transpose_below(a):
@@ -189,32 +215,37 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     """Maximize the summed log marginal likelihood over data parts.
 
     Each part is an (x, y) pair scoring the same hyperparameters; a single
-    part recovers ordinary GP training.  Runs ``restarts`` initializations
-    (the given one, then log-uniform +-1 perturbations of it) and returns the
-    best hyperparameters found with a :class:`TrainingInfo`.
+    part recovers ordinary GP training.  Each part is prepared once
+    (:func:`_prepare_part`), and each objective evaluation runs only
+    :func:`_lml` on every prepared part.  Runs ``restarts`` initializations
+    (the given one, then log-uniform +-1 perturbations of it) and returns
+    the best hyperparameters found with a :class:`TrainingInfo`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    evaluations = 0
+    parts = [_prepare_part(px, py) for px, py in parts]
+    evaluations, max_jitter = 0, 0.0
 
     def negative(theta):
-        nonlocal evaluations
+        nonlocal evaluations, max_jitter
         evaluations += 1
         hp = Hyperparams.from_log_vector(theta)
         total, grad = 0.0, np.zeros(hp.dim + 2)
-        for px, py in parts:
-            value, g = log_marginal_likelihood(px, py, hp)
+        for px, py, pz in parts:
+            value, g, jitter = _lml(px, py, pz, hp)
             total += value
             grad += g
+            max_jitter = max(max_jitter, jitter)
         return -total, -grad
 
     rng = np.random.default_rng(seed)
     theta_init = init.to_log_vector()
-    best, iterations, failed, last_err = None, 0, 0, None
+    best, best_jitter, iterations, failed, last_err = None, 0.0, 0, 0, None
     for r in range(restarts):
         theta0 = theta_init if r == 0 else theta_init + rng.uniform(
             -1.0, 1.0, size=theta_init.shape
         )
+        max_jitter = 0.0
         # L-BFGS-B evaluates theta0 first and never accepts a worse iterate.
         try:
             res = minimize(
@@ -229,10 +260,10 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
             continue
         iterations += res.nit
         if best is None or res.fun < best.fun:
-            best = res
+            best, best_jitter = res, max_jitter
     if best is None:
         raise TrainingError("all optimizer restarts failed") from last_err
-    info = TrainingInfo(evaluations, iterations, bool(best.success), failed)
+    info = TrainingInfo(evaluations, iterations, bool(best.success), failed, best_jitter)
     return Hyperparams.from_log_vector(best.x), info
 
 

@@ -9,11 +9,13 @@ on squared distances, i.e. they carry squared-length units).  Gradients are
 taken with respect to log-hyperparameters so that optimizers can work on an
 unconstrained vector; see :meth:`Hyperparams.to_log_vector` for the layout.
 
-:func:`kernel_matrix` picks its method by D alone: ``cdist`` in 1-D, where
-the GEMM form below is slower on small parts and less exact.  With D >= 2,
-for a and b the rows of x and x2, less x's mean, over sqrt(l), one GEMM of
-[a, log sf2 - |a|^2/2, 1] and [b, 1, -|b|^2/2] gives log K, then a clip at
-log sf2 and an exp.  Its error in log k is a few ulps of |a|^2 + |b|^2, and
+:func:`kernel_matrix` picks its method by D alone.  In 1-D it squares the
+outer difference of the scaled points: the same (u - v)^2 per pair, bit for
+bit, as ``cdist``'s squared Euclidean distance, without its call overhead.
+There the GEMM form below is slower on small parts and less exact.  With
+D >= 2, for a and b the rows of x and x2, less x's mean, over sqrt(l), one
+GEMM of [a, log sf2 - |a|^2/2, 1] and [b, 1, -|b|^2/2] gives log K, then a
+clip at log sf2 and an exp.  Its error in log k is a few ulps of |a|^2 + |b|^2, and
 an entry may move by a few ulps with the other rows of x2 in the call, as
 BLAS orders its sums by block shape.
 """
@@ -21,7 +23,6 @@ BLAS orders its sums by block shape.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .linalg import _mirror_upper
 
@@ -90,8 +91,10 @@ def as_points(x) -> np.ndarray:
 def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """Cross-kernel matrix of shape (n, m), C-ordered, for row sets ``x`` and ``x2``.
 
-    Bitwise symmetric for ``x2 is x``, with the diagonal exactly signal_variance;
-    in 1-D identical rows give it exactly and no entry depends on other rows.
+    Bitwise symmetric for ``x2 is x``, with the diagonal exactly signal_variance.
+    In 1-D each entry comes from its own pair alone, as signal_variance *
+    exp(-0.5 * (u - v)^2) of the scaled points u and v, so identical rows
+    give signal_variance exactly.
     """
     same = x2 is x
     x, x2 = as_points(x), as_points(x2)
@@ -101,7 +104,8 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
         raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
     scale = 1.0 / np.sqrt(hp.lengthscales)
     if x.shape[1] == 1:
-        k = cdist(x * scale, x2 * scale, metric="sqeuclidean")
+        k = np.subtract.outer(x[:, 0] * scale, x2[:, 0] * scale)
+        k *= k
         k *= -0.5
         np.exp(k, out=k)
         k *= hp.signal_variance

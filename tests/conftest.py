@@ -4,6 +4,9 @@ modules, plus reference computations the package itself does not need."""
 import numpy as np
 import pytest
 
+import gpexperts.experts
+import gpexperts.gp
+import gpexperts.linalg
 from gpexperts import (
     ExpertEnsemble,
     Partitioning,
@@ -70,3 +73,47 @@ def kernel_eval(x, x2, hp):
 def denormalize_targets(dataset, values):
     """Map normalized target-scale values back to the raw scale."""
     return np.asarray(values, dtype=float) * dataset.norm.y_std + dataset.norm.y_mean
+
+
+def force_jitter(monkeypatch):
+    """Make each factorization in :mod:`gpexperts.gp` need jitter.
+
+    The first, jitter-free attempt of every ``chol_with_jitter`` call made
+    from :mod:`gpexperts.gp` reports a failed pivot before touching the
+    matrix, so the call retries with its first rung of jitter.  Returns one
+    list per optimizer run, in run order, of the jitter each factorization
+    in that run's likelihood evaluations needed.
+    """
+    factor, chol, optimize = (
+        gpexperts.linalg._factor_invert,
+        gpexperts.gp.chol_with_jitter,
+        gpexperts.gp._optimize_shared,
+    )
+    runs, pending, training = [], [False], [False]
+
+    def failing_first(a):
+        if pending[0]:
+            pending[0] = False
+            return False
+        return factor(a)
+
+    def jittered(*args, **kwargs):
+        pending[0] = True
+        w, jitter = chol(*args, **kwargs)
+        if training[0]:
+            runs[-1].append(jitter)
+        return w, jitter
+
+    def recorded(*args, **kwargs):
+        runs.append([])
+        training[0] = True
+        try:
+            return optimize(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    monkeypatch.setattr(gpexperts.linalg, "_factor_invert", failing_first)
+    monkeypatch.setattr(gpexperts.gp, "chol_with_jitter", jittered)
+    for module in (gpexperts.gp, gpexperts.experts):
+        monkeypatch.setattr(module, "_optimize_shared", recorded)
+    return runs

@@ -22,6 +22,7 @@ from gpexperts import (
     synth_dataset,
     train_ensemble,
 )
+from conftest import force_jitter
 from gpexperts.bench import METHOD_NAMES, main, render_report
 
 FAST = dict(n=150, n_test=30, n_experts=3, seed=0)
@@ -96,6 +97,16 @@ def test_training_block_reports_the_optimizer_runs(basic_report):
         assert block["failed_restarts"] == 0
     assert training["ensemble"]["jitter"] == [0.0] * FAST["n_experts"]
     assert training["fullgp"]["jitter"] == 0.0
+    assert training["ensemble"]["max_jitter"] == training["fullgp"]["max_jitter"] == 0.0
+
+
+def test_training_block_reports_the_jitter_training_needed(monkeypatch):
+    runs = force_jitter(monkeypatch)
+    config = ExperimentConfig(methods=("fullgp", "poe"), measure_time=False, **FAST)
+    training = json.loads(render_report(run_experiment(config), "json"))["training"]
+    assert len(runs) == 2 and min(map(min, runs)) > 0.0
+    assert training["ensemble"]["max_jitter"] == max(runs[0])
+    assert training["fullgp"]["max_jitter"] == max(runs[1])
 
 
 def test_training_block_reports_the_partitioner(basic_report):

@@ -16,7 +16,10 @@ from gpexperts import (
     kernel_grad,
     kernel_matrix,
     log_marginal_likelihood,
+    partition_kmeans,
+    train_ensemble,
 )
+from conftest import force_jitter
 from gpexperts.gp import factorize
 
 
@@ -114,6 +117,20 @@ def test_lml_builds_the_kernel_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("d", [1, 8])
+def test_core_on_a_prepared_part_matches_the_public_function(d):
+    # Training prepares a part once and reuses it for every evaluation, so
+    # a core call must leave the prepared part as it found it.
+    x, y = sample_problem(40, d, seed=15)
+    part = gpexperts.gp._prepare_part(x, y)
+    for hp in (Hyperparams(1.3, np.linspace(0.5, 2.0, d), 0.05),
+               Hyperparams(0.7, np.linspace(2.0, 0.3, d), 0.2)):
+        value, grad, jitter = gpexperts.gp._lml(*part, hp)
+        expected_value, expected_grad = log_marginal_likelihood(x, y, hp)
+        assert value == expected_value and jitter == 0.0
+        np.testing.assert_array_equal(grad, expected_grad)
+
+
 def test_lml_invariant_to_data_order():
     x, y = sample_problem(8, 2, seed=4)
     hp = Hyperparams(1.0, [1.0, 1.0], 0.1)
@@ -167,12 +184,13 @@ def test_more_restarts_never_lose_likelihood():
 
 def test_fit_records_its_training(monkeypatch):
     calls = []
+    core = gpexperts.gp._lml
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return log_marginal_likelihood(*args, **kwargs)
+        return core(*args, **kwargs)
 
-    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", counted)
+    monkeypatch.setattr(gpexperts.gp, "_lml", counted)
     x, y = sample_problem(25, 2, seed=8)
     model = fit(x, y, restarts=2, seed=9)
     info = model.training
@@ -187,19 +205,20 @@ def test_failed_restarts_are_skipped_and_counted(monkeypatch):
     # two perturbed restarts fail at their first evaluation.
     x, y = sample_problem(25, 2, seed=8)
     path = set()
+    core = gpexperts.gp._lml
 
-    def recording(px, py, hp):
+    def recording(px, py, pz, hp):
         path.add(hp.to_log_vector().tobytes())
-        return log_marginal_likelihood(px, py, hp)
+        return core(px, py, pz, hp)
 
-    def failing_off_path(px, py, hp):
+    def failing_off_path(px, py, pz, hp):
         if hp.to_log_vector().tobytes() not in path:
             raise SingularMatrixError("off the first restart's path")
-        return log_marginal_likelihood(px, py, hp)
+        return core(px, py, pz, hp)
 
-    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", recording)
+    monkeypatch.setattr(gpexperts.gp, "_lml", recording)
     one = fit(x, y, restarts=1, seed=9)
-    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", failing_off_path)
+    monkeypatch.setattr(gpexperts.gp, "_lml", failing_off_path)
     three = fit(x, y, restarts=3, seed=9)
     assert three.hp.signal_variance == one.hp.signal_variance
     np.testing.assert_array_equal(three.hp.lengthscales, one.hp.lengthscales)
@@ -210,14 +229,47 @@ def test_failed_restarts_are_skipped_and_counted(monkeypatch):
 
 
 def test_fit_raises_when_every_restart_fails(monkeypatch):
-    def failing(px, py, hp):
+    def failing(px, py, pz, hp):
         raise SingularMatrixError("no factor")
 
-    monkeypatch.setattr(gpexperts.gp, "log_marginal_likelihood", failing)
+    monkeypatch.setattr(gpexperts.gp, "_lml", failing)
     x, y = sample_problem(25, 2, seed=8)
     with pytest.raises(TrainingError, match="all optimizer restarts") as caught:
         fit(x, y, restarts=3, seed=9)
     assert isinstance(caught.value.__cause__, SingularMatrixError)
+
+
+def test_training_prepares_each_part_once(monkeypatch, small_data):
+    prepared, seen, calls = [], {}, []
+    prepare, core = gpexperts.gp._prepare_part, gpexperts.gp._lml
+
+    def counted(x, y):
+        prepared.append(1)
+        return prepare(x, y)
+
+    def recording(px, py, pz, hp):
+        # Every part stays alive during training, so ids are not reused.
+        calls.append(1)
+        assert seen.setdefault(id(px), pz) is pz
+        return core(px, py, pz, hp)
+
+    monkeypatch.setattr(gpexperts.gp, "_prepare_part", counted)
+    monkeypatch.setattr(gpexperts.gp, "_lml", recording)
+    parts = partition_kmeans(small_data.x_train, 3, seed=1)
+    ensemble = train_ensemble(small_data.x_train, small_data.y_train, parts, seed=2)
+    assert ensemble.training.evaluations > 1
+    assert len(prepared) == len(seen) == 3
+    assert len(calls) == 3 * ensemble.training.evaluations
+
+
+def test_training_reports_the_largest_jitter_it_needed(monkeypatch):
+    x, y = sample_problem(25, 2, seed=8)
+    assert fit(x, y, seed=9).training.max_jitter == 0.0
+    runs = force_jitter(monkeypatch)
+    model = fit(x, y, seed=9)
+    assert len(runs) == 1 and min(runs[0]) > 0.0
+    assert len(runs[0]) == model.training.evaluations
+    assert model.training.max_jitter == max(runs[0])
 
 
 @pytest.mark.parametrize("n", [30, 300])

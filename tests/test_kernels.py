@@ -113,6 +113,22 @@ def test_gemm_column_slices_match_the_full_call(dim):
         )
 
 
+@pytest.mark.parametrize("n, m", [(75, 75), (75, 2900), (1000, 1000)])
+def test_one_dimensional_kernel_matches_cdist_bitwise(n, m):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(n + m)
+    x, x2 = rng.uniform(-3.0, 3.0, (n, 1)), rng.uniform(-3.0, 3.0, (m, 1))
+    hp = Hyperparams(1.7, [0.3], 0.1)
+    s = 1.0 / np.sqrt(hp.lengthscales)
+
+    def reference(a, b):
+        return hp.signal_variance * np.exp(-0.5 * cdist(a * s, b * s, "sqeuclidean"))
+
+    np.testing.assert_array_equal(kernel_matrix(x, x2, hp), reference(x, x2))
+    np.testing.assert_array_equal(kernel_matrix(x, x, hp), reference(x, x))
+
+
 def test_matrix_far_points_decay_to_zero():
     hp = Hyperparams(1.0, [1.0], 0.0)
     k = kernel_matrix(np.array([[0.0]]), np.array([[1e4]]), hp)
