@@ -9,18 +9,18 @@ wall-clock training and prediction times, and serialize to JSON or CSV.  The
 JSON report's ``training`` block records, for the ensemble and for
 ``fullgp``, the optimizer's evaluation and iteration counts, whether it
 converged, how many restarts failed, the largest jitter its likelihood
-evaluations needed, and the final factorization jitter; the
-ensemble's block adds k-means' Lloyd iteration count and whether Lloyd
-converged.  Each JSON result row counts, as ``failed_points``, the test
-points its method flagged in ``PredictiveDist.failed``, and as
-``deflated_points`` those flagged in ``PredictiveDist.deflated`` (points
-where NPAE dropped a redundant expert; 0 for every other rule); the CSV
-report leaves both out.  The JSON ``selection`` block (when a starred
-method ran) carries the expert graph as ``edges``: ``[i, j, precision]``
-triples, row-major, for each diagonal and nonzero upper entry.  MSLL
-scores the predictive distribution of the held-out observation, so the
-trained noise variance is added to the latent predictive variances before
-scoring.
+evaluations needed, and the final factorization jitter; the ensemble's block
+adds k-means' Lloyd iteration count and whether Lloyd converged.  Each JSON
+result row counts, as ``failed_points``, the test points its method flagged
+in ``PredictiveDist.failed``, and as ``deflated_points`` those flagged in
+``PredictiveDist.deflated`` (where NPAE dropped a redundant expert);
+``max_jitter`` is the jitter grbcm's factorizations needed.  The last two
+read 0 for every other rule, and the CSV report leaves all three out.  The
+JSON ``selection`` block (when a starred method ran) carries the expert
+graph as ``edges``: ``[i, j, precision]`` triples, row-major, for each
+diagonal and nonzero upper entry.  MSLL scores the predictive distribution
+of the held-out observation, so the trained noise variance is added to the
+latent predictive variances before scoring.
 
 Run from the command line via ``gpexperts-bench`` or
 ``python -m gpexperts.bench``.
@@ -119,6 +119,7 @@ class MethodResult:
     predict_seconds: float = 0.0
     failed_points: int = 0  # points flagged in PredictiveDist.failed
     deflated_points: int = 0  # points flagged in PredictiveDist.deflated
+    max_jitter: float = 0.0  # PredictiveDist.max_jitter
     error: str | None = None
 
 
@@ -240,6 +241,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 model, dataset.x_test, subset, graph, config.seed + 3
             )
             row.predict_seconds = clock() - t0
+            row.max_jitter = pred.max_jitter
             if pred.failed is not None:
                 row.failed_points = int(pred.failed.sum())
             if pred.deflated is not None:

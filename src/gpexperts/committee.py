@@ -22,19 +22,14 @@ machine, "uniform" (1/m) the conservative generalized product, and
 
 The member moments come from :meth:`ExpertEnsemble.moments`, so all rules
 at one test set share one pass over the experts.  grbcm's augmented experts,
-each the GP on the base part joined with one other part, are not refit: each
-is the base conditioned on the other part by a Schur-complement update on
-the base's stored L_b^{-1} and alpha_b and its memoized w_b (see
-:func:`grbcm_aggregate`), so it factors a matrix of one part's order only.
+each the GP on the base part joined with one other part, come from
+:func:`gpexperts.gp._augmented` without a refit; this module only fuses.
 """
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrmm, dtrmv
 
 from .experts import ExpertEnsemble
-from .gp import PredictiveDist
-from .kernels import kernel_matrix
-from .linalg import _mirror_upper, chol_with_jitter
+from .gp import PredictiveDist, _augmented
 
 WEIGHT_SCHEMES = ("ones", "uniform", "diff_entropy")
 
@@ -137,20 +132,10 @@ def grbcm_aggregate(
     0.5 * (log var_b - log var_{b,i}).  The subset is taken in index order,
     so its given order does not matter.
 
-    No augmented expert is refit.  Each is the base conditioned on part i:
-    with W_b = L_b^{-1} and alpha_b stored on the base, and the base's
-    mean, c_b = ||v_b||^2 and w_b = C_b^{-1} k(X_b, xs) from
-    :meth:`ExpertEnsemble.npae_moments`, the Schur complement of C_b in
-    the joint covariance is S_i = C_i - G_i G_i^T with G_i = K_ib W_b^T
-    (``dtrmm``, then ``dsyrk``), and with W_S = chol_with_jitter(S_i),
-
-        U_i = W_S (k(X_i, xs) - K_ib w_b),   r_i = W_S (y_i - K_ib alpha_b),
-        mean = mu_b + U_i^T r_i,   variance = sf2 - c_b - ||U_i||^2,
-
-    the variance clipped at 0.  Each augmented expert thus costs one
-    factorization of order n_i, not n_b + n_i.  A base that needed jitter
-    is conditioned on as factored, jitter included; jitter that S_i needs
-    is added to S_i alone.
+    No augmented expert is refit: :func:`gpexperts.gp._augmented` conditions
+    the base on part i by one factorization of order n_i, and its variance
+    signal_variance - c is clipped at 0.  The result's ``max_jitter`` is the
+    largest jitter those factorizations needed.
     """
     subset = np.sort(ensemble.subset_or_all(subset))
     if subset.size < 2:
@@ -162,31 +147,15 @@ def grbcm_aggregate(
     base_mean, c_b = means[:, 0], target_cov[:, 0]
     b, hp = ensemble.experts[base], ensemble.hp
     base_var = np.maximum(hp.signal_variance - c_b, 0.0)
-    # The diagonal of every joint covariance: the refit's jitter scale.
-    prior_var = hp.signal_variance + hp.noise_variance
-    others = subset[subset != base]
-    aug_means = np.empty((base_mean.shape[0], others.size))
-    aug_vars = np.empty_like(aug_means)
-    for col, i in enumerate(others):
-        e = ensemble.experts[i]
-        k_bi = kernel_matrix(b.x, e.x, hp)
-        # U_i^T and r_i before K_ib is overwritten; kernel_matrix(...).T is
-        # Fortran-ordered, as dtrmm wants it.
-        ut = kernel_matrix(e.x, xs, hp).T
-        ut -= w_b.T @ k_bi
-        r = e.y - b.alpha @ k_bi
-        g = dtrmm(1.0, b.chol_inv, k_bi.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        # dsyrk writes S_i on and above the diagonal, where a jitter retry
-        # rebuilds it from; the mirror puts it where the factorization reads.
-        s = dsyrk(-1.0, g, beta=1.0, c=kernel_matrix(e.x, e.x, hp).T, overwrite_c=1)
-        _mirror_upper(s)
-        w_s, _ = chol_with_jitter(s, scale=prior_var, shift=hp.noise_variance)
-        ut = dtrmm(1.0, w_s, ut, side=1, lower=1, trans_a=1, overwrite_b=1)
-        aug_means[:, col] = base_mean + ut @ dtrmv(w_s, r, lower=1, overwrite_x=1)
-        c = c_b + np.einsum("ij,ij->i", ut, ut)
-        aug_vars[:, col] = np.maximum(hp.signal_variance - c, 0.0)
+    aug = [_augmented(b, w_b, ensemble.experts[i], xs) for i in subset[subset != base]]
+    gains, cs, jitters = zip(*aug)
+    aug_means = base_mean[:, None] + np.column_stack(gains)
+    aug_vars = np.maximum(hp.signal_variance - (c_b[:, None] + np.column_stack(cs)), 0.0)
     aug_vars, exact = _set_aside_exact(aug_means, aug_vars)
     base_var[exact[0]] = 1.0  # where the base is exact, so is every augmented expert
     betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])
     betas[:, 0] = 1.0
-    return _fuse(aug_means, aug_vars, betas, prior_var, exact, (base_mean, base_var))
+    prior_var = hp.signal_variance + hp.noise_variance
+    pred = _fuse(aug_means, aug_vars, betas, prior_var, exact, (base_mean, base_var))
+    pred.max_jitter = max(jitters)
+    return pred

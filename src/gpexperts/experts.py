@@ -9,13 +9,13 @@ the full-data evidence).  With a single part this reduces exactly to
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from .gp import (
     GpModel,
     PredictiveDist,
     TrainingInfo,
     _member_pass,
+    _member_weights,
     _optimize_shared,
     _prepare_xy,
     default_init,
@@ -90,16 +90,15 @@ class ExpertEnsemble:
     def npae_moments(self, xs, subset=None):
         """NPAE's pieces at ``xs``: means and c_i = ||v_i||^2, each (t, m),
         and the memo's read-only w_i = L_i^{-T} v_i = C_i^{-1} k(X_i, xs),
-        (n_i, t), per expert of ``subset``.  A second in-place ``dtrmm``
-        turns v_i into w_i on first request, so only the rules that read
-        w_i pay it: NPAE for its subset, grbcm for its base expert.
+        (n_i, t), per expert of ``subset``.  :func:`gpexperts.gp._member_weights`
+        turns v_i into w_i in place on first request, so only the rules that
+        read w_i pay it: NPAE for its subset, grbcm for its base expert.
         """
         means, _ = self.moments(xs, subset)
         subset = self.subset_or_all(subset)
         _, _, target_cov, vts = self._memo
         for i in [i for i in subset if vts[i].flags.writeable]:
-            w_t = dtrmm(1.0, self.experts[i].chol_inv, vts[i], side=1, lower=1,
-                        overwrite_b=1)
+            w_t = _member_weights(self.experts[i], vts[i])
             w_t.flags.writeable, vts[i] = False, w_t
         return (means, np.ascontiguousarray(target_cov[:, subset]),
                 [vts[i].T for i in subset])

@@ -33,18 +33,21 @@ Neither the input checks nor z depend on the hyperparameters, so training
 prepares each data part once, as the triple (x, y, z), and every objective
 evaluation runs only the core :func:`_lml` on it.  The public
 :func:`log_marginal_likelihood` prepares its part and calls the same core.
+
+Only this module reads a model's L^{-1} and alpha: :func:`_member_pass`,
+:func:`_member_weights` (NPAE's w) and :func:`_augmented` (grbcm's experts).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dtrmm
+from scipy.linalg.blas import dsymm, dsyrk, dtrmm, dtrmv
 from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from .kernels import Hyperparams, as_points, kernel_matrix
-from .linalg import PANEL, SingularMatrixError, chol_with_jitter, solve_spd
+from .linalg import PANEL, SingularMatrixError, _mirror_upper, chol_with_jitter, solve_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,13 +67,15 @@ class PredictiveDist:
     ``failed`` is None unless the producer had to fall back to the prior at
     some points, in which case it flags them.  ``deflated`` likewise flags
     the points where NPAE dropped an expert that added nothing beyond the
-    others.
+    others.  ``max_jitter`` is the largest jitter that grbcm's augmented
+    experts needed (0.0 for every other rule).
     """
 
     means: np.ndarray
     variances: np.ndarray
     failed: np.ndarray | None = None
     deflated: np.ndarray | None = None
+    max_jitter: float = 0.0
 
     def __post_init__(self):
         if self.means.shape != self.variances.shape:
@@ -311,6 +316,42 @@ def _member_pass(model: GpModel, xs):
     means = ks.T @ model.alpha
     vt = dtrmm(1.0, model.chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
     return means, vt, np.einsum("ij,ij->i", vt, vt)
+
+
+def _member_weights(model: GpModel, vt):
+    """w^T = v^T L^{-1} = (C^{-1} k(x, xs))^T, in place of :func:`_member_pass`'s v^T."""
+    return dtrmm(1.0, model.chol_inv, vt, side=1, lower=1, overwrite_b=1)
+
+
+def _augmented(base: GpModel, w_b, other: GpModel, xs):
+    """The GP on ``base``'s part joined with ``other``'s, at ``xs``, unrefit.
+
+    With w_b = C_b^{-1} k(X_b, xs) from :func:`_member_weights`, the Schur
+    complement of C_b in the joint covariance is S = C_i - G G^T, G = K_ib W_b^T
+    (``dtrmm``, ``dsyrk``); with W_S = chol_with_jitter(S), U = W_S (k(X_i, xs)
+    - K_ib w_b) and r = W_S (y_i - K_ib alpha_b), the joint GP's mean is
+    mean_b + U^T r and its c is c_b + ||U||^2: one factorization of order n_i,
+    not n_b + n_i.  Returns ``(U^T r, ||U||^2, jitter)``.  The base is taken
+    as factored; S's jitter is added to S alone, on the joint covariance's
+    scale signal_variance + noise_variance.
+    """
+    hp = base.hp
+    k_bi = kernel_matrix(base.x, other.x, hp)
+    # U^T and r before K_ib is overwritten; kernel_matrix(...).T is
+    # Fortran-ordered, as dtrmm wants it.
+    ut = kernel_matrix(other.x, xs, hp).T
+    ut -= w_b.T @ k_bi
+    r = other.y - base.alpha @ k_bi
+    g = dtrmm(1.0, base.chol_inv, k_bi.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    # dsyrk writes S on and above the diagonal, where a jitter retry
+    # rebuilds it from; the mirror puts it where the factorization reads.
+    s = dsyrk(-1.0, g, beta=1.0, c=kernel_matrix(other.x, other.x, hp).T, overwrite_c=1)
+    _mirror_upper(s)
+    scale = hp.signal_variance + hp.noise_variance
+    w_s, jitter = chol_with_jitter(s, scale=scale, shift=hp.noise_variance)
+    ut = dtrmm(1.0, w_s, ut, side=1, lower=1, trans_a=1, overwrite_b=1)
+    mean = ut @ dtrmv(w_s, r, lower=1, overwrite_x=1)
+    return mean, np.einsum("ij,ij->i", ut, ut), jitter
 
 
 def gp_predict(model: GpModel, xs) -> PredictiveDist:

@@ -104,13 +104,8 @@ def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:
     """Shuffle points into ``n_parts`` groups whose sizes differ by at most 1."""
     if not 1 <= n_parts <= n:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={n}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
+    sizes = n // n_parts + (np.arange(n_parts) < n % n_parts)
     assign = np.empty(n, dtype=int)
-    base, extra = divmod(n, n_parts)
-    start = 0
-    for j in range(n_parts):
-        size = base + (1 if j < extra else 0)
-        assign[order[start : start + size]] = j
-        start += size
+    assign[order] = np.repeat(np.arange(n_parts), sizes)
     return Partitioning(assign, n_parts)

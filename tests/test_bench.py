@@ -184,6 +184,21 @@ def test_deflated_points_reach_the_json_rows_only(basic_report, monkeypatch):
     )
 
 
+def test_grbcm_jitter_reaches_the_json_rows_only(basic_report, monkeypatch):
+    payload = json.loads(render_report(basic_report, "json"))
+    assert all(r["max_jitter"] == 0.0 for r in payload["results"])
+
+    force_jitter(monkeypatch)  # every factorization in gpexperts.gp, S_i too
+    config = ExperimentConfig(methods=("poe", "grbcm"), measure_time=False, **FAST)
+    report = run_experiment(config)
+    payload = json.loads(render_report(report, "json"))
+    rows = {r["method"]: r for r in payload["results"]}
+    assert rows["grbcm"]["max_jitter"] > 0.0 and rows["poe"]["max_jitter"] == 0.0
+    assert render_report(report, "csv").splitlines()[0] == (
+        "method,type,smse,msll,mae,train_s,predict_s"
+    )
+
+
 def test_poe_and_gpoe_share_the_posterior_mean(basic_report):
     rows = {r.method: r for r in basic_report.results}
     # uniform weights rescale variances only, so mean metrics agree

@@ -431,6 +431,9 @@ def test_grbcm_jitters_a_singular_schur_complement_on_the_joint_scale(monkeypatc
     for col in range(2):
         np.testing.assert_allclose(means[:, col], ref.means, rtol=0, atol=1e-9)
         np.testing.assert_allclose(variances[:, col], ref.variances, rtol=0, atol=1e-9)
+    # The jitter reaches the result, below the top of the ladder.
+    reported = grbcm_aggregate(ens, xs, 0).max_jitter
+    assert 0.0 < reported <= 1e-4 * (hp.signal_variance + hp.noise_variance)
 
 
 def test_grbcm_and_npae_do_not_depend_on_the_memo_state():
@@ -469,10 +472,10 @@ def test_grbcm_factors_only_part_sized_matrices(monkeypatch):
         orders.append(np.shape(a)[0])
         return chol(a, *args, **kwargs)
 
-    chol = gpexperts.committee.chol_with_jitter
+    chol = gpexperts.gp.chol_with_jitter
     for module in (gpexperts.gp, gpexperts.experts):
         monkeypatch.setattr(module, "factorize", counted_factorize)
-    for module in (gpexperts.committee, gpexperts.gp, gpexperts.linalg):
+    for module in (gpexperts.gp, gpexperts.linalg):
         monkeypatch.setattr(module, "chol_with_jitter", counted_chol)
     grbcm_aggregate(ens, xs, base)
     assert factorized == []

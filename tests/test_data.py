@@ -151,6 +151,13 @@ def test_load_rejects_empty_file(tmp_path):
         load_delimited(path)
 
 
+def test_load_rejects_a_table_without_features(tmp_path):
+    path = tmp_path / "target_only.csv"
+    path.write_text("1.0\n2.0\n3.0\n")
+    with pytest.raises(ValueError, match="need at least one feature column"):
+        load_delimited(path)
+
+
 def test_load_target_column_selection(tmp_path):
     path = tmp_path / "cols.csv"
     write_csv(path, ten_rows())

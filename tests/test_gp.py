@@ -239,6 +239,12 @@ def test_fit_raises_when_every_restart_fails(monkeypatch):
     assert isinstance(caught.value.__cause__, SingularMatrixError)
 
 
+def test_fit_needs_at_least_one_restart():
+    x, y = sample_problem(8, 1, seed=3)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        fit(x, y, restarts=0)
+
+
 def test_training_prepares_each_part_once(monkeypatch, small_data):
     prepared, seen, calls = [], {}, []
     prepare, core = gpexperts.gp._prepare_part, gpexperts.gp._lml

@@ -1,0 +1,136 @@
+"""Invariants that follow from GP theory, in one seeded sweep.
+
+The sweep covers input dimension D in {1, 8}, m in {2, 5, 20} experts of 40
+points each, k-means and random parts, and two data seeds.  Every ensemble
+is built at fixed hyperparameters, so nothing is trained.  Each tolerance is
+derived from the quantity it bounds, next to the assertion that uses it;
+eps is the double-precision machine epsilon, twice the unit roundoff.
+"""
+
+import inspect
+import itertools
+
+import numpy as np
+import pytest
+
+from conftest import manual_ensemble
+from gpexperts import (
+    Hyperparams,
+    bcm_aggregate,
+    expert_graph,
+    graphical_lasso,
+    npae_aggregate,
+    partition_kmeans,
+    partition_random,
+    poe_aggregate,
+)
+from gpexperts.committee import compute_weights
+
+EPS = np.finfo(float).eps
+PART_SIZE, N_TEST, LAM = 40, 40, 0.05
+# Lengthscales 0.1 in 1-D and about 0.71 per input in 8-D (the kernel takes
+# their squares): test inputs up to 0.5 beyond the data reach where members
+# fall back toward the prior, and the small noise makes them sure near it.
+HP = {1: Hyperparams(1.0, [0.01], 1e-4), 8: Hyperparams(1.0, [0.5] * 8, 1e-4)}
+CONFIGS = list(itertools.product((1, 8), (2, 5, 20), ("kmeans", "random"), (0, 1)))
+IDS = [f"d{d}-m{m}-{part}-seed{seed}" for d, m, part, seed in CONFIGS]
+
+
+@pytest.fixture(scope="module", params=CONFIGS, ids=IDS)
+def built(request):
+    """(ensemble, test inputs, expert graph) of one config."""
+    d, m, partition, seed = request.param
+    rng = np.random.default_rng(seed)
+    n = PART_SIZE * m
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.sin(6.0 * x.sum(axis=1) / np.sqrt(d)) + 0.1 * rng.normal(size=n)
+    if partition == "kmeans":
+        parts = partition_kmeans(x, m, seed=seed)
+    else:
+        parts = partition_random(n, m, seed=seed)
+    blocks = [(x[idx], y[idx]) for idx in map(parts.indices, range(m))]
+    ens = manual_ensemble(blocks, HP[d])
+    xs = rng.uniform(-0.5, 1.5, size=(N_TEST, d))
+    return ens, xs, expert_graph(ens, xs, lam=LAM, alpha=0.5)
+
+
+def test_npae_is_at_most_the_best_member(built):
+    # NPAE's variance is sf2 - ||z||^2 with z = L^{-1} c.  In the unit-diagonal
+    # scaling of M every row of L has norm at most 1 and ||z|| <= sf, so each
+    # z_j's numerator, a dot product of at most m terms, errs by at most
+    # m eps sf.  Deflation keeps only pivots p_j > m eps, so z_j errs by at
+    # most m eps sf / sqrt(m eps) = sqrt(m eps) sf, ||z|| by m sqrt(eps) sf,
+    # and ||z||^2 by 2 m sqrt(eps) sf2 (to first order).
+    ens, xs, _ = built
+    m, sf2 = ens.n_experts, ens.hp.signal_variance
+    _, variances = ens.moments(xs)
+    fused = npae_aggregate(ens, xs).variances
+    assert np.all(fused <= variances.min(axis=1) + 2 * m * np.sqrt(EPS) * sf2)
+
+
+def test_npae_on_growing_prefixes_of_the_graph_order_never_raises_a_variance(built):
+    # The left-looking factor reads only earlier columns, so the systems of
+    # nested prefixes share their z; one more expert subtracts z_k^2 >= 0.
+    # Only the sums ||z||^2 <= sf2 of k - 1 and k terms round apart, by at
+    # most k eps sf2 each, and each subtraction from sf2 by eps sf2.
+    ens, xs, graph = built
+    m, sf2 = ens.n_experts, ens.hp.signal_variance
+    before = None
+    for k in range(1, m + 1):
+        after = npae_aggregate(ens, xs, subset=graph.order[:k]).variances
+        if before is not None:
+            assert np.all(after <= before + 2 * (k + 1) * EPS * sf2), k
+        before = after
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "diff_entropy"])
+def test_gpoe_and_entropy_weighted_poe_stay_below_the_largest_member(built, scheme):
+    # Both weight sets are >= 0 and sum to 1, so the fused precision
+    # sum_i beta_i / v_i is at least 1 / max v_i.  Each term carries at most
+    # two roundings (one for normalizing the entropy weights), the sum m - 1
+    # more, the weights' own sum is 1 within m eps, and the reciprocal adds
+    # one: 2 (m + 1) eps relative.
+    ens, xs, _ = built
+    m = ens.n_experts
+    _, variances = ens.moments(xs)
+    fused = poe_aggregate(ens, xs, scheme=scheme).variances
+    assert np.all(fused <= variances.max(axis=1) * (1 + 2 * (m + 1) * EPS))
+
+
+@pytest.mark.parametrize("scheme", ["ones", "diff_entropy"])
+def test_bcm_and_rbcm_stay_below_their_prior(built, scheme):
+    # With prior P = sf2 + noise > v_i and beta_i >= 0, the fused precision
+    # 1 / P + sum_i beta_i (1 / v_i - 1 / P) is at least 1 / P.  It is
+    # computed as sum_i beta_i / v_i + (1 - sum_i beta_i) / P: m + 1 terms of
+    # at most two roundings each, summed with m more, so it errs by at most
+    # (m + 3) eps A, A the sum of the terms' magnitudes.  As the precision
+    # is at least 1 / P, the variance exceeds P by at most P^2 (m + 3) eps A.
+    ens, xs, _ = built
+    m, prior = ens.n_experts, ens.hp.signal_variance + ens.hp.noise_variance
+    _, variances = ens.moments(xs)
+    betas = compute_weights(scheme, variances, prior)
+    magnitude = np.sum(betas / variances, axis=1) + np.abs(1 - betas.sum(axis=1)) / prior
+    fused = bcm_aggregate(ens, xs, scheme=scheme).variances
+    assert np.all(fused <= prior + prior**2 * (m + 3) * EPS * magnitude)
+
+
+def test_a_converged_graph_meets_its_kkt_gate(built):
+    # The gate: diag W = diag S, W_ij - S_ij = lam sign(O_ij) on edges and
+    # |W_ij - S_ij| <= lam elsewhere, each within tol * lam.  W = O^{-1} is
+    # recomputed here, so it differs from the solver's by the inverse's
+    # rounding, at most about m cond(O) eps ||W||.
+    _, _, graph = built
+    tol = inspect.signature(graphical_lasso).parameters["tol"].default
+    omega = graph.precision
+    w = np.linalg.inv(omega)
+    gap = graph.sample_cov - w
+    off = ~np.eye(len(omega), dtype=bool)
+    edge = off & (omega != 0)
+    residual = np.concatenate([
+        np.abs(np.diagonal(gap)),
+        np.abs(gap[edge] + LAM * np.sign(omega[edge])),
+        np.abs(gap[off & ~edge]) - LAM,
+    ])
+    slack = len(omega) * np.linalg.cond(omega) * EPS * np.linalg.norm(w, 2)
+    assert graph.converged  # every graph of the sweep stops on its gate
+    assert residual.max() <= tol * LAM + slack

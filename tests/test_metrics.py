@@ -80,3 +80,9 @@ def test_length_mismatch_rejected():
         mae([0.0, 1.0], [0.0])
     with pytest.raises(ValueError):
         msll([0.0, 1.0], [0.0], [1.0], 0.0, 1.0)
+
+
+def test_empty_inputs_rejected():
+    for metric in (smse, mae):
+        with pytest.raises(ValueError, match="metric inputs are empty"):
+            metric([], [])

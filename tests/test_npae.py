@@ -406,13 +406,13 @@ def test_weights_are_formed_only_for_the_experts_npae_reads(monkeypatch):
     ens = make_ensemble(60, 5, seed=4)
     xs = np.linspace(-0.1, 1.1, 25)[:, None]
     formed = []
-    dtrmm = gpexperts.experts.dtrmm
+    weights = gpexperts.experts._member_weights
 
-    def counted(alpha, a, b, **kwargs):
-        formed.append(a)
-        return dtrmm(alpha, a, b, **kwargs)
+    def counted(model, vt):
+        formed.append(model.chol_inv)
+        return weights(model, vt)
 
-    monkeypatch.setattr(gpexperts.experts, "dtrmm", counted)
+    monkeypatch.setattr(gpexperts.experts, "_member_weights", counted)
     graph = expert_graph(ens, xs, lam=0.05, alpha=0.6)
     poe_aggregate(ens, xs)
     bcm_aggregate(ens, xs)
