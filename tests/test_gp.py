@@ -278,6 +278,54 @@ def test_training_reports_the_largest_jitter_it_needed(monkeypatch):
     assert model.training.max_jitter == max(runs[0])
 
 
+def noise_input_problem():
+    """120 points in 2-D whose targets ignore the second input."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, size=(120, 2))
+    y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.normal(size=120)
+    return x, y
+
+
+def test_training_stops_on_a_small_relative_gain(monkeypatch):
+    # The second input is pure noise, so the evidence keeps rising, by ever
+    # smaller amounts, as that input's lengthscale l grows without bound.
+    # The run stops once an iteration gains at most d = FTOL * |f|.  Near
+    # l = oo the input's kernel terms are 1 - dx^2 / (2 l) + ..., so the
+    # evidence nears its limit as A / l = A exp(-t) in t = log l; L-BFGS-B's
+    # steps along t then leave gains that shrink by rho = exp(-dt) a step,
+    # and all the gains a longer run could still make sum to
+    # d * rho / (1 - rho).  That is below 10 d for steps dt of at least 0.1
+    # (rho <= 0.905).  The 8-D table's gap was 4.9 d, and this data's is too.
+    x, y = noise_input_problem()
+    model = fit(x, y, seed=0)
+    value, _ = log_marginal_likelihood(x, y, model.hp)
+    bound = 10.0 * gpexperts.gp.FTOL * abs(value)
+    # SciPy's own default: factr = 1e7 times the machine epsilon.
+    monkeypatch.setattr(gpexperts.gp, "FTOL", 1e7 * np.finfo(float).eps)
+    tight = fit(x, y, seed=0)
+    tight_value, _ = log_marginal_likelihood(x, y, tight.hp)
+    assert tight.training.evaluations > model.training.evaluations
+    assert tight_value - value <= bound
+
+
+def test_a_run_stopped_by_a_small_relative_gain_has_converged():
+    # ``converged`` is SciPy's success flag, which the relative-reduction
+    # test sets too, with the gradient still above GRAD_TOL.
+    x, y = noise_input_problem()
+    model = fit(x, y, seed=0)
+    _, grad = log_marginal_likelihood(x, y, model.hp)
+    assert np.abs(grad).max() > gpexperts.gp.GRAD_TOL
+    assert model.training.converged
+
+
+def test_a_run_capped_by_the_iteration_budget_has_not_converged(monkeypatch):
+    monkeypatch.setattr(gpexperts.gp, "MAX_OPT_ITER", 2)
+    x, y = noise_input_problem()
+    model = fit(x, y, seed=0)
+    assert model.training.iterations == 2
+    assert not model.training.converged
+
+
 @pytest.mark.parametrize("n", [30, 300])
 def test_factorize_stores_the_inverse_cholesky_factor(n):
     # n=300 takes the recursive path of linalg.chol_with_jitter.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gpexperts.experts
 import gpexperts.gp
@@ -392,13 +393,38 @@ def test_after_selection_npae_forms_only_part_by_part_kernels(monkeypatch):
 
 
 def test_member_pass_weights_match_dense_solve():
+    # Componentwise forward error, to first order in the unit roundoff u
+    # (Higham 2002, section 3.5 and Thms 9.4 and 10.3), with W = L^{-1} as
+    # the expert holds it and n its rows:
+    # - the pass forms w = W^T (W k) by two triangular products, each adding
+    #   at most n u |W|^T |W| |k|;
+    # - W is taken as the exact inverse factor of C + dC, with Cholesky's
+    #   |dC| <= (n + 1) u |L||L^T|, and the reference LU solve is exact for
+    #   C + dC', |dC'| <= 3 n u |L_lu||U_lu|; each moves w by
+    #   |C^{-1}||dC||w| <= |W|^T |W||dC||w|.
+    # Both products of factors stay within g = 3 times C on these parts
+    # (checked below).  C and k are positive entrywise, so
+    #   |w - w_ref| <= c n u |W|^T |W| (|k| + |C||w_ref|),  c = max(2, 4 g) = 12.
+    # A fixed relative tolerance cannot hold: entries that cancel in W^T (W k)
+    # miss 1e-10 relative for about 1 in 10 perturbations of the
+    # hyperparameters by 1e-13.
     ens = make_ensemble(45, 3, seed=5)
     xs = np.linspace(-0.2, 1.2, 17)[:, None]
     _, target_cov, weights = ens.npae_moments(xs)
+    u = np.finfo(float).eps / 2
     for i, (e, w) in enumerate(zip(ens.experts, weights)):
-        assert w.shape == (e.x.shape[0], xs.shape[0]) and not w.flags.writeable
-        np.testing.assert_allclose(w, expert_weights(e, xs).T, rtol=1e-10)
+        n = e.x.shape[0]
+        assert w.shape == (n, xs.shape[0]) and not w.flags.writeable
+        cov = kernel_matrix(e.x, e.x, ens.hp) + ens.hp.noise_variance * np.eye(n)
+        chol = np.abs(np.linalg.cholesky(cov))
+        p, l_lu, u_lu = scipy.linalg.lu(cov)
+        assert np.all(chol @ chol.T <= 3 * cov)
+        assert np.all(p @ np.abs(l_lu) @ np.abs(u_lu) <= 3 * cov)
         k = kernel_matrix(e.x, xs, ens.hp)
+        w_ref = expert_weights(e, xs).T
+        abs_w = np.abs(e.chol_inv)
+        bound = 12 * n * u * abs_w.T @ (abs_w @ (k + cov @ np.abs(w_ref)))
+        assert np.all(np.abs(w - w_ref) <= bound)
         np.testing.assert_allclose(target_cov[:, i], np.sum(k * w, axis=0), rtol=1e-10)
 
 
