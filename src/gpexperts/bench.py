@@ -102,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("no methods requested")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.penalty < 0:
+        if not self.penalty >= 0:  # NaN fails this too
             raise ValueError("penalty must be >= 0")
         if self.n_experts < 1:
             raise ValueError("need at least one expert")

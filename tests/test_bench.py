@@ -48,6 +48,8 @@ def test_config_validation():
         ExperimentConfig(alpha=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(penalty=-0.1)
+    with pytest.raises(ValueError, match="penalty must be >= 0"):
+        ExperimentConfig(penalty=float("nan"))
     with pytest.raises(ValueError):
         ExperimentConfig(partition="grid")
     with pytest.raises(ValueError):
@@ -347,6 +349,11 @@ def test_cli_rejects_unknown_method(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_nan_penalty(capsys):
+    assert main([*SMALL_RUN, "--lambda", "nan"]) == 2
+    assert "penalty must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_rejects_missing_data_file(capsys):
     assert main(["--data", "/nonexistent/rows.csv", "--methods", "poe"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -370,6 +377,46 @@ def test_cli_stdout_and_module_entry(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("method,type,")
     assert "poe,CI," in proc.stdout
+
+
+# Runs one ExperimentConfig, given as JSON, and prints its report as JSON.
+REPORT_CHILD = """
+import json, sys
+from dataclasses import asdict
+from gpexperts.bench import ExperimentConfig, run_experiment
+config = ExperimentConfig(**json.loads(sys.argv[1]))
+print(json.dumps(asdict(run_experiment(config))))
+"""
+
+
+def test_selection_does_not_depend_on_the_blas_thread_count():
+    # The thread count changes how OpenBLAS splits its sums, so the metrics
+    # differ in their last digits (by about 1e-12 relative here).  On this
+    # config the ranked importances differ by at least 9% of each other,
+    # far above rounding, so what selection decides must not move.
+    config = dict(n=480, n_test=60, n_experts=6, methods=["gpoe*", "rbcm*", "npae*"],
+                  alpha=0.5, penalty=0.1, seed=0, measure_time=False)
+    src = str(Path(gpexperts.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", REPORT_CHILD, json.dumps(config)],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        reports.append(json.loads(proc.stdout))
+    one, two = reports
+    ranked = np.array(one["selection"]["importance"])[one["selection"]["order"]]
+    assert np.all(ranked[1:] < 0.91 * ranked[:-1])
+    for key in ("order", "selected", "glasso_steps", "glasso_converged"):
+        assert one["selection"][key] == two["selection"][key], key
+    for key in ("evaluations", "iterations"):
+        assert one["training"]["ensemble"][key] == two["training"]["ensemble"][key], key
+    for a, b in zip(one["results"], two["results"]):
+        assert a["error"] is None and b["error"] is None
+        for metric in ("smse", "msll", "mae"):
+            assert a[metric] == pytest.approx(b[metric], rel=1e-9, abs=0), metric
 
 
 def load_perfbench_tracer():

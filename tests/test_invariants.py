@@ -1,7 +1,7 @@
 """Invariants that follow from GP theory, in one seeded sweep.
 
-The sweep covers input dimension D in {1, 8}, m in {2, 5, 20} experts of 40
-points each, k-means and random parts, and two data seeds.  Every ensemble
+The sweep covers input dimension D in {1, 2, 8}, m in {1, 2, 5, 20} experts
+of 40 points each, k-means and random parts, and two data seeds.  Every ensemble
 is built at fixed hyperparameters, so nothing is trained.  Each tolerance is
 derived from the quantity it bounds, next to the assertion that uses it;
 eps is the double-precision machine epsilon, twice the unit roundoff.
@@ -23,16 +23,24 @@ from gpexperts import (
     partition_kmeans,
     partition_random,
     poe_aggregate,
+    select_experts,
 )
 from gpexperts.committee import compute_weights
 
 EPS = np.finfo(float).eps
 PART_SIZE, N_TEST, LAM = 40, 40, 0.05
-# Lengthscales 0.1 in 1-D and about 0.71 per input in 8-D (the kernel takes
-# their squares): test inputs up to 0.5 beyond the data reach where members
-# fall back toward the prior, and the small noise makes them sure near it.
-HP = {1: Hyperparams(1.0, [0.01], 1e-4), 8: Hyperparams(1.0, [0.5] * 8, 1e-4)}
-CONFIGS = list(itertools.product((1, 8), (2, 5, 20), ("kmeans", "random"), (0, 1)))
+# Lengthscales 0.1 in 1-D, about 0.22 per input in 2-D and 0.71 in 8-D (the
+# kernel takes their squares): test inputs up to 0.5 beyond the data reach
+# where members fall back toward the prior, and the small noise makes them
+# sure near it.
+HP = {
+    1: Hyperparams(1.0, [0.01], 1e-4),
+    2: Hyperparams(1.0, [0.05] * 2, 1e-4),
+    8: Hyperparams(1.0, [0.5] * 8, 1e-4),
+}
+CONFIGS = list(
+    itertools.product((1, 2, 8), (1, 2, 5, 20), ("kmeans", "random"), (0, 1))
+)
 IDS = [f"d{d}-m{m}-{part}-seed{seed}" for d, m, part, seed in CONFIGS]
 
 
@@ -81,6 +89,17 @@ def test_npae_on_growing_prefixes_of_the_graph_order_never_raises_a_variance(bui
         if before is not None:
             assert np.all(after <= before + 2 * (k + 1) * EPS * sf2), k
         before = after
+    # Keeping every expert sorts the full prefix back into index order, so
+    # it runs npae's own computation and must match it bit for bit.
+    npae = npae_aggregate(ens, xs)
+    kept = npae_aggregate(ens, xs, subset=select_experts(graph.order, m, 1.0))
+    np.testing.assert_array_equal(kept.means, npae.means)
+    np.testing.assert_array_equal(kept.variances, npae.variances)
+    # The unsorted full prefix factors M with its rows and columns permuted,
+    # which rounds differently: both give sf2 - c^T M^{-1} c, each within
+    # 2 m sqrt(eps) sf2 of it (see the test above), so within twice that of
+    # each other.
+    assert np.all(np.abs(after - npae.variances) <= 4 * m * np.sqrt(EPS) * sf2)
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "diff_entropy"])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import gpexperts.selection
 from gpexperts import (
@@ -16,7 +17,7 @@ from gpexperts import (
     select_experts,
     synth_f,
 )
-from gpexperts.selection import _penalized_objective
+from gpexperts.selection import _components, _penalized_objective
 
 
 def random_correlation(m, seed):
@@ -163,6 +164,60 @@ def test_glasso_input_validation():
         graphical_lasso(np.eye(2), -0.1)
 
 
+def test_glasso_rejects_a_nan_in_s():
+    s = random_correlation(3, 0)
+    s[0, 1] = s[1, 0] = np.nan
+    with pytest.raises(ValueError, match="S must be finite"):
+        graphical_lasso(s, 0.1)
+
+
+def test_glasso_rejects_an_infinite_entry_in_s():
+    # symmetric, with a positive diagonal: only finiteness rejects it
+    s = random_correlation(3, 0)
+    s[0, 2] = s[2, 0] = np.inf
+    with pytest.raises(ValueError, match="S must be finite"):
+        graphical_lasso(s, 0.1)
+
+
+def test_glasso_rejects_a_nan_penalty():
+    with pytest.raises(ValueError, match="penalty must be >= 0"):
+        graphical_lasso(random_correlation(3, 0), float("nan"))
+
+
+def scipy_components(adj):
+    """SciPy's connected components of ``adj``, as sorted index arrays."""
+    count, labels = connected_components(adj, directed=False)
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
+def assert_same_components(adj):
+    got, expected = _components(adj), scipy_components(adj)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):  # same members, in the same order
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_components_match_scipy_on_random_graphs(m):
+    rng = np.random.default_rng(m)
+    # mean degrees from sparse (mostly isolated nodes) to past the giant
+    # component's threshold, with self-loops where |S_ii| > lam
+    for degree in (0.5, 1.0, 2.0, 4.0):
+        upper = np.triu(rng.uniform(size=(m, m)) < degree / m)
+        assert_same_components(upper | upper.T)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40])
+def test_components_match_scipy_on_empty_complete_and_chain_graphs(m):
+    assert_same_components(np.zeros((m, m), dtype=bool))
+    assert_same_components(np.ones((m, m), dtype=bool))
+    # a chain through the nodes in a shuffled order: diameter m - 1
+    path = np.random.default_rng(m).permutation(m)
+    chain = np.zeros((m, m), dtype=bool)
+    chain[path[:-1], path[1:]] = chain[path[1:], path[:-1]] = True
+    assert_same_components(chain)
+
+
 def assert_glasso_kkt(s, lam, tol):
     """Solve without warnings, check every KKT condition to ``tol * lam``
     and that the objective never falls."""
@@ -279,13 +334,13 @@ def twelve_local_experts():
 def test_expert_graph_screens_once(monkeypatch):
     ens, xs = twelve_local_experts()
     calls = []
-    screen = gpexperts.selection.connected_components
+    screen = gpexperts.selection._components
 
     def counted(*args, **kwargs):
         calls.append(args)
         return screen(*args, **kwargs)
 
-    monkeypatch.setattr(gpexperts.selection, "connected_components", counted)
+    monkeypatch.setattr(gpexperts.selection, "_components", counted)
     expert_graph(ens, xs, lam=0.3)
     assert len(calls) == 1
 
