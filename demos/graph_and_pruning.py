@@ -46,7 +46,7 @@ for lam in (0.0, 0.05, 0.2, 0.5):
 
 # Pruning: aggregate with everyone, with the top-ranked half, and with the
 # bottom-ranked half. Importance ordering should separate the two halves.
-half = select_experts(graph.order, len(ensemble.experts), 0.5)
+half = select_experts(graph.order, 0.5)
 bottom = np.sort(graph.order[-half.size :])
 
 t0 = time.perf_counter()

@@ -13,7 +13,6 @@ import numpy as np
 
 from gpexperts import (
     bcm_aggregate,
-    expert_predict,
     fit,
     gp_predict,
     grbcm_aggregate,
@@ -59,7 +58,7 @@ def score(name, pred):
 
 
 score("full gp", gp_predict(full, data.x_test))
-score("expert 0", expert_predict(ensemble.experts[0], data.x_test))
+score("expert 0", gp_predict(ensemble.experts[0], data.x_test))
 score("poe", poe_aggregate(ensemble, data.x_test, scheme="ones"))
 score("gpoe", poe_aggregate(ensemble, data.x_test, scheme="uniform"))
 score("bcm", bcm_aggregate(ensemble, data.x_test, scheme="ones"))

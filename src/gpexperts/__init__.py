@@ -11,7 +11,7 @@ important subset only.
 from .bench import ExperimentConfig, ExperimentReport, run_experiment
 from .committee import bcm_aggregate, grbcm_aggregate, poe_aggregate
 from .data import Dataset, load_delimited, synth_dataset, synth_f
-from .experts import ExpertEnsemble, expert_predict, train_ensemble
+from .experts import ExpertEnsemble, train_ensemble
 from .gp import (
     GpModel,
     PredictiveDist,
@@ -20,7 +20,7 @@ from .gp import (
     gp_predict,
     log_marginal_likelihood,
 )
-from .kernels import Hyperparams, kernel_grad, kernel_matrix
+from .kernels import Hyperparams, kernel_matrix
 from .linalg import SingularMatrixError
 from .metrics import mae, msll, smse
 from .npae import npae_aggregate
@@ -50,12 +50,10 @@ __all__ = [
     "TrainingError",
     "bcm_aggregate",
     "expert_graph",
-    "expert_predict",
     "fit",
     "gp_predict",
     "graphical_lasso",
     "grbcm_aggregate",
-    "kernel_grad",
     "kernel_matrix",
     "load_delimited",
     "log_marginal_likelihood",

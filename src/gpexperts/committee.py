@@ -20,16 +20,17 @@ machine, "uniform" (1/m) the conservative generalized product, and
 "diff_entropy" weights each expert by its information gain over the prior,
 0.5 * (log prior_var - log var_i), which yields the robust committee machine.
 
-The member moments come from :meth:`ExpertEnsemble.moments`, so all rules
-at one test set share one pass over the experts.  grbcm's augmented experts,
-each the GP on the base part joined with one other part, come from
-:func:`gpexperts.gp._augmented` without a refit; this module only fuses.
+The member means and c_i come from :meth:`ExpertEnsemble.moments`, so all
+rules at one test set share one pass over the experts; ``gp._latent_variance``
+turns c_i into a variance.  grbcm's augmented experts, each the GP on the
+base part joined with one other part, come from :func:`gpexperts.gp._augmented`
+without a refit; this module only fuses.
 """
 
 import numpy as np
 
 from .experts import ExpertEnsemble
-from .gp import PredictiveDist, _augmented
+from .gp import PredictiveDist, _augmented, _latent_variance
 
 WEIGHT_SCHEMES = ("ones", "uniform", "diff_entropy")
 
@@ -91,8 +92,8 @@ def poe_aggregate(
     weights sum to 1 at each point (Deisenroth & Ng, ICML 2015), so no fused
     variance exceeds the largest member's; where all are 0, the latent prior.
     """
-    means, variances = ensemble.moments(xs, subset)
-    variances, exact = _set_aside_exact(means, variances)
+    means, c = ensemble.moments(xs, subset)
+    variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance  # latent, as the fused variances are
     betas = compute_weights(scheme, variances, prior_var)
     if scheme == "diff_entropy":
@@ -110,8 +111,8 @@ def bcm_aggregate(
     the robust variant.  Points whose corrected precision is non-positive
     fall back to the prior and are flagged.
     """
-    means, variances = ensemble.moments(xs, subset)
-    variances, exact = _set_aside_exact(means, variances)
+    means, c = ensemble.moments(xs, subset)
+    variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
     betas = compute_weights(scheme, variances, prior_var)
     return _fuse(means, variances, betas, prior_var, exact, (0.0, prior_var))
@@ -133,8 +134,8 @@ def grbcm_aggregate(
     so its given order does not matter.
 
     No augmented expert is refit: :func:`gpexperts.gp._augmented` conditions
-    the base on part i by one factorization of order n_i, and its variance
-    signal_variance - c is clipped at 0.  The result's ``max_jitter`` is the
+    the base on part i by one factorization of order n_i and returns the
+    joint GP's c with its mean.  The result's ``max_jitter`` is the
     largest jitter those factorizations needed.
     """
     subset = np.sort(ensemble.subset_or_all(subset))
@@ -146,11 +147,11 @@ def grbcm_aggregate(
     means, target_cov, (w_b,) = ensemble.npae_moments(xs, [base])
     base_mean, c_b = means[:, 0], target_cov[:, 0]
     b, hp = ensemble.experts[base], ensemble.hp
-    base_var = np.maximum(hp.signal_variance - c_b, 0.0)
+    base_var = _latent_variance(hp, c_b)
     aug = [_augmented(b, w_b, ensemble.experts[i], xs) for i in subset[subset != base]]
     gains, cs, jitters = zip(*aug)
     aug_means = base_mean[:, None] + np.column_stack(gains)
-    aug_vars = np.maximum(hp.signal_variance - (c_b[:, None] + np.column_stack(cs)), 0.0)
+    aug_vars = _latent_variance(hp, c_b[:, None] + np.column_stack(cs))
     aug_vars, exact = _set_aside_exact(aug_means, aug_vars)
     base_var[exact[0]] = 1.0  # where the base is exact, so is every augmented expert
     betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])

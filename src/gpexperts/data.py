@@ -93,7 +93,7 @@ def _parse_table(path):
             line = line.strip()
             if not line:
                 continue
-            if delimiter is None and "," in line:
+            if first_line and "," in line:  # the header or first row decides
                 delimiter = ","
             cells = line.split(delimiter)
             values = []
@@ -139,9 +139,9 @@ def load_delimited(
 ) -> Dataset:
     """Load a numeric CSV or whitespace table and split it for benchmarking.
 
-    A single non-numeric first line is treated as a header.  The split is a
-    seeded shuffle that puts floor(train_fraction * n) rows, at least two,
-    in the training set and the rest in the test set.
+    A comma on the first non-blank line makes every line comma-separated;
+    that line, if not numeric, is a header.  The split is a seeded shuffle
+    that puts floor(train_fraction * n) rows, at least two, in training.
     """
     table = _parse_table(path)
     n, n_cols = table.shape

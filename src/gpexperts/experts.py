@@ -62,15 +62,15 @@ class ExpertEnsemble:
         return subset
 
     def moments(self, xs, subset=None):
-        """Member posterior means and latent variances at ``xs``, as (t, m).
+        """Member posterior means and c_i = ||v_i||^2 at ``xs``, each (t, m).
 
-        One column per expert of ``subset`` (None: all), in its order.  The
+        One column per expert of ``subset`` (None: all), in its order;
+        :func:`gpexperts.gp._latent_variance` turns c_i into a variance.  The
         last test set is kept as a private copy, compared by value, so each
         expert is predicted at most once per test set; a new one replaces it
         once its first member pass accepts it.  The memo keeps the means, c_i
-        (a variance is signal_variance - c_i, clipped at 0) and v_i^T =
-        (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when no NPAE
-        follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
+        and v_i^T = (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when
+        no NPAE follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
         """
         subset = self.subset_or_all(subset)
         xs, memo = np.asarray(xs, dtype=float), self._memo
@@ -83,25 +83,22 @@ class ExpertEnsemble:
             self._memo = memo
         # Fancy-indexed columns come back Fortran-ordered; row sums over
         # them would round differently from sums over stacked columns.
-        c = np.ascontiguousarray(target_cov[:, subset])
         return (np.ascontiguousarray(means[:, subset]),
-                np.maximum(self.hp.signal_variance - c, 0.0))
+                np.ascontiguousarray(target_cov[:, subset]))
 
     def npae_moments(self, xs, subset=None):
-        """NPAE's pieces at ``xs``: means and c_i = ||v_i||^2, each (t, m),
-        and the memo's read-only w_i = L_i^{-T} v_i = C_i^{-1} k(X_i, xs),
-        (n_i, t), per expert of ``subset``.  :func:`gpexperts.gp._member_weights`
-        turns v_i into w_i in place on first request, so only the rules that
-        read w_i pay it: NPAE for its subset, grbcm for its base expert.
+        """:meth:`moments` at ``xs`` and the memo's read-only
+        w_i = L_i^{-T} v_i = C_i^{-1} k(X_i, xs), (n_i, t), per expert of
+        ``subset``.  :func:`gpexperts.gp._member_weights` turns v_i into w_i
+        in place on first request, so only the rules that read w_i pay it:
+        NPAE for its subset, grbcm for its base expert.
         """
-        means, _ = self.moments(xs, subset)
-        subset = self.subset_or_all(subset)
-        _, _, target_cov, vts = self._memo
+        means, target_cov = self.moments(xs, subset)
+        subset, vts = self.subset_or_all(subset), self._memo[3]
         for i in [i for i in subset if vts[i].flags.writeable]:
             w_t = _member_weights(self.experts[i], vts[i])
             w_t.flags.writeable, vts[i] = False, w_t
-        return (means, np.ascontiguousarray(target_cov[:, subset]),
-                [vts[i].T for i in subset])
+        return means, target_cov, [vts[i].T for i in subset]
 
     def forget(self):
         """Drop the memo and the sum_i n_i * t floats of its v_i and w_i."""
@@ -130,5 +127,5 @@ def train_ensemble(
 
 
 def expert_predict(expert: GpModel, xs) -> PredictiveDist:
-    """Posterior marginals of the latent function under one expert."""
+    """:func:`gpexperts.gp.gp_predict` on one expert; kept for perfbench's tracer."""
     return gp_predict(expert, xs)

@@ -317,7 +317,7 @@ def _member_pass(model: GpModel, xs):
     v = L^{-1} k(x, xs) is one BLAS triangular product: ks.T of a C-ordered
     ``ks`` is Fortran-ordered, so ``dtrmm`` multiplies it by L^{-T} from the
     right in place, and v^T, shape (t, n), lives in the kernel's storage.
-    The latent variance is signal_variance - c per test point.  Every
+    :func:`_latent_variance` turns c into the latent variance.  Every
     prediction comes through here, so here non-finite test inputs raise.
     """
     xs = as_points(xs)
@@ -327,6 +327,11 @@ def _member_pass(model: GpModel, xs):
     means = ks.T @ model.alpha
     vt = dtrmm(1.0, model.chol_inv, ks.T, side=1, lower=1, trans_a=1, overwrite_b=1)
     return means, vt, np.einsum("ij,ij->i", vt, vt)
+
+
+def _latent_variance(hp: Hyperparams, c):
+    """A member's latent variance, signal_variance - c clipped at 0, at c = ||v||^2."""
+    return np.maximum(hp.signal_variance - c, 0.0)
 
 
 def _member_weights(model: GpModel, vt):
@@ -373,4 +378,4 @@ def gp_predict(model: GpModel, xs) -> PredictiveDist:
     observation-space prediction.
     """
     means, _, c = _member_pass(model, xs)
-    return PredictiveDist(means, np.maximum(model.hp.signal_variance - c, 0.0))
+    return PredictiveDist(means, _latent_variance(model.hp, c))

@@ -131,9 +131,9 @@ def kernel_grad(x, hp: Hyperparams) -> np.ndarray:
     (= K itself) and slice 1 + d is dK/dlog(lengthscales[d]).  The noise term
     is not part of K and is handled by the marginal-likelihood code.
 
-    This dense tensor is the reference for the likelihood gradient; training
-    no longer calls it, since the traces it needs reduce to one weighted
-    matrix (see :mod:`gpexperts.gp`).
+    This dense tensor is the tests' reference for the likelihood gradient
+    (see :mod:`gpexperts.gp`); it stays here because perfbench's tracer
+    wraps it by name.
     """
     x = as_points(x)
     k = kernel_matrix(x, x, hp)  # checks the inputs' dimension

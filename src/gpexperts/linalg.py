@@ -135,9 +135,9 @@ def solve_psd_robust(a, b):
     eigendecomposition pseudo-inverse that drops eigenvalues below
     ``n * eps * lambda_max``.
 
-    This is a reference solve for the tests; NPAE no longer calls it, since
-    its deflating Cholesky keeps the far experts that this jitter and cut
-    would wipe out (see :mod:`gpexperts.npae`).
+    This is the tests' reference solve, kept here because perfbench's tracer
+    wraps it by name; NPAE factors by deflation instead (see
+    :mod:`gpexperts.npae`).
     """
     a = np.asarray(a, dtype=float)
     top = float(np.max(np.diagonal(a)))

@@ -18,10 +18,9 @@ on the diagonal).
 
 NPAE reads the means, c[i] = ||v_i||^2 with v_i = L_i^{-1} k(X_i, x*), and
 w_i = C_i^{-1} k(X_i, x*) from :meth:`ExpertEnsemble.npae_moments`, on top
-of the member pass that selection and the committee rules share.
-c[i] is taken from v_i itself, not as signal_variance minus the latent
-variance, because far from an expert it reaches 1e-33, which that difference
-cannot resolve.  What is left to NPAE is the pairwise assembly.
+of the member pass that selection and the committee rules share.  c[i] is
+never signal_variance minus a latent variance, which cannot resolve the
+1e-33 it reaches far from an expert.  NPAE itself does the pairwise assembly.
 
 Every test point needs its own small solve of the n_experts-sized system;
 restricting ``subset`` to a selected group of experts shrinks that system,

@@ -265,12 +265,12 @@ def rank_importance(omega):
     return importance, order
 
 
-def select_experts(order, n_experts: int, alpha: float) -> np.ndarray:
-    """Sorted indices of the ceil(alpha * m) most-connected experts."""
+def select_experts(order, alpha: float) -> np.ndarray:
+    """Sorted indices of the ceil(alpha * m) first of the m experts in ``order``."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     # Guard ceil against float dust in alpha * m (e.g. 0.1 * 3).
-    keep = min(max(math.ceil(alpha * n_experts - 1e-12), 1), n_experts)
+    keep = min(max(math.ceil(alpha * len(order) - 1e-12), 1), len(order))
     return np.sort(np.asarray(order[:keep], dtype=int))
 
 
@@ -286,7 +286,7 @@ def expert_graph(
     omega, history, components, converged = graphical_lasso(
         cov, lam, max_iter=GLASSO_MAX_ITER)
     importance, order = rank_importance(omega)
-    selected = select_experts(order, ensemble.n_experts, alpha)
+    selected = select_experts(order, alpha)
     return ExpertGraph(cov, omega, importance, order, selected, len(history),
                        converged, components)
 

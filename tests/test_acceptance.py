@@ -15,7 +15,6 @@ from gpexperts import (
     Hyperparams,
     bcm_aggregate,
     expert_graph,
-    expert_predict,
     fit,
     gp_predict,
     graphical_lasso,
@@ -71,7 +70,7 @@ def fig2():
 
     npae_full, t_full = timed_npae(None)
     npae_star = npae_aggregate(ens, ds.x_test, subset=graph.selected)
-    half = select_experts(graph.order, ens.n_experts, 0.5)
+    half = select_experts(graph.order, 0.5)
     npae_half, t_half = timed_npae(half)
     gpoe = poe_aggregate(ens, ds.x_test, scheme="uniform")
     return {
@@ -137,7 +136,7 @@ def test_01_single_expert_matches_full_gp():
     full = fit(ds.x_train, ds.y_train, restarts=1, seed=2)
     ref = gp_predict(full, ds.x_test)
     candidates = {
-        "expert": expert_predict(ens.experts[0], ds.x_test),
+        "expert": gp_predict(ens.experts[0], ds.x_test),
         "poe": poe_aggregate(ens, ds.x_test, scheme="ones"),
         "gpoe(beta=1)": poe_aggregate(ens, ds.x_test, scheme="uniform"),
         "bcm(beta=1)": bcm_aggregate(ens, ds.x_test, scheme="ones"),
@@ -265,7 +264,7 @@ def test_05_pruned_aggregation_stays_close_and_fast(fig2):
 
 def test_06_important_experts_beat_unimportant_ones(fig2):
     ds, ens, graph = fig2["ds"], fig2["ens"], fig2["graph"]
-    size = select_experts(graph.order, ens.n_experts, 0.5).shape[0]
+    size = select_experts(graph.order, 0.5).shape[0]
     top = np.sort(graph.order[:size])
     bottom = np.sort(graph.order[-size:])
     smse_top = smse(ds.y_test, npae_aggregate(ens, ds.x_test, subset=top).means)
@@ -292,7 +291,7 @@ def test_07_variance_sanity(fig2):
     ]
     positive_ok = all(bool(np.all(p.variances > 0.0)) for p in ci_preds)
     member_prec = sum(
-        1.0 / expert_predict(e, ds.x_test).variances for e in ens.experts
+        1.0 / gp_predict(e, ds.x_test).variances for e in ens.experts
     )
     fused_prec = 1.0 / ci_preds[0].variances
     additivity = float(np.max(np.abs(fused_prec - member_prec) / fused_prec))
@@ -309,7 +308,7 @@ def test_npae_variance_at_most_the_best_member(fig2):
     # than conditioning on any one of them (Rulliere et al. 2018)
     ds, ens, graph = fig2["ds"], fig2["ens"], fig2["graph"]
     member_vars = np.column_stack(
-        [expert_predict(e, ds.x_test).variances for e in ens.experts]
+        [gp_predict(e, ds.x_test).variances for e in ens.experts]
     )
     for pred, subset in (
         (fig2["npae"], np.arange(ens.n_experts)),

@@ -13,7 +13,7 @@ from gpexperts import (
     ExpertEnsemble,
     Hyperparams,
     bcm_aggregate,
-    expert_predict,
+    gp_predict,
     grbcm_aggregate,
     npae_aggregate,
     partition_kmeans,
@@ -42,7 +42,7 @@ def duplicated(m, seed=0):
 
 
 def expert_moments(ensemble, xs):
-    preds = [expert_predict(e, xs) for e in ensemble.experts]
+    preds = [gp_predict(e, xs) for e in ensemble.experts]
     means = np.column_stack([p.means for p in preds])
     variances = np.column_stack([p.variances for p in preds])
     return means, variances
@@ -100,7 +100,7 @@ def test_poe_duplicate_experts_shrink_variance_m_fold():
     m = 4
     ens = duplicated(m)
     xs = np.array([[0.3], [0.8]])
-    single = expert_predict(ens.experts[0], xs)
+    single = gp_predict(ens.experts[0], xs)
     fused = poe_aggregate(ens, xs)
     np.testing.assert_allclose(fused.variances, single.variances / m, rtol=1e-12)
     np.testing.assert_allclose(fused.means, single.means, rtol=1e-12)
@@ -110,7 +110,7 @@ def test_gpoe_uniform_weights_leave_duplicates_honest():
     # beta summing to one keeps the fused variance at the member variance
     ens = duplicated(5)
     xs = np.array([[0.3], [0.8]])
-    single = expert_predict(ens.experts[0], xs)
+    single = gp_predict(ens.experts[0], xs)
     fused = poe_aggregate(ens, xs, scheme="uniform")
     np.testing.assert_allclose(fused.variances, single.variances, rtol=1e-12)
     np.testing.assert_allclose(fused.means, single.means, rtol=1e-12)
@@ -241,7 +241,7 @@ def test_bcm_single_expert_is_that_expert():
     ens = make_ensemble(seed=5)
     xs = np.linspace(0.1, 0.9, 5)[:, None]
     fused = bcm_aggregate(ens, xs, subset=[1])
-    ref = expert_predict(ens.experts[1], xs)
+    ref = gp_predict(ens.experts[1], xs)
     np.testing.assert_allclose(fused.means, ref.means, rtol=1e-12)
     np.testing.assert_allclose(fused.variances, ref.variances, rtol=1e-12)
 
@@ -294,7 +294,7 @@ def test_grbcm_two_experts_equal_augmented_model():
         np.concatenate([base.y, other.y]),
         ens.hp,
     )
-    ref = expert_predict(aug, xs)
+    ref = gp_predict(aug, xs)
     np.testing.assert_allclose(fused.means, ref.means, rtol=1e-12)
     np.testing.assert_allclose(fused.variances, ref.variances, rtol=1e-12)
 
@@ -305,12 +305,12 @@ def test_grbcm_three_experts_match_manual_fusion():
     fused = grbcm_aggregate(ens, xs, 2)
 
     base = ens.experts[2]
-    base_pred = expert_predict(base, xs)
+    base_pred = gp_predict(base, xs)
     aug_preds = []
     for i in (0, 1):  # subset order with the base removed
         e = ens.experts[i]
         aug = factorize(np.vstack([base.x, e.x]), np.concatenate([base.y, e.y]), ens.hp)
-        aug_preds.append(expert_predict(aug, xs))
+        aug_preds.append(gp_predict(aug, xs))
 
     betas = np.column_stack(
         [
@@ -404,7 +404,7 @@ def test_grbcm_augmented_experts_match_a_joint_refit(case, monkeypatch):
     b, hp = ens.experts[base], ens.hp
     for col, i in enumerate(i for i in range(ens.n_experts) if i != base):
         e = ens.experts[i]
-        ref = expert_predict(
+        ref = gp_predict(
             factorize(np.vstack([b.x, e.x]), np.concatenate([b.y, e.y]), hp), xs
         )
         scale = np.max(np.abs(ref.means))
@@ -427,7 +427,7 @@ def test_grbcm_jitters_a_singular_schur_complement_on_the_joint_scale(monkeypatc
     b = ens.experts[0]
     joint = factorize(np.vstack([b.x, b.x]), np.concatenate([b.y, b.y]), hp)
     assert joint.jitter > 0.0
-    ref = expert_predict(joint, xs)
+    ref = gp_predict(joint, xs)
     for col in range(2):
         np.testing.assert_allclose(means[:, col], ref.means, rtol=0, atol=1e-9)
         np.testing.assert_allclose(variances[:, col], ref.variances, rtol=0, atol=1e-9)

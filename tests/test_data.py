@@ -118,6 +118,18 @@ def test_load_whitespace_table(tmp_path):
     assert ds.n_test == 1
 
 
+@pytest.mark.parametrize(
+    "text", ["1 2\n3 4\n5,6\n", "1 2 3\n4 5 6\n7,8,9\n1 0 2\n"], ids=["last", "middle"]
+)
+def test_load_keeps_the_first_lines_delimiter(tmp_path, text):
+    # The first non-blank line sets the delimiter for the whole file, so a
+    # comma on a later line of a whitespace table is a bad cell on that line.
+    path = tmp_path / "mixed.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="'.*,.*' at line 3, column 0"):
+        load_delimited(path)
+
+
 def test_load_reports_bad_cell_location(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")

@@ -13,7 +13,6 @@ from gpexperts import (
     Partitioning,
     bcm_aggregate,
     expert_graph,
-    expert_predict,
     fit,
     gp_predict,
     grbcm_aggregate,
@@ -24,7 +23,7 @@ from gpexperts import (
     synth_dataset,
     train_ensemble,
 )
-from gpexperts.gp import factorize
+from gpexperts.gp import _latent_variance, factorize
 
 
 def sample_problem(n=40, seed=0):
@@ -45,7 +44,7 @@ def test_single_part_reproduces_full_gp_exactly():
     assert ens.hp.noise_variance == full.hp.noise_variance
 
     xs = np.linspace(-0.2, 1.2, 25)[:, None]
-    mine = expert_predict(ens.experts[0], xs)
+    mine = gp_predict(ens.experts[0], xs)
     ref = gp_predict(full, xs)
     np.testing.assert_array_equal(mine.means, ref.means)
     np.testing.assert_array_equal(mine.variances, ref.variances)
@@ -58,8 +57,8 @@ def test_identical_parts_give_identical_experts():
     parts = Partitioning(np.repeat([0, 1], 20), 2)
     ens = train_ensemble(x, y, parts, restarts=1, seed=0)
     xs = np.linspace(0, 1, 15)[:, None]
-    p0 = expert_predict(ens.experts[0], xs)
-    p1 = expert_predict(ens.experts[1], xs)
+    p0 = gp_predict(ens.experts[0], xs)
+    p1 = gp_predict(ens.experts[1], xs)
     np.testing.assert_array_equal(p0.means, p1.means)
     np.testing.assert_array_equal(p0.variances, p1.variances)
 
@@ -81,13 +80,13 @@ def test_expert_metadata(small_ensemble, small_data):
         assert e.hp == small_ensemble.hp
 
 
-def test_expert_predict_two_point_closed_form():
+def test_expert_two_point_closed_form():
     x = np.array([[0.0], [1.0]])
     y = np.array([1.0, -1.0])
     hp = Hyperparams(1.0, [1.0], 0.1)
     e = factorize(x, y, hp)
     xs = np.array([[0.25]])
-    pred = expert_predict(e, xs)
+    pred = gp_predict(e, xs)
 
     from gpexperts import kernel_matrix
 
@@ -100,13 +99,13 @@ def test_expert_predict_two_point_closed_form():
 
 def test_expert_variance_bounds(small_ensemble, small_grid):
     for e in small_ensemble.experts:
-        v = expert_predict(e, small_grid).variances
+        v = gp_predict(e, small_grid).variances
         assert np.all(v >= 0.0)
         assert np.all(v <= small_ensemble.hp.signal_variance + 1e-12)
 
 
 def test_expert_reverts_to_prior_far_away(small_ensemble):
-    pred = expert_predict(small_ensemble.experts[0], np.array([[1e4]]))
+    pred = gp_predict(small_ensemble.experts[0], np.array([[1e4]]))
     assert pred.means[0] == pytest.approx(0.0, abs=1e-12)
     assert pred.variances[0] == pytest.approx(
         small_ensemble.hp.signal_variance, rel=1e-12
@@ -131,7 +130,7 @@ def test_variances_match_a_triangular_solve_on_a_trained_model():
         np.linalg.cholesky(c), kernel_matrix(ds.x_train, ds.x_test, hp), lower=True
     )
     ref = np.maximum(hp.signal_variance - np.sum(v * v, axis=0), 0.0)
-    preds = gp_predict(full, ds.x_test), expert_predict(ens.experts[0], ds.x_test)
+    preds = gp_predict(full, ds.x_test), gp_predict(ens.experts[0], ds.x_test)
     for pred in preds:
         np.testing.assert_allclose(pred.variances, ref, rtol=0.0, atol=1e-12)
 
@@ -140,7 +139,7 @@ def test_weights_reproduce_posterior_mean(small_ensemble, small_grid):
     for e in small_ensemble.experts:
         w = expert_weights(e, small_grid)
         assert w.shape == (small_grid.shape[0], e.x.shape[0])
-        mean = expert_predict(e, small_grid).means
+        mean = gp_predict(e, small_grid).means
         assert np.abs(w @ e.y - mean).max() <= 1e-10
 
 
@@ -212,10 +211,11 @@ def test_each_member_is_predicted_once_per_test_set(
     assert len(calls) == ens.n_experts
 
     def assert_direct(points, subset=(0, 1, 2)):
-        means, variances = ens.moments(points, list(subset))
-        assert means.flags.c_contiguous and variances.flags.c_contiguous
+        means, c = ens.moments(points, list(subset))
+        assert means.flags.c_contiguous and c.flags.c_contiguous
+        variances = _latent_variance(ens.hp, c)
         for col, i in enumerate(subset):
-            ref = expert_predict(ens.experts[i], points)
+            ref = gp_predict(ens.experts[i], points)
             np.testing.assert_array_equal(means[:, col], ref.means)
             np.testing.assert_array_equal(variances[:, col], ref.variances)
 

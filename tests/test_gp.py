@@ -13,7 +13,6 @@ from gpexperts import (
     TrainingError,
     fit,
     gp_predict,
-    kernel_grad,
     kernel_matrix,
     log_marginal_likelihood,
     partition_kmeans,
@@ -21,6 +20,7 @@ from gpexperts import (
 )
 from conftest import force_jitter
 from gpexperts.gp import factorize
+from gpexperts.kernels import kernel_grad
 
 
 def sample_problem(n=6, d=2, seed=0, noise=0.1):

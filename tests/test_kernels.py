@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import kernel_eval
-from gpexperts import Hyperparams, kernel_grad, kernel_matrix
+from gpexperts import Hyperparams, kernel_matrix
+from gpexperts.kernels import kernel_grad
 
 
 def test_zero_distance_gives_signal_variance():

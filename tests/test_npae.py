@@ -13,7 +13,7 @@ from gpexperts import (
     Hyperparams,
     bcm_aggregate,
     expert_graph,
-    expert_predict,
+    gp_predict,
     kernel_matrix,
     npae_aggregate,
     partition_kmeans,
@@ -73,7 +73,7 @@ def noise_free_pieces(ensemble, xs):
     """Dense NPAE pieces (see :func:`unpack`) with the noise term left out of
     M's diagonal."""
     pieces = [dense_cov_oracle(ensemble, xs[t : t + 1], True) for t in range(len(xs))]
-    means = [expert_predict(e, xs).means for e in ensemble.experts]
+    means = [gp_predict(e, xs).means for e in ensemble.experts]
     return (
         np.array([p[0] for p in pieces]),
         np.array([p[1] for p in pieces]),
@@ -123,7 +123,7 @@ def test_aggregate_single_expert_returns_expert_prediction():
     ens = make_ensemble(25, 1, seed=2)
     xs = np.linspace(0, 1, 11)[:, None]
     agg = npae_aggregate(ens, xs)
-    ref = expert_predict(ens.experts[0], xs)
+    ref = gp_predict(ens.experts[0], xs)
     np.testing.assert_allclose(agg.means, ref.means, atol=1e-10)
     np.testing.assert_allclose(agg.variances, ref.variances, atol=1e-10)
 
@@ -163,7 +163,7 @@ def test_aggregate_subset_of_one_is_that_expert():
     ens = make_ensemble(30, 3, seed=5)
     xs = np.linspace(0, 1, 7)[:, None]
     agg = npae_aggregate(ens, xs, subset=[1])
-    ref = expert_predict(ens.experts[1], xs)
+    ref = gp_predict(ens.experts[1], xs)
     np.testing.assert_allclose(agg.means, ref.means, atol=1e-9)
     np.testing.assert_allclose(agg.variances, ref.variances, atol=1e-9)
 

@@ -10,14 +10,14 @@ import gpexperts.selection
 from gpexperts import (
     Hyperparams,
     expert_graph,
-    expert_predict,
+    gp_predict,
     graphical_lasso,
     prediction_covariance,
     rank_importance,
     select_experts,
     synth_f,
 )
-from gpexperts.selection import _components, _penalized_objective
+from gpexperts.selection import _components, _penalized_objective, _pinned_solve
 
 
 def random_correlation(m, seed):
@@ -54,7 +54,7 @@ def two_interleaved_blocks():
 
 def test_covariance_matches_double_loop(small_ensemble, small_grid):
     s = prediction_covariance(small_ensemble, small_grid)
-    means = [expert_predict(e, small_grid).means for e in small_ensemble.experts]
+    means = [gp_predict(e, small_grid).means for e in small_ensemble.experts]
     n_t = small_grid.shape[0]
     for i in range(3):
         for j in range(3):
@@ -255,6 +255,17 @@ def test_glasso_holds_pinned_entries_when_zeroing_them_does_not_rise():
     assert_glasso_kkt(rank_deficient_expert_cov(2), 0.001, 1e-3)
 
 
+def test_pinned_solve_takes_no_step_on_an_indefinite_system():
+    # dpotrf fails on a Newton system that is not positive definite; the
+    # solver then stays put instead of stepping along a broken factor.
+    slope, sign, start = np.array([1.0, -1.0]), np.ones(2), np.ones(2)
+    step = _pinned_solve(np.eye(2), slope, sign, start, -start)
+    np.testing.assert_array_equal(step, [-1.0, 1.0])  # -slope keeps both signs
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    step = _pinned_solve(indefinite, slope, sign, start, -start)
+    np.testing.assert_array_equal(step, [0.0, 0.0])
+
+
 def test_glasso_takes_few_newton_steps_on_rank_deficient_cov():
     # Newton steps converge in 10-13 here; a first-order method takes
     # hundreds to thousands, so this guards against a slide back.
@@ -386,19 +397,19 @@ def test_rank_importance_order_is_scale_invariant():
 
 def test_select_experts_counts():
     order = np.array([3, 1, 0, 2])
-    np.testing.assert_array_equal(select_experts(order, 4, 1.0), [0, 1, 2, 3])
-    np.testing.assert_array_equal(select_experts(order, 4, 0.5), [1, 3])
-    assert select_experts(np.arange(3), 3, 0.5).shape == (2,)  # ceil(1.5)
-    assert select_experts(np.arange(20), 20, 0.8).shape == (16,)
+    np.testing.assert_array_equal(select_experts(order, 1.0), [0, 1, 2, 3])
+    np.testing.assert_array_equal(select_experts(order, 0.5), [1, 3])
+    assert select_experts(np.arange(3), 0.5).shape == (2,)  # ceil(1.5)
+    assert select_experts(np.arange(20), 0.8).shape == (16,)
     # 0.1 * 3 carries float dust; the guard keeps ceil at 1, not 2
-    assert select_experts(np.arange(3), 3, 0.1).shape == (1,)
+    assert select_experts(np.arange(3), 0.1).shape == (1,)
 
 
 def test_select_experts_rejects_bad_fractions():
     with pytest.raises(ValueError):
-        select_experts(np.arange(3), 3, 0.0)
+        select_experts(np.arange(3), 0.0)
     with pytest.raises(ValueError):
-        select_experts(np.arange(3), 3, 1.2)
+        select_experts(np.arange(3), 1.2)
 
 
 def test_expert_graph_end_to_end(small_ensemble, small_grid):
