@@ -143,6 +143,8 @@ def load_delimited(
     that line, if not numeric, is a header.  The split is a seeded shuffle
     that puts floor(train_fraction * n) rows, at least two, in training.
     """
+    if not 0.0 < train_fraction < 1.0:  # NaN fails this too
+        raise ValueError("train_fraction must be in (0, 1)")
     table = _parse_table(path)
     n, n_cols = table.shape
     if n_cols < 2:
@@ -151,8 +153,6 @@ def load_delimited(
         raise ValueError(f"{path}: target column {target_column} out of range")
     y = table[:, target_column]
     x = np.delete(table, target_column % n_cols, axis=1)
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     n_train = int(train_fraction * n)  # floor: the product is positive
     if n_train < 2:
         raise ValueError(f"split leaves under two training rows (n_train={n_train})")

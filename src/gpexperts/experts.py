@@ -34,6 +34,11 @@ class ExpertEnsemble:
     ``training`` describes the optimizer run that chose ``hp``.  ``_memo``
     holds the last test set, the means, c and, per expert, v_i^T, or w_i^T
     once :meth:`npae_moments` has made it read-only (see :meth:`moments`).
+
+    NPAE's covariance of the expert means is exact only when the parts are
+    disjoint, as :func:`train_ensemble` builds them; an ensemble built by
+    hand with overlapping parts gets an overconfident NPAE (see
+    :mod:`gpexperts.npae`).  Nothing checks the parts.
     """
 
     experts: list

@@ -5,9 +5,11 @@ unit variance); the GP prior mean is zero.  Hyperparameters are optimized in
 log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
 
-Each likelihood evaluation holds one n x n buffer, reused in place.  K, as
-the kernel returns it, stays in its strict upper triangle.  On and below
-the diagonal, C = K + noise * I becomes W = L^{-1}
+Each likelihood evaluation holds one n x n buffer, reused in place: K from
+:func:`_self_kernel`, which skips the kernel's mirror pass.  On and below
+the diagonal it holds the same bits as the mirrored ``kernel_matrix(x, x)``;
+its strict upper triangle, which may differ by rounding, keeps K for the
+gradient.  On and below the diagonal, C = K + noise * I becomes W = L^{-1}
 (:func:`~gpexperts.linalg.chol_with_jitter`, a recursive factor-and-invert
 built from BLAS triangular and symmetric rank-k products), then
 C^{-1} = W^T W (LAPACK ``dlauum``), then C^{-1} o K.  alpha = W^T (W y), and
@@ -179,8 +181,7 @@ def _lml(x, y, z, hp: Hyperparams):
     factorization of C needed.
     """
     n = x.shape[0]
-    # K is symmetric, so its Fortran-ordered transpose is K too.
-    w, jitter = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
+    w, jitter = chol_with_jitter(_self_kernel(x, hp), shift=hp.noise_variance)
     alpha = solve_spd(w, y)
     value = (
         -0.5 * float(y @ alpha)
@@ -205,6 +206,22 @@ def _lml(x, y, z, hp: Hyperparams):
     grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
     grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv_diag.sum())
     return value, grad, jitter
+
+
+def _self_kernel(x, hp: Hyperparams):
+    """K(x, x) in Fortran order, without :func:`kernel_matrix`'s mirror pass.
+
+    The view ``x[:]`` is not ``x``, so the kernel comes back as its raw GEMM.
+    Its transpose holds the GEMM's upper triangle on and below the diagonal,
+    the same bits as ``kernel_matrix(x, x, hp)``, with the diagonal set to
+    signal_variance as there.  The strict upper triangle holds the GEMM's
+    lower one, which with D >= 2 differs by rounding; only the likelihood
+    gradient, a jitter retry and :func:`_augmented`'s Schur complement read
+    it.
+    """
+    k = kernel_matrix(x, x[:], hp)
+    k.reshape(-1)[:: k.shape[0] + 1] = hp.signal_variance
+    return k.T
 
 
 def _times_transpose_below(a):
@@ -302,7 +319,7 @@ def factorize(x, y, hp: Hyperparams) -> GpModel:
     the model holds L^{-1} as a plain lower-triangular matrix.
     """
     x, y = _prepare_xy(x, y)
-    w, jitter = chol_with_jitter(kernel_matrix(x, x, hp).T, shift=hp.noise_variance)
+    w, jitter = chol_with_jitter(_self_kernel(x, hp), shift=hp.noise_variance)
     alpha = solve_spd(w, y)
     n = w.shape[0]
     for j0 in range(0, n, PANEL):
@@ -361,7 +378,9 @@ def _augmented(base: GpModel, w_b, other: GpModel, xs):
     g = dtrmm(1.0, base.chol_inv, k_bi.T, side=1, lower=1, trans_a=1, overwrite_b=1)
     # dsyrk writes S on and above the diagonal, where a jitter retry
     # rebuilds it from; the mirror puts it where the factorization reads.
-    s = dsyrk(-1.0, g, beta=1.0, c=kernel_matrix(other.x, other.x, hp).T, overwrite_c=1)
+    # With D >= 2, S starts from the GEMM's lower triangle: dsyrk's lower
+    # product rounds apart from this one and would move grbcm's 1-D results.
+    s = dsyrk(-1.0, g, beta=1.0, c=_self_kernel(other.x, hp), overwrite_c=1)
     _mirror_upper(s)
     scale = hp.signal_variance + hp.noise_variance
     w_s, jitter = chol_with_jitter(s, scale=scale, shift=hp.noise_variance)

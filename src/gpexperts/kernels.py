@@ -94,7 +94,13 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     Bitwise symmetric for ``x2 is x``, with the diagonal exactly signal_variance.
     In 1-D each entry comes from its own pair alone, as signal_variance *
     exp(-0.5 * (u - v)^2) of the scaled points u and v, so identical rows
-    give signal_variance exactly.
+    give signal_variance exactly.  With D >= 2, ``x2 is x`` copies the GEMM's
+    upper triangle onto its lower one and sets the diagonal.  The
+    factorizations in :mod:`gpexperts.gp` (the likelihood, ``factorize`` and
+    grbcm's augmented experts) pass the view ``x[:]`` instead, which is not
+    ``x``, and get the raw GEMM: each reads one triangle and writes the
+    diagonal itself, so the mirror pass, about a third of an 8-D
+    self-kernel, would be wasted there.
     """
     same = x2 is x
     x, x2 = as_points(x), as_points(x2)

@@ -60,6 +60,16 @@ def expert_weights(expert, xs):
     return np.linalg.solve(c, kernel_matrix(expert.x, xs, expert.hp)).T
 
 
+def mirrored_self_kernel(x, hp):
+    """The self-kernel as the mirrored ``kernel_matrix(x, x, hp)``, Fortran-ordered.
+
+    Patched over ``gpexperts.gp._self_kernel``, it hands the factorizations
+    a kernel whose triangles agree bit for bit and whose diagonal
+    ``kernel_matrix`` itself set.
+    """
+    return kernel_matrix(x, x, hp).T
+
+
 def kernel_eval(x, x2, hp):
     """Kernel value for a single pair of points, straight from the formula."""
     x = np.asarray(x, dtype=float).ravel()

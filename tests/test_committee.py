@@ -7,7 +7,7 @@ import gpexperts.committee
 import gpexperts.experts
 import gpexperts.gp
 import gpexperts.linalg
-from conftest import manual_ensemble
+from conftest import manual_ensemble, mirrored_self_kernel
 from gpexperts import bench
 from gpexperts import (
     ExpertEnsemble,
@@ -412,6 +412,21 @@ def test_grbcm_augmented_experts_match_a_joint_refit(case, monkeypatch):
         np.testing.assert_allclose(
             variances[:, col], ref.variances, rtol=0, atol=1e-12 * hp.signal_variance
         )
+
+
+def test_grbcm_in_8d_matches_the_mirrored_self_kernel(monkeypatch):
+    # The Schur complement starts from the raw GEMM's self-kernel, whose two
+    # triangles round apart, and from an exact signal-variance diagonal.
+    (ens, xs), base = random_parts_8d(), 1
+    fused = grbcm_aggregate(ens, xs, base)
+    ens.forget()
+    monkeypatch.setattr(gpexperts.gp, "_self_kernel", mirrored_self_kernel)
+    ref = grbcm_aggregate(ens, xs, base)
+    scale = np.max(np.abs(ref.means))
+    np.testing.assert_allclose(fused.means, ref.means, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        fused.variances, ref.variances, rtol=0, atol=1e-12 * ens.hp.signal_variance
+    )
 
 
 def test_grbcm_jitters_a_singular_schur_complement_on_the_joint_scale(monkeypatch):

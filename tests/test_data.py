@@ -213,6 +213,13 @@ def test_load_train_count_is_floor_of_fraction(tmp_path):
             load_delimited(path, train_fraction=fraction)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+def test_load_checks_the_fraction_before_reading_the_file(tmp_path, fraction):
+    # the path does not exist: reading it first would raise FileNotFoundError
+    with pytest.raises(ValueError, match="train_fraction"):
+        load_delimited(tmp_path / "missing.csv", train_fraction=fraction)
+
+
 def test_load_normalizes_with_train_stats(tmp_path):
     path = tmp_path / "norm.csv"
     rng = np.random.default_rng(9)

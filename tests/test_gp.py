@@ -18,7 +18,7 @@ from gpexperts import (
     partition_kmeans,
     train_ensemble,
 )
-from conftest import force_jitter
+from conftest import force_jitter, mirrored_self_kernel
 from gpexperts.gp import factorize
 from gpexperts.kernels import kernel_grad
 
@@ -102,6 +102,31 @@ def test_lml_gradient_matches_dense_traces(d, n, shift):
     hp = Hyperparams(1.3, rng.uniform(0.3, 2.0, size=d), 0.05)
     _, grad = log_marginal_likelihood(x + shift, y, hp)
     np.testing.assert_allclose(grad, dense_gradient(x + shift, y, hp), rtol=1e-8)
+
+
+def test_only_the_gradient_sees_the_unmirrored_self_kernel(monkeypatch):
+    # n = 300 takes the recursive factorization.  The raw GEMM that the
+    # factorizations ask for is not symmetric and its diagonal is not the
+    # signal variance, whose exp(log) rounds up; they read its upper
+    # triangle and write the diagonal, so they see what they would see in
+    # the mirrored kernel_matrix(x, x, hp), bit for bit.
+    x, y = sample_problem(300, 8, seed=21)
+    hp = Hyperparams(2.755, np.linspace(0.5, 3.0, 8), 0.05)
+    raw = kernel_matrix(x, x[:], hp)
+    assert np.exp(np.log(hp.signal_variance)) > hp.signal_variance
+    assert not np.array_equal(raw, raw.T)
+    assert np.any(np.diagonal(raw) != hp.signal_variance)
+    part = gpexperts.gp._prepare_part(x, y)
+    model = factorize(x, y, hp)
+    value, grad, jitter = gpexperts.gp._lml(*part, hp)
+    monkeypatch.setattr(gpexperts.gp, "_self_kernel", mirrored_self_kernel)
+    mirrored = factorize(x, y, hp)
+    assert (value, jitter) == gpexperts.gp._lml(*part, hp)[::2]
+    np.testing.assert_array_equal(model.chol_inv, mirrored.chol_inv)
+    np.testing.assert_array_equal(model.alpha, mirrored.alpha)
+    assert model.jitter == mirrored.jitter == jitter == 0.0
+    # The gradient reads the GEMM's lower triangle, which rounds apart.
+    np.testing.assert_allclose(grad, dense_gradient(x, y, hp), rtol=1e-8)
 
 
 def test_lml_builds_the_kernel_matrix_once(monkeypatch):

@@ -75,7 +75,13 @@ def built(request):
     xs = rng.uniform(-0.5, 1.5, size=(N_TEST, d))
     if edge == "-zero-noise":
         xs[::2] = x[: N_TEST // 2]
-    return ens, xs, expert_graph(ens, xs, lam=LAM, alpha=0.5)
+    if edge != "-duplicated":
+        return ens, xs, expert_graph(ens, xs, lam=LAM, alpha=0.5)
+    # The twins' S is singular, with entries up to 5e6, and lam is absolute,
+    # not relative to S's scale (an open FOUND in CHANGES.md): the graphical
+    # lasso stops unconverged, and says so.
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        return ens, xs, expert_graph(ens, xs, lam=LAM, alpha=0.5)
 
 
 @pytest.mark.parametrize("built", [ZERO_NOISE], indirect=True, ids=["zero-noise"])
