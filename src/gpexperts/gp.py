@@ -5,36 +5,50 @@ unit variance); the GP prior mean is zero.  Hyperparameters are optimized in
 log space by L-BFGS with analytic gradients, optionally restarted from
 randomly perturbed initializations.
 
-Each likelihood evaluation holds one n x n buffer, reused in place: K from
-:func:`_self_kernel`, which skips the kernel's mirror pass.  On and below
-the diagonal it holds the same bits as the mirrored ``kernel_matrix(x, x)``;
-its strict upper triangle, which may differ by rounding, keeps K for the
-gradient.  On and below the diagonal, C = K + noise * I becomes W = L^{-1}
+The likelihood is computed at signal variance 1.  With K = s K~ (K~ has a
+unit diagonal) and g = noise / s, C = s C_1 with C_1 = K~ + g I, so
+alpha = alpha_1 / s and log det C = n log s + log det C_1: one
+factorization of C_1 gives the evidence at every s.  Each evaluation holds
+one n x n buffer, reused in place: K~ from :func:`_self_kernel`, which
+skips the kernel's mirror pass.  On and below the diagonal it holds the
+same bits as the mirrored ``kernel_matrix(x, x)``; its strict upper
+triangle, which may differ by rounding, keeps K~ for the gradient.  On and
+below the diagonal, C_1 becomes W = L^{-1}
 (:func:`~gpexperts.linalg.chol_with_jitter`, a recursive factor-and-invert
 built from BLAS triangular and symmetric rank-k products), then
-C^{-1} = W^T W (LAPACK ``dlauum``), then C^{-1} o K.  alpha = W^T (W y), and
--0.5 * log det C = sum(log diag(W)).  The gradient (Rasmussen & Williams
-2006, eq. 5.9) is 0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
-B = (alpha alpha^T - C^{-1}) o K and r = B 1, every trace is a reduction of B:
+C_1^{-1} = W^T W (LAPACK ``dlauum``), then C_1^{-1} o K~.
+alpha_1 = W^T (W y), q = y^T alpha_1, and -0.5 * log det C_1 =
+sum(log diag(W)).  The gradient (Rasmussen & Williams 2006, eq. 5.9) is
+0.5 * tr((alpha alpha^T - C^{-1}) dC/dtheta_j).  With
+B = (alpha alpha^T - C^{-1}) o K = T / s - U, where
+T = (alpha_1 alpha_1^T) o K~ and U = C_1^{-1} o K~, and r = B 1, every
+trace is a reduction of B:
 
     log signal_variance:  0.5 * sum(r)
     log lengthscales[d]:  (0.5 / l_d) * (sum_i x_id^2 r_i - x_d^T (B x)_d)
-    log noise_variance:   0.5 * noise * tr(alpha alpha^T - C^{-1})
+    log noise_variance:   0.5 * g * (alpha_1^T alpha_1 / s - tr(C_1^{-1}))
 
 The lengthscale line expands sum_ij B_ij (x_id - x_jd)^2; it is evaluated
 on inputs centered by their mean, which keeps the expansion free of
 cancellation.  B itself is never formed: with z = [1, x] (x centered),
 
-    B z = alpha o (K (alpha o z)) - (C^{-1} o K) z:
+    T z = alpha_1 o (K~ (alpha_1 o z)),    U z = (C_1^{-1} o K~) z:
 
-two symmetric products (BLAS ``dsymm``).  The first reads K from the upper
-triangle, with K's diagonal written back for that call; the second reads
-C^{-1} o K from the lower one.
+two symmetric products (BLAS ``dsymm``).  The first reads K~ from the upper
+triangle, with its unit diagonal written back for that call; the second
+reads C_1^{-1} o K~ from the lower one.  Their reductions, with the noise
+line's two terms, are the vectors u (from T) and v (from U), and the
+gradient at any s is u / s - v.
 
-Neither the input checks nor z depend on the hyperparameters, so training
-prepares each data part once, as the triple (x, y, z), and every objective
-evaluation runs only the core :func:`_lml` on it.  The public
-:func:`log_marginal_likelihood` prepares its part and calls the same core.
+Training sums q, log det C_1, u and v over the data parts.  The evidence is
+largest at s* = sum(q) / N, where it is -N/2 (1 + log 2 pi + log s*) - 0.5
+log det C_1 summed, so L-BFGS-B searches only [log lengthscales, log g]
+(the concentrated likelihood of kriging): the profiled maximum is the joint
+one.  By the envelope theorem s* needs no gradient term.  Neither the input
+checks nor z depend on the hyperparameters, so training prepares each data
+part once, as the triple (x, y, z), and every evaluation runs only the core
+:func:`_unit_evidence` on it.  The public :func:`log_marginal_likelihood`
+prepares its part and evaluates the same core's pieces at its own s.
 
 Only this module reads a model's L^{-1} and alpha: :func:`_member_pass`,
 :func:`_member_weights` (NPAE's w) and :func:`_augmented` (grbcm's experts).
@@ -60,9 +74,10 @@ GRAD_TOL = 1e-6
 # objective.  The log evidence grows with the number of training points
 # (2034 nats at 1980 points on the 8-D table), so 1e-7 stops at gains of
 # about 1e-7 nats per point, far below the O(1) nats that tell two
-# hyperparameter settings apart.  SciPy's default, 2.2e-9, runs 12 more
-# evaluations on the table that only push the lengthscales of inputs the
-# target ignores toward infinity; 3e-8 to 3e-7 all take the same 35.
+# hyperparameter settings apart.  SciPy's default, 2.2e-9, runs 6 more
+# evaluations on the table's ensemble (35 against 29) that mostly push the
+# lengthscales of inputs the target ignores toward infinity, for 2e-4 nats;
+# 3e-8 and 3e-7 take 30 and 27.
 FTOL = 1e-7
 
 
@@ -110,7 +125,9 @@ class TrainingInfo:
     numerical error and were skipped.
     ``max_jitter`` is the largest diagonal jitter any factorization of the
     kept restart needed, over all its evaluations and parts (0.0 when none
-    did).
+    did).  Training factors C / signal_variance, so each jitter is reported
+    times its evaluation's signal variance: the jitter C itself would have
+    needed, on the data's scale.
     """
 
     evaluations: int
@@ -169,43 +186,50 @@ def log_marginal_likelihood(x, y, hp: Hyperparams):
     hyperparameter vector [log signal_variance, log lengthscales...,
     log noise_variance].
     """
-    value, grad, _ = _lml(*_prepare_part(x, y), hp)
-    return value, grad
+    x, y, z = _prepare_part(x, y)
+    sf2 = hp.signal_variance
+    unit = Hyperparams(1.0, hp.lengthscales, hp.noise_variance / sf2)
+    q, log_det_w, uv, _ = _unit_evidence(x, y, z, unit)
+    value = -0.5 * (q / sf2 + y.shape[0] * (math.log(sf2) + LOG_2PI)) + log_det_w
+    return value, uv[0] / sf2 - uv[1]
 
 
-def _lml(x, y, z, hp: Hyperparams):
-    """:func:`log_marginal_likelihood` of a prepared part, plus its jitter.
+def _unit_evidence(x, y, z, hp: Hyperparams):
+    """The pieces of a prepared part's evidence, at signal_variance 1.
 
-    ``x``, ``y`` and ``z`` come from :func:`_prepare_part`.  Returns
-    ``(value, grad, jitter)``, the last being the diagonal jitter the
-    factorization of C needed.
+    ``x``, ``y`` and ``z`` come from :func:`_prepare_part`; ``hp`` has
+    signal_variance 1, so C_1 = K~ + g I with g = ``hp.noise_variance``.
+    Returns ``(q, log_det_w, uv, jitter)``: q = y^T alpha_1, log_det_w =
+    sum(log diag(W)) = -0.5 * log det C_1, the (2, D + 2) array [u; v] of
+    the module docstring, whose u / s - v is the gradient at
+    signal_variance s and noise_variance g * s, and the diagonal jitter the
+    factorization of C_1 needed.
     """
     n = x.shape[0]
     w, jitter = chol_with_jitter(_self_kernel(x, hp), shift=hp.noise_variance)
     alpha = solve_spd(w, y)
-    value = (
-        -0.5 * float(y @ alpha)
-        + float(np.log(w.diagonal()).sum())
-        - 0.5 * n * LOG_2PI
-    )
+    q = float(y @ alpha)
+    log_det_w = float(np.log(w.diagonal()).sum())
     c_inv = dlauum(w, lower=1, overwrite_c=1)[0]
     diag = c_inv.T.reshape(-1)[:: n + 1]  # c_inv.T is C-contiguous: a view
     c_inv_diag = diag.copy()
-    # B z for z = [1, x_c]: K (alpha o z) reads the upper triangle, with K's
-    # own diagonal written back for that product; C^{-1} o K then replaces
-    # C^{-1} below it.
-    xc = z[:, 1:]
-    diag[...] = hp.signal_variance
-    g = alpha[:, None] * dsymm(1.0, c_inv, alpha[:, None] * z, lower=0)
+    # T1 = alpha_1 o (K~ (alpha_1 o z)) reads the upper triangle, with K~'s
+    # unit diagonal written back for that product; C_1^{-1} o K~ then
+    # replaces C_1^{-1} below it, and T2 = (C_1^{-1} o K~) z.
+    diag[...] = 1.0
+    t1 = alpha[:, None] * dsymm(1.0, c_inv, alpha[:, None] * z, lower=0)
     _times_transpose_below(c_inv)
-    diag[...] = c_inv_diag * hp.signal_variance
-    g -= dsymm(1.0, c_inv, z, lower=1)
-    r, bx = g[:, 0], g[:, 1:]
-    grad = np.empty(hp.dim + 2)
-    grad[0] = 0.5 * float(r.sum())
-    grad[1:-1] = (0.5 / hp.lengthscales) * (r @ xc**2 - np.sum(xc * bx, axis=0))
-    grad[-1] = 0.5 * hp.noise_variance * float(alpha @ alpha - c_inv_diag.sum())
-    return value, grad, jitter
+    diag[...] = c_inv_diag
+    t = np.stack((t1, dsymm(1.0, c_inv, z, lower=1)))
+    xc, r = z[:, 1:], t[:, :, 0]
+    uv = np.empty((2, hp.dim + 2))
+    uv[:, 0] = 0.5 * r.sum(axis=1)
+    uv[:, 1:-1] = (0.5 / hp.lengthscales) * (
+        r @ xc**2 - np.einsum("kij,ij->kj", t[:, :, 1:], xc)
+    )
+    uv[0, -1] = 0.5 * hp.noise_variance * float(alpha @ alpha)
+    uv[1, -1] = 0.5 * hp.noise_variance * float(c_inv_diag.sum())
+    return q, log_det_w, uv, jitter
 
 
 def _self_kernel(x, hp: Hyperparams):
@@ -238,10 +262,36 @@ def _times_transpose_below(a):
 
 
 def default_init(x) -> Hyperparams:
-    """Heuristic starting point: unit signal, per-dimension input spread."""
+    """Heuristic starting point: unit signal, per-dimension input spread.
+
+    Training profiles the signal variance out, so only the lengthscales and
+    the ratio g = noise_variance / signal_variance = 0.1 start the search.
+    """
     spread = np.std(as_points(x), axis=0)
     spread[spread <= 0] = 1.0
     return Hyperparams(1.0, spread, 0.1)
+
+
+def _profiled(parts, hp: Hyperparams):
+    """The summed evidence of prepared parts, maximized over signal_variance.
+
+    ``hp`` has signal_variance 1 and noise_variance g.  Scaling C_1 by s,
+    the evidence is maximized at s* = sum_p q_p / N, where its value is
+    -N/2 (1 + log 2 pi + log s*) + sum_p log_det_w_p.  Returns
+    ``(value, grad, s*, jitter)``: grad is with respect to
+    [log lengthscales..., log g] and needs no term for s*, whose own
+    derivative is 0 there; jitter is the largest any part needed, times s*,
+    which puts it on the scale of C itself.
+    """
+    n, q, log_det_w, uv, jitter = 0, 0.0, 0.0, 0.0, 0.0
+    for part in parts:
+        pq, p_log_det_w, p_uv, p_jitter = _unit_evidence(*part, hp)
+        n += part[1].shape[0]
+        q, log_det_w, uv = q + pq, log_det_w + p_log_det_w, uv + p_uv
+        jitter = max(jitter, p_jitter)
+    sf2 = q / n
+    value = -0.5 * n * (1.0 + LOG_2PI + math.log(sf2)) + log_det_w
+    return value, (uv[0] / sf2 - uv[1])[1:], sf2, jitter * sf2
 
 
 def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
@@ -249,30 +299,36 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
 
     Each part is an (x, y) pair scoring the same hyperparameters; a single
     part recovers ordinary GP training.  Each part is prepared once
-    (:func:`_prepare_part`), and each objective evaluation runs only
-    :func:`_lml` on every prepared part.  Runs ``restarts`` initializations
-    (the given one, then log-uniform +-1 perturbations of it) and returns
-    the best hyperparameters found with a :class:`TrainingInfo`.
+    (:func:`_prepare_part`).  L-BFGS-B searches theta = [log lengthscales...,
+    log g], g = noise_variance / signal_variance, and each objective
+    evaluation is :func:`_profiled`, which sets the signal variance to its
+    closed-form maximizer: the maximum over theta is the joint one.  Runs
+    ``restarts`` initializations (the given one, then log-uniform +-1
+    perturbations of its D + 1 entries) and returns the best hyperparameters
+    found with a :class:`TrainingInfo`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     parts = [_prepare_part(px, py) for px, py in parts]
-    evaluations, max_jitter = 0, 0.0
+    if not any(py.any() for _, py, _ in parts):
+        raise ValueError(
+            "training targets are all zero: the signal variance that best "
+            "explains them is 0"
+        )
+    evaluations, max_jitter, scales = 0, 0.0, {}
 
     def negative(theta):
         nonlocal evaluations, max_jitter
         evaluations += 1
-        hp = Hyperparams.from_log_vector(theta)
-        total, grad = 0.0, np.zeros(hp.dim + 2)
-        for px, py, pz in parts:
-            value, g, jitter = _lml(px, py, pz, hp)
-            total += value
-            grad += g
-            max_jitter = max(max_jitter, jitter)
-        return -total, -grad
+        hp = Hyperparams(1.0, np.exp(theta[:-1]), math.exp(theta[-1]))
+        value, grad, scales[theta.tobytes()], jitter = _profiled(parts, hp)
+        max_jitter = max(max_jitter, jitter)
+        return -value, -grad
 
     rng = np.random.default_rng(seed)
-    theta_init = init.to_log_vector()
+    theta_init = np.log(
+        np.append(init.lengthscales, init.noise_variance / init.signal_variance)
+    )
     best, best_jitter, iterations, failed, last_err = None, 0.0, 0, 0, None
     for r in range(restarts):
         theta0 = theta_init if r == 0 else theta_init + rng.uniform(
@@ -297,7 +353,8 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     if best is None:
         raise TrainingError("all optimizer restarts failed") from last_err
     info = TrainingInfo(evaluations, iterations, bool(best.success), failed, best_jitter)
-    return Hyperparams.from_log_vector(best.x), info
+    sf2, g = scales[best.x.tobytes()], math.exp(best.x[-1])
+    return Hyperparams(sf2, np.exp(best.x[:-1]), g * sf2), info
 
 
 def fit(x, y, restarts: int = 1, seed=0) -> GpModel:

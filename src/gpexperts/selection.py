@@ -280,7 +280,12 @@ def expert_graph(
     """Estimate the expert graph at penalty ``lam``; keep the top ``alpha``.
 
     The graphical lasso runs at its default ``tol`` and gets
-    ``max_iter=GLASSO_MAX_ITER`` by keyword.
+    ``max_iter=GLASSO_MAX_ITER`` by keyword.  ``lam`` is absolute, not
+    relative to the scale of S: it is in units of the target variance,
+    which is 1 under :func:`~gpexperts.bench.run_experiment`'s normalized
+    targets.  S grows with the square of the targets' scale, so an
+    ensemble built by hand on targets of variance v behaves as if ``lam``
+    were lam / v on normalized ones.
     """
     cov = prediction_covariance(ensemble, xs)
     omega, history, components, converged = graphical_lasso(

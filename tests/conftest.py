@@ -91,15 +91,18 @@ def force_jitter(monkeypatch):
     The first, jitter-free attempt of every ``chol_with_jitter`` call made
     from :mod:`gpexperts.gp` reports a failed pivot before touching the
     matrix, so the call retries with its first rung of jitter.  Returns one
-    list per optimizer run, in run order, of the jitter each factorization
-    in that run's likelihood evaluations needed.
+    list per optimizer run, in run order, of ``(jitter, signal_variance)``
+    for each factorization in that run's likelihood evaluations: the jitter
+    it needed, at signal_variance 1, and the profiled signal variance of
+    its evaluation.
     """
-    factor, chol, optimize = (
+    factor, chol, optimize, profiled = (
         gpexperts.linalg._factor_invert,
         gpexperts.gp.chol_with_jitter,
         gpexperts.gp._optimize_shared,
+        gpexperts.gp._profiled,
     )
-    runs, pending, training = [], [False], [False]
+    runs, pending, training, jitters = [], [False], [False], []
 
     def failing_first(a):
         if pending[0]:
@@ -111,8 +114,14 @@ def force_jitter(monkeypatch):
         pending[0] = True
         w, jitter = chol(*args, **kwargs)
         if training[0]:
-            runs[-1].append(jitter)
+            jitters.append(jitter)
         return w, jitter
+
+    def scaled(*args, **kwargs):
+        result = profiled(*args, **kwargs)
+        runs[-1].extend((jitter, result[2]) for jitter in jitters)
+        jitters.clear()
+        return result
 
     def recorded(*args, **kwargs):
         runs.append([])
@@ -124,6 +133,7 @@ def force_jitter(monkeypatch):
 
     monkeypatch.setattr(gpexperts.linalg, "_factor_invert", failing_first)
     monkeypatch.setattr(gpexperts.gp, "chol_with_jitter", jittered)
+    monkeypatch.setattr(gpexperts.gp, "_profiled", scaled)
     for module in (gpexperts.gp, gpexperts.experts):
         monkeypatch.setattr(module, "_optimize_shared", recorded)
     return runs

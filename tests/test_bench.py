@@ -106,9 +106,9 @@ def test_training_block_reports_the_jitter_training_needed(monkeypatch):
     runs = force_jitter(monkeypatch)
     config = ExperimentConfig(methods=("fullgp", "poe"), measure_time=False, **FAST)
     training = json.loads(render_report(run_experiment(config), "json"))["training"]
-    assert len(runs) == 2 and min(map(min, runs)) > 0.0
-    assert training["ensemble"]["max_jitter"] == max(runs[0])
-    assert training["fullgp"]["max_jitter"] == max(runs[1])
+    assert len(runs) == 2 and min(j for run in runs for j, _ in run) > 0.0
+    assert training["ensemble"]["max_jitter"] == max(j * sf2 for j, sf2 in runs[0])
+    assert training["fullgp"]["max_jitter"] == max(j * sf2 for j, sf2 in runs[1])
 
 
 def test_training_block_reports_the_partitioner(basic_report):

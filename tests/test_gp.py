@@ -116,16 +116,18 @@ def test_only_the_gradient_sees_the_unmirrored_self_kernel(monkeypatch):
     assert np.exp(np.log(hp.signal_variance)) > hp.signal_variance
     assert not np.array_equal(raw, raw.T)
     assert np.any(np.diagonal(raw) != hp.signal_variance)
-    part = gpexperts.gp._prepare_part(x, y)
+    part, unit = gpexperts.gp._prepare_part(x, y), unit_hyperparams(hp)
     model = factorize(x, y, hp)
-    value, grad, jitter = gpexperts.gp._lml(*part, hp)
+    q, log_det_w, uv, jitter = gpexperts.gp._unit_evidence(*part, unit)
     monkeypatch.setattr(gpexperts.gp, "_self_kernel", mirrored_self_kernel)
     mirrored = factorize(x, y, hp)
-    assert (value, jitter) == gpexperts.gp._lml(*part, hp)[::2]
+    again = gpexperts.gp._unit_evidence(*part, unit)
+    assert (q, log_det_w, jitter) == (again[0], again[1], again[3])
     np.testing.assert_array_equal(model.chol_inv, mirrored.chol_inv)
     np.testing.assert_array_equal(model.alpha, mirrored.alpha)
     assert model.jitter == mirrored.jitter == jitter == 0.0
     # The gradient reads the GEMM's lower triangle, which rounds apart.
+    grad = uv[0] / hp.signal_variance - uv[1]
     np.testing.assert_allclose(grad, dense_gradient(x, y, hp), rtol=1e-8)
 
 
@@ -142,15 +144,25 @@ def test_lml_builds_the_kernel_matrix_once(monkeypatch):
     assert len(calls) == 1
 
 
+def unit_hyperparams(hp):
+    """``hp`` at signal_variance 1, with g = noise / signal as its noise."""
+    return Hyperparams(1.0, hp.lengthscales, hp.noise_variance / hp.signal_variance)
+
+
 @pytest.mark.parametrize("d", [1, 8])
 def test_core_on_a_prepared_part_matches_the_public_function(d):
     # Training prepares a part once and reuses it for every evaluation, so
-    # a core call must leave the prepared part as it found it.
+    # a core call must leave the prepared part as it found it.  The value
+    # and gradient are formed from the core's pieces as in
+    # log_marginal_likelihood.
     x, y = sample_problem(40, d, seed=15)
     part = gpexperts.gp._prepare_part(x, y)
     for hp in (Hyperparams(1.3, np.linspace(0.5, 2.0, d), 0.05),
                Hyperparams(0.7, np.linspace(2.0, 0.3, d), 0.2)):
-        value, grad, jitter = gpexperts.gp._lml(*part, hp)
+        q, log_det_w, uv, jitter = gpexperts.gp._unit_evidence(*part, unit_hyperparams(hp))
+        sf2 = hp.signal_variance
+        value = -0.5 * (q / sf2 + 40 * (np.log(sf2) + gpexperts.gp.LOG_2PI)) + log_det_w
+        grad = uv[0] / sf2 - uv[1]
         expected_value, expected_grad = log_marginal_likelihood(x, y, hp)
         assert value == expected_value and jitter == 0.0
         np.testing.assert_array_equal(grad, expected_grad)
@@ -209,13 +221,13 @@ def test_more_restarts_never_lose_likelihood():
 
 def test_fit_records_its_training(monkeypatch):
     calls = []
-    core = gpexperts.gp._lml
+    core = gpexperts.gp._unit_evidence
 
     def counted(*args, **kwargs):
         calls.append(1)
         return core(*args, **kwargs)
 
-    monkeypatch.setattr(gpexperts.gp, "_lml", counted)
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", counted)
     x, y = sample_problem(25, 2, seed=8)
     model = fit(x, y, restarts=2, seed=9)
     info = model.training
@@ -230,7 +242,7 @@ def test_failed_restarts_are_skipped_and_counted(monkeypatch):
     # two perturbed restarts fail at their first evaluation.
     x, y = sample_problem(25, 2, seed=8)
     path = set()
-    core = gpexperts.gp._lml
+    core = gpexperts.gp._unit_evidence
 
     def recording(px, py, pz, hp):
         path.add(hp.to_log_vector().tobytes())
@@ -241,9 +253,9 @@ def test_failed_restarts_are_skipped_and_counted(monkeypatch):
             raise SingularMatrixError("off the first restart's path")
         return core(px, py, pz, hp)
 
-    monkeypatch.setattr(gpexperts.gp, "_lml", recording)
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", recording)
     one = fit(x, y, restarts=1, seed=9)
-    monkeypatch.setattr(gpexperts.gp, "_lml", failing_off_path)
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", failing_off_path)
     three = fit(x, y, restarts=3, seed=9)
     assert three.hp.signal_variance == one.hp.signal_variance
     np.testing.assert_array_equal(three.hp.lengthscales, one.hp.lengthscales)
@@ -257,7 +269,7 @@ def test_fit_raises_when_every_restart_fails(monkeypatch):
     def failing(px, py, pz, hp):
         raise SingularMatrixError("no factor")
 
-    monkeypatch.setattr(gpexperts.gp, "_lml", failing)
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", failing)
     x, y = sample_problem(25, 2, seed=8)
     with pytest.raises(TrainingError, match="all optimizer restarts") as caught:
         fit(x, y, restarts=3, seed=9)
@@ -272,7 +284,7 @@ def test_fit_needs_at_least_one_restart():
 
 def test_training_prepares_each_part_once(monkeypatch, small_data):
     prepared, seen, calls = [], {}, []
-    prepare, core = gpexperts.gp._prepare_part, gpexperts.gp._lml
+    prepare, core = gpexperts.gp._prepare_part, gpexperts.gp._unit_evidence
 
     def counted(x, y):
         prepared.append(1)
@@ -285,7 +297,7 @@ def test_training_prepares_each_part_once(monkeypatch, small_data):
         return core(px, py, pz, hp)
 
     monkeypatch.setattr(gpexperts.gp, "_prepare_part", counted)
-    monkeypatch.setattr(gpexperts.gp, "_lml", recording)
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", recording)
     parts = partition_kmeans(small_data.x_train, 3, seed=1)
     ensemble = train_ensemble(small_data.x_train, small_data.y_train, parts, seed=2)
     assert ensemble.training.evaluations > 1
@@ -294,13 +306,48 @@ def test_training_prepares_each_part_once(monkeypatch, small_data):
 
 
 def test_training_reports_the_largest_jitter_it_needed(monkeypatch):
+    # Training factors C / signal_variance; the report puts each jitter on
+    # C's own scale, times the signal variance of its evaluation.
     x, y = sample_problem(25, 2, seed=8)
     assert fit(x, y, seed=9).training.max_jitter == 0.0
     runs = force_jitter(monkeypatch)
     model = fit(x, y, seed=9)
-    assert len(runs) == 1 and min(runs[0]) > 0.0
+    assert len(runs) == 1 and min(j for j, _ in runs[0]) > 0.0
     assert len(runs[0]) == model.training.evaluations
-    assert model.training.max_jitter == max(runs[0])
+    assert model.training.max_jitter == max(j * sf2 for j, sf2 in runs[0])
+
+
+@pytest.mark.parametrize("train", ["fit", "train_ensemble"])
+def test_training_on_all_zero_targets_names_them(train):
+    # The signal variance that best explains zero targets is 0, which no
+    # Hyperparams can hold: training refuses before it optimizes.
+    x, _ = sample_problem(12, 2, seed=8)
+    with pytest.raises(ValueError, match="targets are all zero"):
+        if train == "fit":
+            fit(x, np.zeros(12))
+        else:
+            train_ensemble(x, np.zeros(12), partition_kmeans(x, 3, seed=0))
+
+
+def test_restarts_perturb_the_lengthscales_and_the_noise_ratio(monkeypatch):
+    # The search runs over [log lengthscales, log g], D + 1 entries: each
+    # perturbed restart draws D + 1 numbers from the seeded generator.
+    starts, minimize = [], gpexperts.gp.minimize
+
+    def recording(fun, x0, **kwargs):
+        starts.append(x0)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpexperts.gp, "minimize", recording)
+    x, y = sample_problem(25, 2, seed=8)
+    fit(x, y, restarts=3, seed=9)
+    init = gpexperts.gp.default_init(x)
+    theta = np.log(np.append(init.lengthscales, 0.1))
+    draws = np.random.default_rng(9).uniform(-1.0, 1.0, size=(2, 3))
+    assert [start.shape for start in starts] == [(3,)] * 3
+    np.testing.assert_array_equal(starts[0], theta)
+    np.testing.assert_array_equal(starts[1], theta + draws[0])
+    np.testing.assert_array_equal(starts[2], theta + draws[1])
 
 
 def noise_input_problem():

@@ -2,14 +2,17 @@
 
 The sweep covers input dimension D in {1, 2, 8}, m in {1, 2, 5, 20} experts
 of 40 points each, k-means and random parts, and two data seeds, plus a
-noise-free ensemble and one with a duplicated expert.  Every ensemble is
-built at fixed hyperparameters, so nothing is trained.  Each tolerance is
-derived from the quantity it bounds, next to the assertion that uses it;
-eps is the double-precision machine epsilon, twice the unit roundoff.
+noise-free ensemble and one with a duplicated expert.  Every ensemble of
+the fusion invariants is built at fixed hyperparameters, so nothing is
+trained there; the last tests train on the sweep's data and check the
+profiled evidence that training maximizes.  Each tolerance is derived from
+the quantity it bounds, next to the assertion that uses it; eps is the
+double-precision machine epsilon, twice the unit roundoff.
 """
 
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,15 +22,19 @@ from gpexperts import (
     Hyperparams,
     bcm_aggregate,
     expert_graph,
+    fit,
     graphical_lasso,
+    kernel_matrix,
+    log_marginal_likelihood,
     npae_aggregate,
     partition_kmeans,
     partition_random,
     poe_aggregate,
     select_experts,
+    train_ensemble,
 )
 from gpexperts.committee import compute_weights
-from gpexperts.gp import _latent_variance
+from gpexperts.gp import LOG_2PI, _latent_variance, _prepare_part, _profiled, default_init
 
 EPS = np.finfo(float).eps
 PART_SIZE, N_TEST, LAM = 40, 40, 0.05
@@ -57,10 +64,8 @@ CONFIGS += [ZERO_NOISE, DUPLICATED]
 IDS = [f"d{d}-m{m}-{part}-seed{seed}{edge}" for d, m, part, seed, edge in CONFIGS]
 
 
-@pytest.fixture(scope="module", params=CONFIGS, ids=IDS)
-def built(request):
-    """(ensemble, test inputs, expert graph) of one config."""
-    d, m, partition, seed, edge = request.param
+def sweep_data(d, m, partition, seed):
+    """(generator, inputs, targets, partitioning) of one config."""
     rng = np.random.default_rng(seed)
     n = PART_SIZE * m
     x = rng.uniform(0.0, 1.0, size=(n, d))
@@ -69,7 +74,20 @@ def built(request):
         parts = partition_kmeans(x, m, seed=seed)
     else:
         parts = partition_random(n, m, seed=seed)
-    blocks = [(x[idx], y[idx]) for idx in map(parts.indices, range(m))]
+    return rng, x, y, parts
+
+
+def blocks_of(x, y, parts):
+    """The (inputs, targets) pair of each part."""
+    return [(x[idx], y[idx]) for idx in map(parts.indices, range(parts.n_parts))]
+
+
+@pytest.fixture(scope="module", params=CONFIGS, ids=IDS)
+def built(request):
+    """(ensemble, test inputs, expert graph) of one config."""
+    d, m, partition, seed, edge = request.param
+    rng, x, y, parts = sweep_data(d, m, partition, seed)
+    blocks = blocks_of(x, y, parts)
     hp = HP[d] if not edge else Hyperparams(1.0, HP[d].lengthscales, 0.0)
     ens = manual_ensemble(blocks + blocks[:1] if edge == "-duplicated" else blocks, hp)
     xs = rng.uniform(-0.5, 1.5, size=(N_TEST, d))
@@ -207,3 +225,101 @@ def test_a_converged_graph_meets_its_kkt_gate(built):
     slack = len(omega) * np.linalg.cond(omega) * EPS * np.linalg.norm(w, 2)
     assert graph.converged  # every graph of the sweep stops on its gate
     assert residual.max() <= tol * LAM + slack
+
+
+# Training on the sweep's data: the ensemble on every noisy config, and fit
+# on the whole data of each k-means one up to m = 5, 200 points (fit ignores
+# the partition; at 800 points its checks would take most of this module's
+# time).
+TRAINED = [(c, "ensemble") for c in CONFIGS if not c[-1]]
+TRAINED += [(c, "fit") for c in CONFIGS if not c[-1] and c[2] == "kmeans" and c[1] <= 5]
+TRAINED_IDS = [f"{IDS[CONFIGS.index(c)]}-{how}" for c, how in TRAINED]
+
+
+@pytest.fixture(scope="module", params=TRAINED, ids=TRAINED_IDS)
+def trained(request):
+    """(data parts, trained hyperparameters) of one config."""
+    (d, m, partition, seed, _), how = request.param
+    _, x, y, parts = sweep_data(d, m, partition, seed)
+    if how == "fit":
+        return [(x, y)], fit(x, y, seed=seed).hp
+    return blocks_of(x, y, parts), train_ensemble(x, y, parts, seed=seed).hp
+
+
+def covariances(blocks, hp):
+    """C = K + noise * I of each part."""
+    return [kernel_matrix(bx, bx, hp) + hp.noise_variance * np.eye(len(bx))
+            for bx, _ in blocks]
+
+
+def test_the_trained_signal_variance_maximizes_the_evidence(trained):
+    # At fixed g = noise / signal, d/dlog(signal) of a part's evidence is
+    # grad[0] + grad[-1] = 0.5 tr((alpha alpha^T - C^{-1}) C)
+    # = 0.5 (y^T C^{-1} y / signal - n), and training sets the signal
+    # variance where the sum over parts is 0.  Both traces go through a
+    # computed inverse X of C, whose residual X C - I is at most about
+    # n kappa(C) u in norm (u = eps / 2); its trace is then at most
+    # n^2 kappa(C) u per part.
+    blocks, hp = trained
+    total = sum(
+        grad[0] + grad[-1]
+        for grad in (log_marginal_likelihood(bx, by, hp)[1] for bx, by in blocks)
+    )
+    bound = EPS * sum(len(c) ** 2 * np.linalg.cond(c) for c in covariances(blocks, hp))
+    assert abs(total) <= bound
+
+
+def unit_points(blocks, hp):
+    """The trained point and default_init's, at signal_variance 1."""
+    init = default_init(np.vstack([bx for bx, _ in blocks]))
+    return [
+        Hyperparams(1.0, hp.lengthscales, hp.noise_variance / hp.signal_variance),
+        Hyperparams(1.0, init.lengthscales, init.noise_variance / init.signal_variance),
+    ]
+
+
+def evidence_rounding(blocks, hp):
+    """Bound on the gap between two ways of adding up the evidence at ``hp``.
+
+    :func:`_profiled` adds the parts' pieces and sets y^T C^{-1} y summed
+    over parts to N; the sum of ``log_marginal_likelihood`` adds each
+    part's terms.  Each of the at most 3m + 3 operations rounds a partial
+    sum no larger than the sum of the terms' magnitudes, ``scale``.  The
+    round trip of g through noise = g * signal moves g by an ulp, and so
+    each part's y^T C^{-1} y / signal by at most kappa(C) ulps of itself.
+    """
+    cs = covariances(blocks, hp)
+    n, log_sf2 = sum(map(len, cs)), abs(math.log(hp.signal_variance))
+    scale = n * (1.0 + LOG_2PI + 2.0 * log_sf2)
+    scale += 0.5 * sum(abs(np.linalg.slogdet(c)[1]) for c in cs)
+    return EPS * ((3 * len(cs) + 3) * scale + n * max(map(np.linalg.cond, cs)))
+
+
+def test_the_profiled_value_is_the_evidence_at_the_profiled_scale(trained):
+    blocks, hp = trained
+    parts = [_prepare_part(bx, by) for bx, by in blocks]
+    for unit in unit_points(blocks, hp):
+        value, _, sf2, _ = _profiled(parts, unit)
+        full = Hyperparams(sf2, unit.lengthscales, unit.noise_variance * sf2)
+        total = sum(log_marginal_likelihood(bx, by, full)[0] for bx, by in blocks)
+        assert abs(value - total) <= evidence_rounding(blocks, full)
+
+
+def test_the_profiled_gradient_matches_central_differences(trained):
+    # At default_init's point, where the gradient is far from 0.  A central
+    # difference with step h errs by h^2 |f'''| / 6, allowed here as 1e-6 of
+    # the derivative, plus the rounding of its two values over 2h.
+    blocks, hp = trained
+    parts = [_prepare_part(bx, by) for bx, by in blocks]
+    unit = unit_points(blocks, hp)[1]
+    _, grad, sf2, _ = _profiled(parts, unit)
+    theta, h = np.log(np.append(unit.lengthscales, unit.noise_variance)), 1e-5
+
+    def value(t):
+        return _profiled(parts, Hyperparams(1.0, np.exp(t[:-1]), math.exp(t[-1])))[0]
+
+    full = Hyperparams(sf2, unit.lengthscales, unit.noise_variance * sf2)
+    rounding = evidence_rounding(blocks, full)
+    for j, step in enumerate(h * np.eye(len(theta))):
+        central = (value(theta + step) - value(theta - step)) / (2.0 * h)
+        assert abs(central - grad[j]) <= 1e-6 * abs(grad[j]) + rounding / h
