@@ -19,6 +19,7 @@ Weight schemes: "ones" gives the plain product of experts / committee
 machine, "uniform" (1/m) the conservative generalized product, and
 "diff_entropy" weights each expert by its information gain over the prior,
 0.5 * (log prior_var - log var_i), which yields the robust committee machine.
+The product rule takes the first two only; rbcm and grbcm use the third.
 
 The member means and c_i come from :meth:`ExpertEnsemble.moments`, so all
 rules at one test set share one pass over the experts; ``gp._latent_variance``
@@ -88,17 +89,15 @@ def poe_aggregate(
     """Product-of-experts fusion: precisions add, weighted by the scheme.
 
     scheme="ones" is the classic product; scheme="uniform" the generalized
-    product whose fused variance is m times less confident.  "diff_entropy"
-    weights sum to 1 at each point (Deisenroth & Ng, ICML 2015), so no fused
-    variance exceeds the largest member's; where all are 0, the latent prior.
+    product whose fused variance is m times less confident.  These are the
+    only two schemes it takes.
     """
+    if scheme not in ("ones", "uniform"):
+        raise ValueError(f"poe takes scheme 'ones' or 'uniform', not {scheme!r}")
     means, c = ensemble.moments(xs, subset)
     variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance  # latent, as the fused variances are
     betas = compute_weights(scheme, variances, prior_var)
-    if scheme == "diff_entropy":
-        total = np.sum(betas, axis=1, keepdims=True)
-        betas = np.divide(betas, total, out=np.zeros_like(betas), where=total > 0)
     return _fuse(means, variances, betas, prior_var, exact)
 
 

@@ -2,8 +2,9 @@
 
 Both paths produce a :class:`Dataset` normalized to zero mean and unit
 variance per input column and for the targets, using training statistics
-only.  Metrics downstream are computed on this normalized scale; the
-statistics kept in ``Dataset.norm`` map predictions back.
+only.  Metrics downstream are computed on this normalized scale.  A
+``Dataset`` holds only the normalized arrays: it keeps no statistics (it
+has no ``norm``), so nothing maps predictions back to the raw scale.
 """
 
 from dataclasses import dataclass
@@ -12,22 +13,11 @@ import numpy as np
 
 
 @dataclass
-class NormStats:
-    """Training-set statistics used to normalize (and undo)."""
-
-    x_mean: np.ndarray
-    x_std: np.ndarray
-    y_mean: float
-    y_std: float
-
-
-@dataclass
 class Dataset:
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    norm: NormStats
 
     @property
     def n_train(self) -> int:
@@ -54,13 +44,11 @@ def _normalize(x_train, y_train, x_test, y_test) -> Dataset:
     x_std[x_std <= 0] = 1.0
     y_mean = float(y_train.mean())
     y_std = float(y_train.std()) or 1.0
-    stats = NormStats(x_mean, x_std, y_mean, y_std)
     return Dataset(
         (x_train - x_mean) / x_std,
         (y_train - y_mean) / y_std,
         (x_test - x_mean) / x_std,
         (y_test - y_mean) / y_std,
-        stats,
     )
 
 

@@ -9,11 +9,10 @@ The likelihood is computed at signal variance 1.  With K = s K~ (K~ has a
 unit diagonal) and g = noise / s, C = s C_1 with C_1 = K~ + g I, so
 alpha = alpha_1 / s and log det C = n log s + log det C_1: one
 factorization of C_1 gives the evidence at every s.  Each evaluation holds
-one n x n buffer, reused in place: K~ from :func:`_self_kernel`, which
-skips the kernel's mirror pass.  On and below the diagonal it holds the
-same bits as the mirrored ``kernel_matrix(x, x)``; its strict upper
-triangle, which may differ by rounding, keeps K~ for the gradient.  On and
-below the diagonal, C_1 becomes W = L^{-1}
+one n x n buffer, reused in place: K~ from :func:`_self_kernel`.  Its
+strict upper triangle, which with D >= 2 may round apart from the lower
+one, keeps K~ for the gradient.  On and below the diagonal, C_1 becomes
+W = L^{-1}
 (:func:`~gpexperts.linalg.chol_with_jitter`, a recursive factor-and-invert
 built from BLAS triangular and symmetric rank-k products), then
 C_1^{-1} = W^T W (LAPACK ``dlauum``), then C_1^{-1} o K~.
@@ -233,17 +232,18 @@ def _unit_evidence(x, y, z, hp: Hyperparams):
 
 
 def _self_kernel(x, hp: Hyperparams):
-    """K(x, x) in Fortran order, without :func:`kernel_matrix`'s mirror pass.
+    """K(x, x) in Fortran order, with its diagonal exactly signal_variance.
 
-    The view ``x[:]`` is not ``x``, so the kernel comes back as its raw GEMM.
-    Its transpose holds the GEMM's upper triangle on and below the diagonal,
-    the same bits as ``kernel_matrix(x, x, hp)``, with the diagonal set to
-    signal_variance as there.  The strict upper triangle holds the GEMM's
-    lower one, which with D >= 2 differs by rounding; only the likelihood
-    gradient, a jitter retry and :func:`_augmented`'s Schur complement read
-    it.
+    ``kernel_matrix(x, x, hp)`` transposed: on and below the diagonal it
+    holds the kernel's upper triangle, where the factorizations read, and
+    the diagonal is written here, since with D >= 2 the kernel's own may
+    miss signal_variance by a few ulps.  The strict upper triangle holds
+    the kernel's lower one, which with D >= 2 may differ by rounding; only
+    the likelihood gradient, a jitter retry and :func:`_augmented`'s Schur
+    complement read it.  No mirror pass runs: it would cost about a third
+    of an 8-D self-kernel.
     """
-    k = kernel_matrix(x, x[:], hp)
+    k = kernel_matrix(x, x, hp)
     k.reshape(-1)[:: k.shape[0] + 1] = hp.signal_variance
     return k.T
 
@@ -310,10 +310,15 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     parts = [_prepare_part(px, py) for px, py in parts]
-    if not any(py.any() for _, py, _ in parts):
+    # s* scales as the targets' mean square: outside the normal floats it
+    # is 0, infinite, or a subnormal whose factorizations underflow.
+    n = sum(py.size for _, py, _ in parts)
+    with np.errstate(over="ignore"):
+        mean_square = sum(float(py @ py) for _, py, _ in parts) / n
+    if not np.finfo(float).tiny <= mean_square < math.inf:
         raise ValueError(
-            "training targets are all zero: the signal variance that best "
-            "explains them is 0"
+            "training targets are all zero or out of scale: their mean square "
+            f"{mean_square:.3e} is not a positive normal float"
         )
     evaluations, max_jitter, scales = 0, 0.0, {}
 

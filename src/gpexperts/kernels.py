@@ -17,14 +17,15 @@ D >= 2, for a and b the rows of x and x2, less x's mean, over sqrt(l), one
 GEMM of [a, log sf2 - |a|^2/2, 1] and [b, 1, -|b|^2/2] gives log K, then a
 clip at log sf2 and an exp.  Its error in log k is a few ulps of |a|^2 + |b|^2, and
 an entry may move by a few ulps with the other rows of x2 in the call, as
-BLAS orders its sums by block shape.
+BLAS orders its sums by block shape.  So with D >= 2 the self-kernel
+``kernel_matrix(x, x, hp)`` is not bitwise symmetric, and its diagonal may
+miss signal_variance by those ulps: callers that need either (the
+factorizations, through ``gp._self_kernel``) write it themselves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import _mirror_upper
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,6 @@ class Hyperparams:
             )
         )
 
-    @staticmethod
-    def from_log_vector(theta) -> "Hyperparams":
-        theta = np.asarray(theta, dtype=float)
-        vals = np.exp(theta)
-        return Hyperparams(float(vals[0]), vals[1:-1].copy(), float(vals[-1]))
-
 
 def as_points(x) -> np.ndarray:
     """Inputs as an (n, D) float array: a 1-D array is n points of one input."""
@@ -91,18 +86,13 @@ def as_points(x) -> np.ndarray:
 def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """Cross-kernel matrix of shape (n, m), C-ordered, for row sets ``x`` and ``x2``.
 
-    Bitwise symmetric for ``x2 is x``, with the diagonal exactly signal_variance.
-    In 1-D each entry comes from its own pair alone, as signal_variance *
-    exp(-0.5 * (u - v)^2) of the scaled points u and v, so identical rows
-    give signal_variance exactly.  With D >= 2, ``x2 is x`` copies the GEMM's
-    upper triangle onto its lower one and sets the diagonal.  The
-    factorizations in :mod:`gpexperts.gp` (the likelihood, ``factorize`` and
-    grbcm's augmented experts) pass the view ``x[:]`` instead, which is not
-    ``x``, and get the raw GEMM: each reads one triangle and writes the
-    diagonal itself, so the mirror pass, about a third of an 8-D
-    self-kernel, would be wasted there.
+    The method depends on D alone, so equal inputs give equal bits, whether
+    or not ``x2`` is ``x``.  In 1-D each entry comes from its own pair alone,
+    as signal_variance * exp(-0.5 * (u - v)^2) of the scaled points u and v,
+    so the self-kernel is symmetric and identical rows give signal_variance
+    exactly.  With D >= 2 it is one GEMM, which promises neither (see the
+    module docstring).
     """
-    same = x2 is x
     x, x2 = as_points(x), as_points(x2)
     if x.shape[1] != x2.shape[1]:
         raise ValueError(f"input dims differ: {x.shape[1]} vs {x2.shape[1]}")
@@ -124,9 +114,6 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     lifted[0][:, -2] += log_sf2
     k = lifted[0] @ lifted[1].T
     np.exp(np.minimum(k, log_sf2, out=k), out=k)
-    if same:
-        _mirror_upper(k)
-        k.reshape(-1)[:: k.shape[0] + 1] = hp.signal_variance
     return k
 
 

@@ -28,7 +28,9 @@ def chol_with_jitter(a, maximum=1e-4, scale=None, shift=0.0):
     triangle is rebuilt from the strict upper one and the original diagonal,
     ``1e-10 * s`` is added to the diagonal, where ``s`` is ``scale`` or,
     when that is None, the mean of the shifted diagonal, and the jitter
-    grows tenfold per retry until it would exceed ``maximum * s``.
+    grows tenfold per retry until it would exceed ``maximum * s``.  A
+    first rung that underflows to 0 (s below about 5e-314) ends the ladder
+    at once.
 
     Returns ``(W, jitter)``: the array holding W in its lower triangle, and
     the jitter actually applied (0.0 for a clean factorization).  Raises
@@ -53,7 +55,7 @@ def chol_with_jitter(a, maximum=1e-4, scale=None, shift=0.0):
             jitter = 1e-10 * scale
         else:
             jitter *= 10.0
-        if jitter > maximum * scale * (1.0 + 1e-12):
+        if jitter == 0.0 or jitter > maximum * scale * (1.0 + 1e-12):
             raise SingularMatrixError(
                 f"Cholesky failed at jitter {jitter:.3e} (scale {scale:.3e})"
             )

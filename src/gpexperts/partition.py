@@ -62,11 +62,12 @@ def _kmeans_pp_centers(x, m, rng):
 
 
 def _lloyd(x, centers, max_iter):
-    """Lloyd iterations; returns (assignments, per-iteration WCSS history,
-    converged), where converged means the last iteration moved no point."""
+    """Lloyd iterations, updating ``centers`` in place; returns (assignments,
+    iterations run, converged), where converged means the last iteration
+    moved no point."""
     m = centers.shape[0]
-    assign, history, changed = np.full(x.shape[0], -1), [], True
-    for _ in range(max_iter):
+    assign, iterations, changed = np.full(x.shape[0], -1), 0, True
+    for iterations in range(1, max_iter + 1):
         d2 = cdist(x, centers, "sqeuclidean")
         new_assign = np.argmin(d2, axis=1)
         # Repair empty clusters by stealing the point farthest from its
@@ -83,10 +84,9 @@ def _lloyd(x, centers, max_iter):
         assign = new_assign
         for d in range(x.shape[1]):
             centers[:, d] = np.bincount(assign, weights=x[:, d], minlength=m) / counts
-        history.append(float(np.sum((x - centers[assign]) ** 2)))
         if not changed:
             break
-    return assign, history, not changed
+    return assign, iterations, not changed
 
 
 def partition_kmeans(x, n_parts: int, seed=0) -> Partitioning:
@@ -96,8 +96,8 @@ def partition_kmeans(x, n_parts: int, seed=0) -> Partitioning:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={x.shape[0]}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_centers(x, n_parts, rng)
-    assign, history, converged = _lloyd(x, centers, LLOYD_MAX_ITER)
-    return Partitioning(assign, n_parts, len(history), converged)
+    assign, iterations, converged = _lloyd(x, centers, LLOYD_MAX_ITER)
+    return Partitioning(assign, n_parts, iterations, converged)
 
 
 def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:

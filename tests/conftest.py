@@ -9,13 +9,16 @@ import gpexperts.gp
 import gpexperts.linalg
 from gpexperts import (
     ExpertEnsemble,
+    Hyperparams,
     Partitioning,
     kernel_matrix,
     partition_kmeans,
     synth_dataset,
+    synth_f,
     train_ensemble,
 )
-from gpexperts.gp import factorize
+from gpexperts.committee import _fuse, _set_aside_exact, compute_weights
+from gpexperts.gp import _latent_variance, factorize
 
 
 @pytest.fixture(scope="session")
@@ -60,14 +63,43 @@ def expert_weights(expert, xs):
     return np.linalg.solve(c, kernel_matrix(expert.x, xs, expert.hp)).T
 
 
-def mirrored_self_kernel(x, hp):
-    """The self-kernel as the mirrored ``kernel_matrix(x, x, hp)``, Fortran-ordered.
+def from_log_vector(theta):
+    """Hyperparams from [log signal_variance, log lengthscales..., log noise_variance],
+    the layout of :meth:`Hyperparams.to_log_vector`."""
+    vals = np.exp(np.asarray(theta, dtype=float))
+    return Hyperparams(float(vals[0]), vals[1:-1].copy(), float(vals[-1]))
 
-    Patched over ``gpexperts.gp._self_kernel``, it hands the factorizations
-    a kernel whose triangles agree bit for bit and whose diagonal
-    ``kernel_matrix`` itself set.
+
+def mirrored_self_kernel(x, hp):
+    """The self-kernel with the upper triangle mirrored, Fortran-ordered.
+
+    ``kernel_matrix(x, x, hp)`` with its upper triangle copied onto its
+    lower one and its diagonal set to signal_variance.  Patched over
+    ``gpexperts.gp._self_kernel``, it hands the factorizations a kernel
+    whose triangles agree bit for bit; on and below the diagonal it holds
+    the same bits as the raw self-kernel that ``_self_kernel`` returns.
     """
-    return kernel_matrix(x, x, hp).T
+    k = kernel_matrix(x, x, hp)
+    gpexperts.linalg._mirror_upper(k)
+    k.reshape(-1)[:: k.shape[0] + 1] = hp.signal_variance
+    return k.T
+
+
+def entropy_weighted_poe(ensemble, xs, subset=None):
+    """poe with information-gain weights normalized to sum to 1 at each point.
+
+    The generalized product of Deisenroth & Ng (ICML 2015): the
+    "diff_entropy" weights against the latent prior, each divided by their
+    sum, so no fused variance exceeds the largest member's.  Where all are
+    0 the point gets the latent prior and is flagged.
+    """
+    means, c = ensemble.moments(xs, subset)
+    variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
+    prior_var = ensemble.hp.signal_variance
+    betas = compute_weights("diff_entropy", variances, prior_var)
+    total = np.sum(betas, axis=1, keepdims=True)
+    betas = np.divide(betas, total, out=np.zeros_like(betas), where=total > 0)
+    return _fuse(means, variances, betas, prior_var, exact)
 
 
 def kernel_eval(x, x2, hp):
@@ -80,9 +112,28 @@ def kernel_eval(x, x2, hp):
     return float(hp.signal_variance * np.exp(-0.5 * d2))
 
 
-def denormalize_targets(dataset, values):
-    """Map normalized target-scale values back to the raw scale."""
-    return np.asarray(values, dtype=float) * dataset.norm.y_std + dataset.norm.y_mean
+def synth_raw(n, n_test, noise_sd, seed):
+    """The raw draws that ``synth_dataset(n, n_test, noise_sd, seed)``
+    normalizes, by its documented recipe: (x_train, y_train, x_test, y_test)."""
+    rng = np.random.default_rng(seed)
+    x_train = rng.uniform(0.0, 1.0, size=n)
+    y_train = synth_f(x_train) + rng.normal(0.0, noise_sd, size=n)
+    x_test = np.linspace(-0.2, 1.2, n_test)
+    return x_train, y_train, x_test, synth_f(x_test)
+
+
+def split_rows(n, train_fraction, seed):
+    """Row indices (train, test) of ``load_delimited``'s seeded split."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = int(train_fraction * n)
+    return perm[:n_train], perm[n_train:]
+
+
+def to_raw_scale(values, raw_train):
+    """Undo the normalization by the raw training values' statistics, per column."""
+    raw_train = np.asarray(raw_train, dtype=float)
+    std = raw_train.std(axis=0)
+    return values * np.where(std > 0, std, 1.0) + raw_train.mean(axis=0)
 
 
 def force_jitter(monkeypatch):

@@ -29,6 +29,7 @@ from gpexperts import (
     synth_dataset,
     train_ensemble,
 )
+from conftest import from_log_vector
 from gpexperts.bench import render_report
 
 LAMBDA_GRID = (0.01, 0.05, 0.1, 0.3, 0.7)
@@ -174,8 +175,8 @@ def test_02_likelihood_gradient_against_finite_differences():
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            vp, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(tp))
-            vm, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(tm))
+            vp, _ = log_marginal_likelihood(x, y, from_log_vector(tp))
+            vm, _ = log_marginal_likelihood(x, y, from_log_vector(tm))
             fd = (vp - vm) / (2.0 * h)
             worst = max(worst, abs(grad[j] - fd) / max(abs(fd), 1e-8))
     report_line(

@@ -7,7 +7,7 @@ import gpexperts.committee
 import gpexperts.experts
 import gpexperts.gp
 import gpexperts.linalg
-from conftest import manual_ensemble, mirrored_self_kernel
+from conftest import entropy_weighted_poe, manual_ensemble, mirrored_self_kernel
 from gpexperts import bench
 from gpexperts import (
     ExpertEnsemble,
@@ -56,6 +56,14 @@ def test_weight_schemes():
     np.testing.assert_allclose(ent, 0.5 * (np.log(1.0) - np.log(v)))
     with pytest.raises(ValueError):
         compute_weights("softmax", v, 1.0)
+
+
+def test_poe_takes_only_the_ones_and_uniform_schemes():
+    # Unnormalized information-gain weights would fuse a point that every
+    # expert has barely seen far above the prior; the product refuses them.
+    ens = make_ensemble(seed=1)
+    with pytest.raises(ValueError, match="poe takes scheme 'ones' or 'uniform'"):
+        poe_aggregate(ens, np.array([[0.5]]), scheme="diff_entropy")
 
 
 def test_diff_entropy_weights_clip_at_zero():
@@ -188,7 +196,7 @@ def test_a_zero_weight_point_falls_back_to_the_prior_under_poe_as_under_bcm():
         hp,
     )
     xs = np.array([[0.5], [5.0]])
-    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    fused = entropy_weighted_poe(ens, xs)
     committee = bcm_aggregate(ens, xs, scheme="diff_entropy")
     np.testing.assert_array_equal(fused.failed, [False, True])
     assert fused.means[1] == 0.0 and fused.variances[1] == hp.signal_variance
@@ -207,7 +215,7 @@ def test_poe_weighs_and_falls_back_against_the_latent_prior():
         hp,
     )
     xs = np.array([[0.0], [0.3], [5.0]])
-    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    fused = entropy_weighted_poe(ens, xs)
     np.testing.assert_array_equal(fused.failed, [False, False, True])
     assert fused.means[2] == 0.0 and fused.variances[2] == hp.signal_variance
     means, variances = expert_moments(ens, xs[:2])
@@ -224,7 +232,7 @@ def test_poe_diff_entropy_weights_are_normalised():
     # variance is a weighted harmonic mean of the member variances
     ens = make_ensemble(seed=4)
     xs = np.linspace(-0.5, 1.5, 41)[:, None]
-    fused = poe_aggregate(ens, xs, scheme="diff_entropy")
+    fused = entropy_weighted_poe(ens, xs)
     assert fused.failed is None
     means, variances = expert_moments(ens, xs)
     beta = compute_weights("diff_entropy", variances, ens.hp.signal_variance)

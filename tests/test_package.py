@@ -59,3 +59,53 @@ def test_modules_import_only_the_standard_library_numpy_and_scipy():
         if name not in ALLOWED_TOP_LEVEL
     }
     assert not foreign
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def public_definitions(path):
+    """(name, first line, last line) of each public function, class and
+    method defined in the module at ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for defn in [node, *inner]:
+            if isinstance(defn, (ast.FunctionDef, ast.ClassDef)) and not defn.name.startswith("_"):
+                yield defn.name, defn.lineno, defn.end_lineno
+
+
+def named_references(path):
+    """(name, line) of every name, attribute, imported name and string in ``path``.
+
+    Strings count because perfbench's tracer tables and ``bench``'s method
+    table name the functions they wrap.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # Public API that only tests use belongs in the tests.  A name counts as
+    # used when src/, perfbench/ or demos/ names it outside its own body.
+    package = ROOT / "src" / "gpexperts"
+    sources = [
+        path for top in ("src", "perfbench", "demos") for path in (ROOT / top).rglob("*.py")
+    ]
+    references = {}
+    for path in sources:
+        for name, line in named_references(path):
+            references.setdefault(name, set()).add((path, line))
+    unused = [
+        f"{path.name}:{first} {name}"
+        for path in sorted(package.rglob("*.py"))
+        for name, first, last in public_definitions(path)
+        if not any(p != path or not first <= line <= last for p, line in references.get(name, ()))
+    ]
+    assert not unused

@@ -50,12 +50,19 @@ def test_kmeans_deterministic_per_seed():
 
 
 def test_lloyd_objective_never_increases():
+    # Lloyd is deterministic, so a budget of k iterations stops at the
+    # k-th iterate of the full run: its WCSS is the objective after k.
     rng = np.random.default_rng(7)
     x = rng.normal(size=(80, 2))
-    centers = _kmeans_pp_centers(x, 5, rng)
-    _, history, _ = _lloyd(x, centers, max_iter=50)
-    diffs = np.diff(np.asarray(history))
-    assert np.all(diffs <= 1e-10)
+    start = _kmeans_pp_centers(x, 5, rng)
+    _, iterations, converged = _lloyd(x, start.copy(), max_iter=50)
+    assert converged and iterations >= 3
+    history = []
+    for k in range(1, iterations + 1):
+        centers = start.copy()
+        assign, _, _ = _lloyd(x, centers, max_iter=k)
+        history.append(np.sum((x - centers[assign]) ** 2))
+    assert np.all(np.diff(history) <= 1e-10)
 
 
 def test_kmeans_survives_duplicate_points():
@@ -120,8 +127,8 @@ def test_kmeans_reports_lloyd_iterations(monkeypatch):
     x = np.random.default_rng(8).normal(size=(60, 2))
     parts = partition_kmeans(x, 4, seed=9)
     centers = _kmeans_pp_centers(x, 4, np.random.default_rng(9))
-    _, history, _ = _lloyd(x, centers, max_iter=100)
-    assert parts.iterations == len(history) >= 2
+    _, iterations, _ = _lloyd(x, centers, max_iter=100)
+    assert parts.iterations == iterations >= 2
     assert partition_random(60, 4, seed=9).iterations == 0
     monkeypatch.setattr(gpexperts.partition, "LLOYD_MAX_ITER", 1)
     assert partition_kmeans(x, 4, seed=9).iterations == 1
