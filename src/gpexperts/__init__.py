@@ -12,14 +12,7 @@ from .bench import ExperimentConfig, ExperimentReport, run_experiment
 from .committee import bcm_aggregate, grbcm_aggregate, poe_aggregate
 from .data import Dataset, load_delimited, synth_dataset, synth_f
 from .experts import ExpertEnsemble, train_ensemble
-from .gp import (
-    GpModel,
-    PredictiveDist,
-    TrainingError,
-    fit,
-    gp_predict,
-    log_marginal_likelihood,
-)
+from .gp import GpModel, PredictiveDist, fit, gp_predict, log_marginal_likelihood
 from .kernels import Hyperparams, kernel_matrix
 from .linalg import SingularMatrixError
 from .metrics import mae, msll, smse
@@ -47,7 +40,6 @@ __all__ = [
     "Partitioning",
     "PredictiveDist",
     "SingularMatrixError",
-    "TrainingError",
     "bcm_aggregate",
     "expert_graph",
     "fit",

@@ -3,7 +3,8 @@
 Method names: fullgp, poe, gpoe, bcm, rbcm, grbcm, npae.  Every aggregation
 method also has a starred form (e.g. ``npae*``) that runs on the subset of
 experts kept by graph-based selection.  The method table ``METHODS`` maps
-each base name to its rule's call; the starred form passes the kept subset.
+each base name to its kind (CI, D or full: the report's ``type`` column) and
+its rule's call; the starred form passes the kept subset.
 Reports carry SMSE, MSLL, and MAE on the normalized target scale plus
 wall-clock training and prediction times, and serialize to JSON or CSV.  The
 JSON report's ``training`` block records, for the ensemble and for
@@ -60,17 +61,18 @@ def _grbcm(ensemble, xs, subset, graph, seed):
     return committee.grbcm_aggregate(ensemble, xs, int(graph.order[0]), subset=subset)
 
 
-# base name -> predict(model, x_test, subset, graph, seed); model is the full
-# GP for fullgp, else the ensemble.  Entries look their function up at call
-# time, so one rebound after import (by a tracer or a test) is the one called.
+# name -> (kind, predict(model, x_test, subset, graph, seed)), model the full
+# GP for fullgp, else the ensemble.  Each looks its function up at call time,
+# so one rebound after import (by a tracer or a test) is the one called.
 METHODS = {
-    "fullgp": lambda model, xs, *_: gp_predict(model, xs),
-    "poe": _committee("poe_aggregate", scheme="ones"),
-    "gpoe": _committee("poe_aggregate", scheme="uniform"),
-    "bcm": _committee("bcm_aggregate", scheme="ones"),
-    "rbcm": _committee("bcm_aggregate", scheme="diff_entropy"),
-    "grbcm": _grbcm,
-    "npae": lambda ens, xs, subset, *_: npae.npae_aggregate(ens, xs, subset=subset),
+    "fullgp": ("full", lambda model, xs, *_: gp_predict(model, xs)),
+    "poe": ("CI", _committee("poe_aggregate", scheme="ones")),
+    "gpoe": ("CI", _committee("poe_aggregate", scheme="uniform")),
+    "bcm": ("CI", _committee("bcm_aggregate", scheme="ones")),
+    "rbcm": ("CI", _committee("bcm_aggregate", scheme="diff_entropy")),
+    "grbcm": ("CI", _grbcm),
+    "npae": ("D", lambda ens, xs, subset, *_:
+             npae.npae_aggregate(ens, xs, subset=subset)),
 }
 METHOD_NAMES = tuple(METHODS) + tuple(m + "*" for m in METHODS if m != "fullgp")
 
@@ -129,12 +131,6 @@ class ExperimentReport:
     results: list = field(default_factory=list)
     selection: dict | None = None
     training: dict = field(default_factory=dict)
-
-
-def _method_kind(name: str) -> str:
-    if name == "fullgp":
-        return "full"
-    return "D" if name.rstrip("*") == "npae" else "CI"
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -231,15 +227,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         }
 
     for name in config.methods:
-        row = MethodResult(method=name, kind=_method_kind(name))
+        kind, predict = METHODS[name.rstrip("*")]
+        row = MethodResult(method=name, kind=kind)
         row.train_seconds = full_seconds if name == "fullgp" else ensemble_seconds
         try:
             subset = graph.selected if name.endswith("*") else None
             model = full_model if name == "fullgp" else ensemble
             t0 = clock()
-            pred = METHODS[name.rstrip("*")](
-                model, dataset.x_test, subset, graph, config.seed + 3
-            )
+            pred = predict(model, dataset.x_test, subset, graph, config.seed + 3)
             row.predict_seconds = clock() - t0
             row.max_jitter = pred.max_jitter
             if pred.failed is not None:

@@ -19,7 +19,9 @@ Weight schemes: "ones" gives the plain product of experts / committee
 machine, "uniform" (1/m) the conservative generalized product, and
 "diff_entropy" weights each expert by its information gain over the prior,
 0.5 * (log prior_var - log var_i), which yields the robust committee machine.
-The product rule takes the first two only; rbcm and grbcm use the third.
+The product rule takes the first two only, the committee rule the first and
+the third; grbcm uses the third.  Uniform weights leave the committee's
+base the weight 1 - sum_i 1/m = 0, so they would restate the product rule.
 
 The member means and c_i come from :meth:`ExpertEnsemble.moments`, so all
 rules at one test set share one pass over the experts; ``gp._latent_variance``
@@ -107,9 +109,12 @@ def bcm_aggregate(
     """Committee-machine fusion: product rule with a prior correction term.
 
     scheme="ones" gives the classic committee machine, scheme="diff_entropy"
-    the robust variant.  Points whose corrected precision is non-positive
-    fall back to the prior and are flagged.
+    the robust variant; these are the only two schemes it takes.  Points
+    whose corrected precision is non-positive fall back to the prior and
+    are flagged.
     """
+    if scheme not in ("ones", "diff_entropy"):
+        raise ValueError(f"bcm takes scheme 'ones' or 'diff_entropy', not {scheme!r}")
     means, c = ensemble.moments(xs, subset)
     variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance

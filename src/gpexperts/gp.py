@@ -48,6 +48,8 @@ checks nor z depend on the hyperparameters, so training prepares each data
 part once, as the triple (x, y, z), and every evaluation runs only the core
 :func:`_unit_evidence` on it.  The public :func:`log_marginal_likelihood`
 prepares its part and evaluates the same core's pieces at its own s.
+Training takes targets whose mean square lies in [2^-800, 2^800], and
+raises SingularMatrixError when no restart can factor its parts.
 
 Only this module reads a model's L^{-1} and alpha: :func:`_member_pass`,
 :func:`_member_weights` (NPAE's w) and :func:`_augmented` (grbcm's experts).
@@ -80,10 +82,6 @@ GRAD_TOL = 1e-6
 FTOL = 1e-7
 
 
-class TrainingError(RuntimeError):
-    """Raised when every optimizer restart fails numerically."""
-
-
 @dataclass
 class PredictiveDist:
     """Gaussian predictive marginals: one mean and variance per test point.
@@ -106,9 +104,6 @@ class PredictiveDist:
             raise ValueError("means and variances must have equal length")
         if not np.all(self.variances >= 0):
             raise ValueError("variances must be non-negative, not NaN")
-
-    def __len__(self) -> int:
-        return self.means.shape[0]
 
 
 @dataclass
@@ -305,20 +300,26 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
     closed-form maximizer: the maximum over theta is the joint one.  Runs
     ``restarts`` initializations (the given one, then log-uniform +-1
     perturbations of its D + 1 entries) and returns the best hyperparameters
-    found with a :class:`TrainingInfo`.
+    found with a :class:`TrainingInfo`.  A restart that raises
+    SingularMatrixError is skipped; if all do, a SingularMatrixError that
+    counts them is raised from the last.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     parts = [_prepare_part(px, py) for px, py in parts]
-    # s* scales as the targets' mean square: outside the normal floats it
-    # is 0, infinite, or a subnormal whose factorizations underflow.
+    # s* scales as the targets' mean square.  alpha_1 grows like y / g, and
+    # g reaches 6e-16 (2^-50) on noise-free data, so alpha_1^T alpha_1 and
+    # T1 reach about 2^100 n times the mean square, while noise_variance =
+    # g s* falls to about 2^-50 / n times it.  A mean square within
+    # 2^+-800 keeps both inside the normal floats, 2^-1022 to 2^1024, with
+    # 2^120 to spare for n and the inputs' spread.
     n = sum(py.size for _, py, _ in parts)
     with np.errstate(over="ignore"):
         mean_square = sum(float(py @ py) for _, py, _ in parts) / n
-    if not np.finfo(float).tiny <= mean_square < math.inf:
+    if not 2.0**-800 <= mean_square <= 2.0**800:
         raise ValueError(
             "training targets are all zero or out of scale: their mean square "
-            f"{mean_square:.3e} is not a positive normal float"
+            f"{mean_square:.3e} is outside [2^-800, 2^800]"
         )
     evaluations, max_jitter, scales = 0, 0.0, {}
 
@@ -356,7 +357,9 @@ def _optimize_shared(parts, init: Hyperparams, restarts: int, seed):
         if best is None or res.fun < best.fun:
             best, best_jitter = res, max_jitter
     if best is None:
-        raise TrainingError("all optimizer restarts failed") from last_err
+        raise SingularMatrixError(
+            f"all {restarts} optimizer restarts failed, the last with: {last_err}"
+        ) from last_err
     info = TrainingInfo(evaluations, iterations, bool(best.success), failed, best_jitter)
     sf2, g = scales[best.x.tobytes()], math.exp(best.x[-1])
     return Hyperparams(sf2, np.exp(best.x[:-1]), g * sf2), info

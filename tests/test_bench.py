@@ -13,10 +13,12 @@ import pytest
 
 import gpexperts.bench
 import gpexperts.experts
+import gpexperts.gp
 import gpexperts.npae
 import gpexperts.selection
 from gpexperts import (
     ExperimentConfig,
+    SingularMatrixError,
     partition_kmeans,
     run_experiment,
     synth_dataset,
@@ -144,7 +146,7 @@ def test_failed_points_reach_the_json_rows_only(basic_report, monkeypatch):
 
     def flag_two(*args, **kwargs):
         pred = original(*args, **kwargs)
-        pred.failed = np.zeros(len(pred), dtype=bool)
+        pred.failed = np.zeros(pred.means.shape, dtype=bool)
         pred.failed[[1, 4]] = True
         return pred
 
@@ -357,6 +359,19 @@ def test_cli_rejects_a_nan_penalty(capsys):
 def test_cli_rejects_missing_data_file(capsys):
     assert main(["--data", "/nonexistent/rows.csv", "--methods", "poe"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_training_whose_every_restart_fails(monkeypatch, capsys):
+    # SingularMatrixError is a ValueError, so the CLI reports it as it
+    # reports bad input: one error line and exit 2, not a traceback.
+    def failing(px, py, pz, hp):
+        raise SingularMatrixError("no factor")
+
+    monkeypatch.setattr(gpexperts.gp, "_unit_evidence", failing)
+    assert main([*SMALL_RUN, "--restarts", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: all 2 optimizer restarts failed")
 
 
 def test_cli_stdout_and_module_entry(tmp_path):

@@ -66,6 +66,14 @@ def test_poe_takes_only_the_ones_and_uniform_schemes():
         poe_aggregate(ens, np.array([[0.5]]), scheme="diff_entropy")
 
 
+def test_bcm_takes_only_the_ones_and_diff_entropy_schemes():
+    # Uniform weights leave the prior the weight 1 - m / m = 0: that
+    # committee would be gpoe under another name.
+    ens = make_ensemble(seed=1)
+    with pytest.raises(ValueError, match="bcm takes scheme 'ones' or 'diff_entropy'"):
+        bcm_aggregate(ens, np.array([[0.5]]), scheme="uniform")
+
+
 def test_diff_entropy_weights_clip_at_zero():
     # an expert less confident than the prior contributes nothing
     v = np.array([[2.0, 0.5]])
@@ -346,8 +354,10 @@ def test_grbcm_random_base_is_seeded():
     # The benchmark's unstarred grbcm draws its base from the run's seed.
     ens = make_ensemble(n=40, m=4, seed=11)
     xs = np.linspace(0.2, 0.8, 5)[:, None]
-    a = bench.METHODS["grbcm"](ens, xs, None, None, 5)
-    b = bench.METHODS["grbcm"](ens, xs, None, None, 5)
+    kind, predict = bench.METHODS["grbcm"]
+    assert kind == "CI"
+    a = predict(ens, xs, None, None, 5)
+    b = predict(ens, xs, None, None, 5)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.variances, b.variances)
     ref = grbcm_aggregate(ens, xs, int(np.random.default_rng(5).integers(4)))
