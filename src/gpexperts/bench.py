@@ -137,7 +137,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute one benchmark configuration end to end.
 
     Per-method failures are recorded in the report rather than raised; data
-    and configuration problems raise immediately.
+    and configuration problems, such as under two test rows, raise at once.
     """
     clock = time.perf_counter if config.measure_time else (lambda: 0.0)
 
@@ -152,6 +152,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             train_fraction=config.train_fraction,
             seed=config.seed,
         )
+    if dataset.n_test < 2:
+        raise ValueError(f"need at least two test rows, got {dataset.n_test}")
     train_mean = float(dataset.y_train.mean())
     train_var = float(dataset.y_train.var())
 

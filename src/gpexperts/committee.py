@@ -15,13 +15,8 @@ correction conditions on noisy targets; the base of grbcm is its communication
 expert's posterior.  A point whose fused precision is not positive gets the
 prior and is flagged.
 
-Weight schemes: "ones" gives the plain product of experts / committee
-machine, "uniform" (1/m) the conservative generalized product, and
-"diff_entropy" weights each expert by its information gain over the prior,
-0.5 * (log prior_var - log var_i), which yields the robust committee machine.
-The product rule takes the first two only, the committee rule the first and
-the third; grbcm uses the third.  Uniform weights leave the committee's
-base the weight 1 - sum_i 1/m = 0, so they would restate the product rule.
+Each rule picks its own weights beta_i from its scheme: see
+:func:`poe_aggregate`, :func:`bcm_aggregate` and :func:`grbcm_aggregate`.
 
 The member means and c_i come from :meth:`ExpertEnsemble.moments`, so all
 rules at one test set share one pass over the experts; ``gp._latent_variance``
@@ -35,20 +30,11 @@ import numpy as np
 from .experts import ExpertEnsemble
 from .gp import PredictiveDist, _augmented, _latent_variance
 
-WEIGHT_SCHEMES = ("ones", "uniform", "diff_entropy")
 
-
-def compute_weights(scheme: str, variances: np.ndarray, prior_var: float) -> np.ndarray:
-    """Per-expert, per-point weights >= 0; ``prior_var`` may be an array."""
-    if np.any(variances <= 0) or np.any(prior_var <= 0):
-        raise ValueError("precision fusion needs strictly positive expert variances")
-    if scheme == "ones":
-        return np.ones_like(variances)
-    if scheme == "uniform":
-        return np.full_like(variances, 1.0 / variances.shape[1])
-    if scheme == "diff_entropy":
-        return np.maximum(0.5 * (np.log(prior_var) - np.log(variances)), 0.0)
-    raise ValueError(f"unknown weight scheme {scheme!r}; use one of {WEIGHT_SCHEMES}")
+def _info_gain(variances, prior_var):
+    """Each expert's information gain over the prior, 0.5 * (log prior_var -
+    log var_i), floored at 0; ``prior_var`` may be an array."""
+    return np.maximum(0.5 * (np.log(prior_var) - np.log(variances)), 0.0)
 
 
 def _set_aside_exact(means, variances):
@@ -90,16 +76,17 @@ def poe_aggregate(
 ) -> PredictiveDist:
     """Product-of-experts fusion: precisions add, weighted by the scheme.
 
-    scheme="ones" is the classic product; scheme="uniform" the generalized
-    product whose fused variance is m times less confident.  These are the
-    only two schemes it takes.
+    scheme="ones" (beta_i = 1) is the classic product; scheme="uniform"
+    (beta_i = 1/m) the generalized product whose fused variance is m times
+    less confident.  These are the only two schemes it takes.
     """
     if scheme not in ("ones", "uniform"):
         raise ValueError(f"poe takes scheme 'ones' or 'uniform', not {scheme!r}")
     means, c = ensemble.moments(xs, subset)
     variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance  # latent, as the fused variances are
-    betas = compute_weights(scheme, variances, prior_var)
+    beta = 1.0 if scheme == "ones" else 1.0 / variances.shape[1]
+    betas = np.full_like(variances, beta)
     return _fuse(means, variances, betas, prior_var, exact)
 
 
@@ -108,17 +95,19 @@ def bcm_aggregate(
 ) -> PredictiveDist:
     """Committee-machine fusion: product rule with a prior correction term.
 
-    scheme="ones" gives the classic committee machine, scheme="diff_entropy"
-    the robust variant; these are the only two schemes it takes.  Points
-    whose corrected precision is non-positive fall back to the prior and
-    are flagged.
+    scheme="ones" (beta_i = 1) gives the classic committee machine, and
+    scheme="diff_entropy" (:func:`_info_gain` over the prior) the robust
+    variant; these are the only two schemes it takes ("uniform" would leave
+    the prior the weight 0 and restate gpoe).  Points whose corrected
+    precision is non-positive fall back to the prior and are flagged.
     """
     if scheme not in ("ones", "diff_entropy"):
         raise ValueError(f"bcm takes scheme 'ones' or 'diff_entropy', not {scheme!r}")
     means, c = ensemble.moments(xs, subset)
     variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance + ensemble.hp.noise_variance
-    betas = compute_weights(scheme, variances, prior_var)
+    gain = scheme == "diff_entropy"
+    betas = _info_gain(variances, prior_var) if gain else np.ones_like(variances)
     return _fuse(means, variances, betas, prior_var, exact, (0.0, prior_var))
 
 
@@ -134,8 +123,8 @@ def grbcm_aggregate(
     augmented posteriors are fused with the base posterior as the committee
     base.  The augmented expert with the lowest index always gets beta = 1;
     the others get the information-gain weights
-    0.5 * (log var_b - log var_{b,i}).  The subset is taken in index order,
-    so its given order does not matter.
+    0.5 * (log var_b - log var_{b,i}), floored at 0.  The subset is taken in
+    index order, so its given order does not matter.
 
     No augmented expert is refit: :func:`gpexperts.gp._augmented` conditions
     the base on part i by one factorization of order n_i and returns the
@@ -158,7 +147,7 @@ def grbcm_aggregate(
     aug_vars = _latent_variance(hp, c_b[:, None] + np.column_stack(cs))
     aug_vars, exact = _set_aside_exact(aug_means, aug_vars)
     base_var[exact[0]] = 1.0  # where the base is exact, so is every augmented expert
-    betas = compute_weights("diff_entropy", aug_vars, base_var[:, None])
+    betas = _info_gain(aug_vars, base_var[:, None])
     betas[:, 0] = 1.0
     prior_var = hp.signal_variance + hp.noise_variance
     pred = _fuse(aug_means, aug_vars, betas, prior_var, exact, (base_mean, base_var))

@@ -2,9 +2,10 @@
 
 Both paths produce a :class:`Dataset` normalized to zero mean and unit
 variance per input column and for the targets, using training statistics
-only.  Metrics downstream are computed on this normalized scale.  A
-``Dataset`` holds only the normalized arrays: it keeps no statistics (it
-has no ``norm``), so nothing maps predictions back to the raw scale.
+only; a constant column is only centred.  Metrics downstream are computed
+on this normalized scale.  A ``Dataset`` holds only the normalized arrays:
+it keeps no statistics (it has no ``norm``), so nothing maps predictions
+back to the raw scale.
 """
 
 from dataclasses import dataclass
@@ -38,12 +39,17 @@ def synth_f(x):
     )
 
 
+def _center_scale(a):
+    """Per-column mean and std, but a constant column (whose std need not round
+    to 0: it is 5.55e-17 for 0.3) is centred on its value and not scaled."""
+    const = np.ptp(a, axis=0) == 0
+    return np.where(const, a[0], a.mean(axis=0)), np.where(const, 1.0, a.std(axis=0))
+
+
 def _normalize(x_train, y_train, x_test, y_test) -> Dataset:
-    x_mean = x_train.mean(axis=0)
-    x_std = x_train.std(axis=0)
-    x_std[x_std <= 0] = 1.0
-    y_mean = float(y_train.mean())
-    y_std = float(y_train.std()) or 1.0
+    """Inputs and targets centred and scaled by their training rows' statistics;
+    a constant column becomes exact zeros, so constant targets fail training."""
+    (x_mean, x_std), (y_mean, y_std) = _center_scale(x_train), _center_scale(y_train)
     return Dataset(
         (x_train - x_mean) / x_std,
         (y_train - y_mean) / y_std,

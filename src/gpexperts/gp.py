@@ -259,11 +259,12 @@ def _times_transpose_below(a):
 def default_init(x) -> Hyperparams:
     """Heuristic starting point: unit signal, per-dimension input spread.
 
+    Each lengthscale starts at its input's std, or at 1 if the input is constant.
     Training profiles the signal variance out, so only the lengthscales and
     the ratio g = noise_variance / signal_variance = 0.1 start the search.
     """
-    spread = np.std(as_points(x), axis=0)
-    spread[spread <= 0] = 1.0
+    x = as_points(x)
+    spread = np.where(np.ptp(x, axis=0) == 0, 1.0, np.std(x, axis=0))
     return Hyperparams(1.0, spread, 0.1)
 
 

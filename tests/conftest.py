@@ -17,7 +17,7 @@ from gpexperts import (
     synth_f,
     train_ensemble,
 )
-from gpexperts.committee import _fuse, _set_aside_exact, compute_weights
+from gpexperts.committee import _fuse, _info_gain, _set_aside_exact
 from gpexperts.gp import _latent_variance, factorize
 
 
@@ -96,7 +96,7 @@ def entropy_weighted_poe(ensemble, xs, subset=None):
     means, c = ensemble.moments(xs, subset)
     variances, exact = _set_aside_exact(means, _latent_variance(ensemble.hp, c))
     prior_var = ensemble.hp.signal_variance
-    betas = compute_weights("diff_entropy", variances, prior_var)
+    betas = _info_gain(variances, prior_var)
     total = np.sum(betas, axis=1, keepdims=True)
     betas = np.divide(betas, total, out=np.zeros_like(betas), where=total > 0)
     return _fuse(means, variances, betas, prior_var, exact)

@@ -268,6 +268,22 @@ def test_disabling_timing_makes_reports_reproducible():
     assert all(r["train_seconds"] == 0.0 for r in payload["results"])
 
 
+def test_same_seed_reports_are_byte_identical_on_a_random_8d_table(tmp_path):
+    # Beyond criterion 10: the D >= 2 kernel, random parts, the restart RNG,
+    # bcm, rbcm and gpoe, and grbcm's seeded base.
+    rng = np.random.default_rng(12)
+    x = rng.uniform(size=(120, 8))
+    y = np.sin(3 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.1 * rng.normal(size=120)
+    path = tmp_path / "table8d.csv"
+    np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+    config = dict(data=str(path), train_fraction=0.75, n_experts=4, partition="random",
+                  restarts=2, methods=METHOD_NAMES, alpha=0.5, seed=2, measure_time=False)
+    first, second = (run_experiment(ExperimentConfig(**config)) for _ in range(2))
+    assert [r.error for r in first.results] == [None] * len(METHOD_NAMES)
+    for fmt in ("json", "csv"):
+        assert render_report(first, fmt) == render_report(second, fmt)
+
+
 def test_report_carries_the_expert_graph(monkeypatch):
     original, graphs = gpexperts.selection.expert_graph, []
 
@@ -359,6 +375,27 @@ def test_cli_rejects_a_nan_penalty(capsys):
 def test_cli_rejects_missing_data_file(capsys):
     assert main(["--data", "/nonexistent/rows.csv", "--methods", "poe"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--n", "80", "--ntest", "0"], 0),
+    (["--n", "80", "--ntest", "1"], 1),
+    (["--data", "{table}", "--train-fraction", "0.7"], 1),  # two train, one test
+], ids=["ntest-0", "ntest-1", "table-of-3"])
+def test_cli_needs_two_test_rows_before_it_trains(argv, count, tmp_path,
+                                                 monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("partitioned or trained without a test set")
+
+    for name in ("partition_kmeans", "train_ensemble", "fit"):
+        monkeypatch.setattr(gpexperts.bench, name, never)
+    table = tmp_path / "three.csv"
+    table.write_text("1,2\n2,3\n4,1\n")
+    argv = [a.format(table=table) for a in argv]
+    assert main([*argv, "--methods", "fullgp,poe", "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least two test rows, got {count}\n"
 
 
 def test_cli_reports_a_training_whose_every_restart_fails(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from gpexperts import (
     poe_aggregate,
     train_ensemble,
 )
-from gpexperts.committee import compute_weights
+from gpexperts.committee import _info_gain
 from gpexperts.gp import factorize
 
 
@@ -48,14 +48,29 @@ def expert_moments(ensemble, xs):
     return means, variances
 
 
-def test_weight_schemes():
+def test_weight_schemes(monkeypatch):
+    # each rule hands _fuse the weights its scheme names
+    ens = make_ensemble(seed=1)
+    xs = np.linspace(0.1, 0.9, 5)[:, None]
+    seen, fuse = [], gpexperts.committee._fuse
+
+    def recording(means, variances, betas, *rest):
+        seen.append((variances, betas))
+        return fuse(means, variances, betas, *rest)
+
+    monkeypatch.setattr(gpexperts.committee, "_fuse", recording)
+    poe_aggregate(ens, xs, scheme="ones")
+    poe_aggregate(ens, xs, scheme="uniform")
+    bcm_aggregate(ens, xs, scheme="ones")
+    bcm_aggregate(ens, xs, scheme="diff_entropy")
+    (_, ones), (_, uniform), (_, bcm_ones), (v, ent) = seen
+    np.testing.assert_array_equal(ones, 1.0)
+    np.testing.assert_array_equal(uniform, 1.0 / 3)
+    np.testing.assert_array_equal(bcm_ones, 1.0)
+    prior = ens.hp.signal_variance + ens.hp.noise_variance
+    np.testing.assert_array_equal(ent, _info_gain(v, prior))
     v = np.array([[0.5, 0.2], [0.9, 0.9]])
-    np.testing.assert_array_equal(compute_weights("ones", v, 1.0), 1.0)
-    np.testing.assert_array_equal(compute_weights("uniform", v, 1.0), 0.5)
-    ent = compute_weights("diff_entropy", v, 1.0)
-    np.testing.assert_allclose(ent, 0.5 * (np.log(1.0) - np.log(v)))
-    with pytest.raises(ValueError):
-        compute_weights("softmax", v, 1.0)
+    np.testing.assert_allclose(_info_gain(v, 1.0), 0.5 * (np.log(1.0) - np.log(v)))
 
 
 def test_poe_takes_only_the_ones_and_uniform_schemes():
@@ -77,7 +92,7 @@ def test_bcm_takes_only_the_ones_and_diff_entropy_schemes():
 def test_diff_entropy_weights_clip_at_zero():
     # an expert less confident than the prior contributes nothing
     v = np.array([[2.0, 0.5]])
-    w = compute_weights("diff_entropy", v, 1.0)
+    w = _info_gain(v, 1.0)
     assert w[0, 0] == 0.0
     assert w[0, 1] == pytest.approx(0.5 * np.log(2.0))
 
@@ -139,12 +154,6 @@ def test_gpoe_uniform_variance_is_m_times_plain_product():
     uniform = poe_aggregate(ens, xs, scheme="uniform")
     np.testing.assert_allclose(uniform.variances, 3.0 * plain.variances, rtol=1e-12)
     np.testing.assert_allclose(uniform.means, plain.means, rtol=1e-12)
-
-
-def test_positive_variance_required():
-    # the rules set exact members aside before weighing the others
-    with pytest.raises(ValueError, match="strictly positive"):
-        compute_weights("ones", np.array([[0.5, 0.0]]), 1.0)
 
 
 ZERO_NOISE_RULES = {
@@ -243,7 +252,7 @@ def test_poe_diff_entropy_weights_are_normalised():
     fused = entropy_weighted_poe(ens, xs)
     assert fused.failed is None
     means, variances = expert_moments(ens, xs)
-    beta = compute_weights("diff_entropy", variances, ens.hp.signal_variance)
+    beta = _info_gain(variances, ens.hp.signal_variance)
     beta /= beta.sum(axis=1, keepdims=True)
     prec = np.sum(beta / variances, axis=1)
     np.testing.assert_allclose(fused.variances, 1.0 / prec, rtol=1e-12)

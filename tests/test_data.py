@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import split_rows, synth_raw, to_raw_scale
-from gpexperts import load_delimited, synth_dataset, synth_f
+from gpexperts import fit, load_delimited, synth_dataset, synth_f
+from gpexperts.data import _normalize
 
 
 def test_synth_f_closed_form_at_zero():
@@ -228,3 +229,28 @@ def test_load_normalizes_with_train_stats(tmp_path):
     assert ds.y_train.std() == pytest.approx(1.0, rel=1e-12)
     # test rows reuse the training statistics, so they need not be centered
     assert abs(ds.y_test.mean()) > 0.0
+
+
+# The std of equal values rounds to 0 only when their mean is exact: for 20
+# of them it is 0 at 0.5, but 5.55e-17 at 0.3 and 1.4e-17 at 0.1.
+CONSTANTS = [0.5, 0.3, 0.1]
+
+
+@pytest.mark.parametrize("value", CONSTANTS)
+def test_a_constant_column_is_centred_on_its_value_and_not_scaled(value):
+    rng = np.random.default_rng(3)
+    x_train = np.column_stack([np.full(20, value), rng.normal(size=20)])
+    x_test = np.array([[value + 0.01, 0.0]])
+    ds = _normalize(x_train, rng.normal(size=20), x_test, np.zeros(1))
+    assert np.all(ds.x_train[:, 0] == 0.0)
+    assert ds.x_test[0, 0] == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", CONSTANTS)
+def test_constant_targets_fail_training_at_any_value(tmp_path, value):
+    path = tmp_path / "flat.csv"
+    write_csv(path, [[float(a), value] for a in np.random.default_rng(5).normal(size=25)])
+    ds = load_delimited(path, train_fraction=0.8)  # 20 training rows
+    assert np.all(ds.y_train == 0.0)
+    with pytest.raises(ValueError, match="training targets are all zero"):
+        fit(ds.x_train, ds.y_train)

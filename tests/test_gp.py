@@ -394,6 +394,15 @@ def test_restarts_perturb_the_lengthscales_and_the_noise_ratio(monkeypatch):
     np.testing.assert_array_equal(starts[2], theta + draws[1])
 
 
+@pytest.mark.parametrize("value", [0.5, 0.3, 0.1])
+def test_default_init_starts_a_constant_input_at_lengthscale_one(value):
+    # the std of 20 copies of 0.3 or 0.1 is 5.55e-17 or 1.4e-17, not 0
+    x = np.column_stack([np.random.default_rng(4).uniform(size=20), np.full(20, value)])
+    init = gpexperts.gp.default_init(x)
+    assert init.lengthscales[0] == np.std(x[:, 0])
+    assert init.lengthscales[1] == 1.0
+
+
 def noise_input_problem():
     """120 points in 2-D whose targets ignore the second input."""
     rng = np.random.default_rng(0)
