@@ -6,9 +6,12 @@ committees, or through the dependent-expert rule that models the joint
 covariance of the expert means.  A graphical-lasso estimate of the expert
 dependency graph ranks experts by connectivity so aggregation can run on an
 important subset only.
+
+The benchmark driver (``ExperimentConfig``, ``ExperimentReport``,
+``run_experiment``) lives in :mod:`gpexperts.bench`, which this package
+does not import, so ``python -m gpexperts.bench`` runs a single copy of it.
 """
 
-from .bench import ExperimentConfig, ExperimentReport, run_experiment
 from .committee import bcm_aggregate, grbcm_aggregate, poe_aggregate
 from .data import Dataset, load_delimited, synth_dataset, synth_f
 from .experts import ExpertEnsemble, train_ensemble
@@ -31,8 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "ExperimentConfig",
-    "ExperimentReport",
     "ExpertEnsemble",
     "ExpertGraph",
     "GpModel",
@@ -57,7 +58,6 @@ __all__ = [
     "poe_aggregate",
     "prediction_covariance",
     "rank_importance",
-    "run_experiment",
     "select_experts",
     "smse",
     "synth_dataset",

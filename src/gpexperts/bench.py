@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("penalty must be >= 0")
         if self.n_experts < 1:
             raise ValueError("need at least one expert")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -136,10 +138,17 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute one benchmark configuration end to end.
 
-    Per-method failures are recorded in the report rather than raised; data
-    and configuration problems, such as under two test rows, raise at once.
+    Each stage runs once, only if a requested method needs it, and its report
+    block is built as soon as it returns.  Per-method failures are recorded in
+    the report rather than raised; data and configuration problems, such as
+    under two test rows, raise at once.
     """
     clock = time.perf_counter if config.measure_time else (lambda: 0.0)
+
+    def timed(func, *args, **kwargs):
+        t0 = clock()
+        result = func(*args, **kwargs)
+        return result, clock() - t0
 
     if config.data == "synthetic":
         dataset = synth_dataset(
@@ -157,10 +166,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     train_mean = float(dataset.y_train.mean())
     train_var = float(dataset.y_train.var())
 
-    wants_ensemble = any(m != "fullgp" for m in config.methods)
-    wants_graph = any(m.endswith("*") for m in config.methods)
-    ensemble, ensemble_seconds = None, 0.0
-    if wants_ensemble:
+    report = ExperimentReport(config=asdict(config))
+    trained = {}  # kind -> (model, training seconds)
+    ensemble, graph = None, None
+    if any(m != "fullgp" for m in config.methods):
         if config.partition == "kmeans":
             parts = partition_kmeans(
                 dataset.x_train, config.n_experts, seed=config.seed + 1
@@ -169,50 +178,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             parts = partition_random(
                 dataset.n_train, config.n_experts, seed=config.seed + 1
             )
-        t0 = clock()
-        ensemble = train_ensemble(
-            dataset.x_train,
-            dataset.y_train,
-            parts,
-            restarts=config.restarts,
-            seed=config.seed + 2,
-        )
-        ensemble_seconds = clock() - t0
-
-    graph, graph_seconds = None, 0.0
-    if wants_graph:
-        t0 = clock()
-        graph = selection.expert_graph(
-            ensemble, dataset.x_test, lam=config.penalty, alpha=config.alpha
-        )
-        graph_seconds = clock() - t0
-
-    full_model, full_seconds = None, 0.0
-    if "fullgp" in config.methods:
-        t0 = clock()
-        full_model = fit(
-            dataset.x_train,
-            dataset.y_train,
-            restarts=config.restarts,
-            seed=config.seed + 2,
-        )
-        full_seconds = clock() - t0
-
-    report = ExperimentReport(config=asdict(config))
-    if ensemble is not None:
+        ensemble, seconds = timed(train_ensemble, dataset.x_train, dataset.y_train,
+                                  parts, restarts=config.restarts, seed=config.seed + 2)
+        trained["CI"] = trained["D"] = ensemble, seconds
         report.training["ensemble"] = {
             **asdict(ensemble.training),
             "jitter": [e.jitter for e in ensemble.experts],
-            "partition": {"iterations": ensemble.partitioning.iterations,
-                          "converged": ensemble.partitioning.converged,
-                          "sizes": ensemble.partitioning.sizes.tolist()},
+            "partition": {"iterations": parts.iterations,
+                          "converged": parts.converged,
+                          "sizes": parts.sizes.tolist()},
         }
-    if full_model is not None:
-        report.training["fullgp"] = {
-            **asdict(full_model.training),
-            "jitter": full_model.jitter,
-        }
-    if graph is not None:
+
+    if any(m.endswith("*") for m in config.methods):
+        graph, graph_seconds = timed(selection.expert_graph, ensemble, dataset.x_test,
+                                     lam=config.penalty, alpha=config.alpha)
         # every diagonal entry (the precision is positive definite) and edge
         omega = graph.precision
         rows, cols = np.nonzero(np.triu(omega))
@@ -228,16 +207,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "components": len(graph.components),
         }
 
+    if "fullgp" in config.methods:
+        full_model, seconds = timed(fit, dataset.x_train, dataset.y_train,
+                                    restarts=config.restarts, seed=config.seed + 2)
+        trained["full"] = full_model, seconds
+        report.training["fullgp"] = {
+            **asdict(full_model.training),
+            "jitter": full_model.jitter,
+        }
+
     for name in config.methods:
         kind, predict = METHODS[name.rstrip("*")]
-        row = MethodResult(method=name, kind=kind)
-        row.train_seconds = full_seconds if name == "fullgp" else ensemble_seconds
+        model, train_seconds = trained[kind]
+        row = MethodResult(method=name, kind=kind, train_seconds=train_seconds)
         try:
             subset = graph.selected if name.endswith("*") else None
-            model = full_model if name == "fullgp" else ensemble
-            t0 = clock()
-            pred = predict(model, dataset.x_test, subset, graph, config.seed + 3)
-            row.predict_seconds = clock() - t0
+            pred, row.predict_seconds = timed(
+                predict, model, dataset.x_test, subset, graph, config.seed + 3
+            )
             row.max_jitter = pred.max_jitter
             if pred.failed is not None:
                 row.failed_points = int(pred.failed.sum())

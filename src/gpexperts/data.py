@@ -80,9 +80,14 @@ def synth_dataset(
 
 
 def _parse_table(path):
+    """The numeric rows of the table at ``path``, as (n, columns) floats.
+
+    A leading UTF-8 byte-order mark is dropped, so it cannot turn a numeric
+    first row into a header.  Errors name the file line.
+    """
     rows, linenos = [], []
     delimiter, first_line = None, True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

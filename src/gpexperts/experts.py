@@ -28,12 +28,13 @@ from .partition import Partitioning
 
 @dataclass
 class ExpertEnsemble:
-    """All experts plus the shared hyperparameters and source partitioning.
+    """All experts plus the shared hyperparameters.
 
-    ``experts`` holds one :class:`gpexperts.gp.GpModel` per part;
-    ``training`` describes the optimizer run that chose ``hp``.  ``_memo``
-    holds the last test set, the means, c and, per expert, v_i^T, or w_i^T
-    once :meth:`npae_moments` has made it read-only (see :meth:`moments`).
+    ``experts`` holds one :class:`gpexperts.gp.GpModel` per part, with its
+    part's rows; the partitioning itself stays with the caller.  ``training``
+    describes the optimizer run that chose ``hp``.  ``_memo`` holds the last
+    test set, the means, c and, per expert, v_i^T, or w_i^T once
+    :meth:`npae_moments` has made it read-only (see :meth:`moments`).
 
     NPAE's covariance of the expert means is exact only when the parts are
     disjoint, as :func:`train_ensemble` builds them; an ensemble built by
@@ -43,7 +44,6 @@ class ExpertEnsemble:
 
     experts: list
     hp: Hyperparams
-    partitioning: Partitioning
     training: TrainingInfo | None = None
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -118,7 +118,8 @@ def train_ensemble(
     seed=0,
 ) -> ExpertEnsemble:
     """Fit shared hyperparameters across all parts, starting from
-    :func:`~gpexperts.gp.default_init`, then factorize each expert."""
+    :func:`~gpexperts.gp.default_init`, then factorize each expert on its
+    part's rows.  The ensemble does not keep ``partitioning``."""
     x, y = _prepare_xy(x, y)
     if partitioning.assignments.shape[0] != x.shape[0]:
         raise ValueError("partitioning does not cover the training set")
@@ -128,7 +129,7 @@ def train_ensemble(
     ]
     hp, info = _optimize_shared(parts, default_init(x), restarts, seed)
     experts = [factorize(px, py, hp) for px, py in parts]
-    return ExpertEnsemble(experts, hp, partitioning, info)
+    return ExpertEnsemble(experts, hp, info)
 
 
 def expert_predict(expert: GpModel, xs) -> PredictiveDist:

@@ -10,7 +10,6 @@ import gpexperts.linalg
 from gpexperts import (
     ExpertEnsemble,
     Hyperparams,
-    Partitioning,
     kernel_matrix,
     partition_kmeans,
     synth_dataset,
@@ -42,11 +41,7 @@ def small_grid(small_data):
 
 def manual_ensemble(datasets, hp):
     """Experts over explicit (x, y) blocks, bypassing the trainer."""
-    experts = [factorize(x, y, hp) for x, y in datasets]
-    sizes = [np.asarray(x).shape[0] for x, _ in datasets]
-    assign = np.repeat(np.arange(len(sizes)), sizes)
-    parts = Partitioning(assign, len(sizes))
-    return ExpertEnsemble(experts, hp, parts)
+    return ExpertEnsemble([factorize(x, y, hp) for x, y in datasets], hp)
 
 
 def expert_weights(expert, xs):

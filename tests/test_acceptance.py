@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gpexperts import (
-    ExperimentConfig,
     Hyperparams,
     bcm_aggregate,
     expert_graph,
@@ -23,14 +22,13 @@ from gpexperts import (
     npae_aggregate,
     partition_kmeans,
     poe_aggregate,
-    run_experiment,
     select_experts,
     smse,
     synth_dataset,
     train_ensemble,
 )
 from conftest import from_log_vector
-from gpexperts.bench import render_report
+from gpexperts.bench import ExperimentConfig, render_report, run_experiment
 
 LAMBDA_GRID = (0.01, 0.05, 0.1, 0.3, 0.7)
 

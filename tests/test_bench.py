@@ -16,16 +16,15 @@ import gpexperts.experts
 import gpexperts.gp
 import gpexperts.npae
 import gpexperts.selection
-from gpexperts import (
-    ExperimentConfig,
-    SingularMatrixError,
-    partition_kmeans,
-    run_experiment,
-    synth_dataset,
-    train_ensemble,
-)
+from gpexperts import SingularMatrixError, partition_kmeans, synth_dataset, train_ensemble
 from conftest import force_jitter
-from gpexperts.bench import METHOD_NAMES, main, render_report
+from gpexperts.bench import (
+    METHOD_NAMES,
+    ExperimentConfig,
+    main,
+    render_report,
+    run_experiment,
+)
 
 FAST = dict(n=150, n_test=30, n_experts=3, seed=0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -398,6 +397,47 @@ def test_cli_needs_two_test_rows_before_it_trains(argv, count, tmp_path,
     assert captured.err == f"error: need at least two test rows, got {count}\n"
 
 
+def test_cli_rejects_zero_restarts_before_it_partitions(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("partitioned or trained with no restart")
+
+    for name in ("partition_kmeans", "train_ensemble", "fit"):
+        monkeypatch.setattr(gpexperts.bench, name, never)
+    assert main([*SMALL_RUN, "--restarts", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restarts must be >= 1\n"
+
+
+@pytest.mark.parametrize("methods, expected", [
+    (("fullgp",), {"fit": 1}),
+    (("poe", "gpoe"), {"partition_kmeans": 1, "train_ensemble": 1}),
+    (("poe*",), {"partition_kmeans": 1, "train_ensemble": 1, "expert_graph": 1}),
+    (METHOD_NAMES,
+     {"partition_kmeans": 1, "train_ensemble": 1, "expert_graph": 1, "fit": 1}),
+], ids=["fullgp", "unstarred", "starred", "all"])
+def test_each_stage_runs_once_and_only_when_a_method_needs_it(
+    methods, expected, monkeypatch
+):
+    calls = {}
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("partition_kmeans", "train_ensemble", "fit"):
+        counted(gpexperts.bench, name)
+    counted(gpexperts.selection, "expert_graph")
+    report = run_experiment(ExperimentConfig(methods=methods, alpha=0.5, **FAST))
+    assert calls == expected
+    assert [r.error for r in report.results] == [None] * len(methods)
+
+
 def test_cli_reports_a_training_whose_every_restart_fails(monkeypatch, capsys):
     # SingularMatrixError is a ValueError, so the CLI reports it as it
     # reports bad input: one error line and exit 2, not a traceback.
@@ -427,6 +467,7 @@ def test_cli_stdout_and_module_entry(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""  # runpy warns if the package had imported bench
     assert proc.stdout.startswith("method,type,")
     assert "poe,CI," in proc.stdout
 

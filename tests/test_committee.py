@@ -485,7 +485,7 @@ def test_grbcm_and_npae_do_not_depend_on_the_memo_state():
     xs = np.linspace(-0.1, 1.1, 17)[:, None]
 
     def fresh():
-        return ExpertEnsemble(ens.experts, ens.hp, ens.partitioning)
+        return ExpertEnsemble(ens.experts, ens.hp)
 
     grbcm_cold = grbcm_aggregate(fresh(), xs, 1)
     npae_cold = npae_aggregate(fresh(), xs)

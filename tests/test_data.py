@@ -5,7 +5,7 @@ import pytest
 
 from conftest import split_rows, synth_raw, to_raw_scale
 from gpexperts import fit, load_delimited, synth_dataset, synth_f
-from gpexperts.data import _normalize
+from gpexperts.data import _normalize, _parse_table
 
 
 def test_synth_f_closed_form_at_zero():
@@ -107,6 +107,16 @@ def test_load_skips_a_header_line(tmp_path):
     with_header = load_delimited(named, seed=3)
     np.testing.assert_array_equal(plain.x_train, with_header.x_train)
     np.testing.assert_array_equal(plain.y_test, with_header.y_test)
+
+
+@pytest.mark.parametrize("header", [None, "a,b,target"], ids=["bare", "header"])
+def test_a_byte_order_mark_costs_no_row(tmp_path, header):
+    # Read as plain UTF-8, the mark glues onto the first cell, which then
+    # fails to parse, so a bare table would lose its first row as a header.
+    path = tmp_path / "bom.csv"
+    write_csv(path, ten_rows(), header=header)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    np.testing.assert_array_equal(_parse_table(path), np.array(ten_rows()))
 
 
 def test_load_whitespace_table(tmp_path):

@@ -179,16 +179,14 @@ def test_partition_must_cover_training_set():
 
 def test_ensemble_is_plain_data(small_ensemble):
     assert isinstance(small_ensemble, ExpertEnsemble)
-    assert small_ensemble.partitioning.n_parts == 3
+    assert small_ensemble.n_experts == 3
 
 
 def test_each_member_is_predicted_once_per_test_set(
     small_ensemble, small_data, monkeypatch
 ):
     # a fresh ensemble over the same experts, so nothing is memoized yet
-    ens = ExpertEnsemble(
-        small_ensemble.experts, small_ensemble.hp, small_ensemble.partitioning
-    )
+    ens = ExpertEnsemble(small_ensemble.experts, small_ensemble.hp)
     calls = []
     member_pass = gpexperts.gp._member_pass
 
@@ -229,9 +227,7 @@ def test_each_member_is_predicted_once_per_test_set(
 def test_a_rejected_test_set_keeps_the_memo(
     small_ensemble, small_grid, monkeypatch, one_d
 ):
-    ens = ExpertEnsemble(
-        small_ensemble.experts, small_ensemble.hp, small_ensemble.partitioning
-    )
+    ens = ExpertEnsemble(small_ensemble.experts, small_ensemble.hp)
     calls = []
     member_pass = gpexperts.experts._member_pass
 

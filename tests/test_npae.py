@@ -456,7 +456,7 @@ def test_npae_is_the_same_on_a_cold_and_a_warm_member_pass():
     poe_aggregate(warm, xs, scheme="uniform")
     bcm_aggregate(warm, xs, subset=[3, 1])
     for subset in (None, [2, 0, 3]):
-        cold = ExpertEnsemble(warm.experts, warm.hp, warm.partitioning)
+        cold = ExpertEnsemble(warm.experts, warm.hp)
         a = npae_aggregate(cold, xs, subset=subset)
         b = npae_aggregate(warm, xs, subset=subset)
         np.testing.assert_array_equal(a.means, b.means)
