@@ -9,15 +9,18 @@ on squared distances, i.e. they carry squared-length units).  Gradients are
 taken with respect to log-hyperparameters so that optimizers can work on an
 unconstrained vector; see :meth:`Hyperparams.to_log_vector` for the layout.
 
-:func:`kernel_matrix` picks its method by D alone.  In 1-D it squares the
-outer difference of the scaled points: the same (u - v)^2 per pair, bit for
-bit, as ``cdist``'s squared Euclidean distance, without its call overhead.
-There the GEMM form below is slower on small parts and less exact.  With
-D >= 2, for a and b the rows of x and x2, less x's mean, over sqrt(l), one
-GEMM of [a, log sf2 - |a|^2/2, 1] and [b, 1, -|b|^2/2] gives log K, then a
-clip at log sf2 and an exp.  Its error in log k is a few ulps of |a|^2 + |b|^2, and
-an entry may move by a few ulps with the other rows of x2 in the call, as
-BLAS orders its sums by block shape.  So with D >= 2 the self-kernel
+:func:`kernel_matrix` picks its method by D alone.  In 1-D, with u and v
+the scaled points, one K = 2 GEMM of [u, -1] (n x 2) and [1; v] (2 x m)
+gives u - v: each entry sums two exact products with a single rounding, so
+it is fl(u - v), the same bits as ``np.subtract.outer`` (and as ``cdist``'s
+squared distance once squared) under any BLAS summation order, FMA or
+thread count, at GEMM speed.  With D >= 2 the difference has D terms, so
+the GEMM works on the expansion instead: for a and b the rows of x and x2,
+less x's mean, over sqrt(l), one GEMM of [a, log sf2 - |a|^2/2, 1] and
+[b, 1, -|b|^2/2] gives log K, then a clip at log sf2 and an exp.  That
+expansion is inexact.  Its error in log k is a few ulps of |a|^2 + |b|^2,
+and an entry may move by a few ulps with the other rows of x2 in the call,
+as BLAS orders its sums by block shape.  So with D >= 2 the self-kernel
 ``kernel_matrix(x, x, hp)`` is not bitwise symmetric, and its diagonal may
 miss signal_variance by those ulps: callers that need either (the
 factorizations, through ``gp._self_kernel``) write it themselves.
@@ -80,6 +83,8 @@ class Hyperparams:
 def as_points(x) -> np.ndarray:
     """Inputs as an (n, D) float array: a 1-D array is n points of one input."""
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"inputs must be a 1-D or 2-D array, got shape {x.shape}")
     return x[:, None] if x.ndim == 1 else x
 
 
@@ -89,9 +94,11 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     The method depends on D alone, so equal inputs give equal bits, whether
     or not ``x2`` is ``x``.  In 1-D each entry comes from its own pair alone,
     as signal_variance * exp(-0.5 * (u - v)^2) of the scaled points u and v,
-    so the self-kernel is symmetric and identical rows give signal_variance
-    exactly.  With D >= 2 it is one GEMM, which promises neither (see the
-    module docstring).
+    where u - v is a K = 2 GEMM whose single rounding gives fl(u - v)
+    exactly.  So the self-kernel is symmetric and identical rows give
+    signal_variance exactly.  With D >= 2 it is one GEMM of the inexact
+    |a|^2 + |b|^2 expansion, which promises neither (see the module
+    docstring).  Inputs must be 1-D or 2-D arrays (see :func:`as_points`).
     """
     x, x2 = as_points(x), as_points(x2)
     if x.shape[1] != x2.shape[1]:
@@ -99,12 +106,16 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     if x.shape[1] != hp.dim:
         raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
     scale = 1.0 / np.sqrt(hp.lengthscales)
-    if x.shape[1] == 1:
-        k = np.subtract.outer(x[:, 0] * scale, x2[:, 0] * scale)
+    if x.shape[1] == 1:  # [u, -1] @ [1; v]: two exact products, one rounding
+        a, b = np.full((x.shape[0], 2), -1.0), np.ones((2, x2.shape[0]))
+        np.multiply(x[:, 0], scale, out=a[:, 0])
+        np.multiply(x2[:, 0], scale, out=b[1])
+        k = a @ b
         k *= k
         k *= -0.5
         np.exp(k, out=k)
-        k *= hp.signal_variance
+        if hp.signal_variance != 1.0:
+            k *= hp.signal_variance
         return k
     log_sf2, shift, lifted = np.log(hp.signal_variance), x.mean(axis=0), []
     for pts, col in ((x, -2), (x2, -1)):  # x's mean bounds the cancellation

@@ -1,5 +1,6 @@
 """Exact GP training: marginal likelihood, gradients, and prediction."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -551,6 +552,19 @@ def test_shape_validation():
         log_marginal_likelihood(np.zeros((3, 1)), np.zeros(2), hp)
     with pytest.raises(ValueError):
         fit(np.zeros((0, 1)), np.zeros(0))
+
+
+@pytest.mark.parametrize("points", [0.5, np.full((2, 3, 1), 0.5)], ids=["scalar", "3d"])
+def test_inputs_of_neither_one_nor_two_dimensions_name_their_shape(points):
+    # A scalar has no row axis, and a (2, 3, 1) array would read as two
+    # rows of three inputs: both must fail before any kernel is built.
+    x = np.linspace(0.0, 1.0, 8)
+    model = factorize(x, np.sin(6.0 * x), Hyperparams(1.0, [0.1], 0.01))
+    message = re.escape(f"1-D or 2-D array, got shape {np.shape(points)}")
+    with pytest.raises(ValueError, match=message):
+        gp_predict(model, points)
+    with pytest.raises(ValueError, match=message):
+        fit(points, np.ones(np.size(points)))
 
 
 def peak_in_n_squared_doubles(func, n=400):

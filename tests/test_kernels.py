@@ -1,10 +1,16 @@
 """Squared-exponential kernel values and log-space gradients."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpexperts
 from conftest import from_log_vector, kernel_eval, mirrored_self_kernel
 from gpexperts import Hyperparams, kernel_matrix
 from gpexperts.kernels import kernel_grad
@@ -146,6 +152,82 @@ def test_one_dimensional_kernel_matches_cdist_bitwise(n, m):
     np.testing.assert_array_equal(kernel_matrix(x, x, hp), reference(x, x))
 
 
+def outer_difference_kernel(x, x2, hp):
+    """The 1-D kernel as np.subtract.outer built it: the bitwise reference."""
+    s = 1.0 / np.sqrt(hp.lengthscales)
+    k = np.subtract.outer(x[:, 0] * s, x2[:, 0] * s)
+    k *= k
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= hp.signal_variance
+    return k
+
+
+def one_dimensional_cases():
+    """name -> (x, x2, lengthscale) of 1-D inputs that stress the rounding."""
+    rng = np.random.default_rng(0)
+    mags = np.geomspace(1e-300, 1e150, 46)
+    mags = np.concatenate([mags, -mags, [5e-324, -5e-324, 0.0, -0.0]])
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300])
+    repeated = np.repeat(rng.uniform(-1.0, 1.0, 4), 3)
+    wide = rng.uniform(-3.0, 3.0, 900)
+    cases = {
+        "signed zeros": (zeros, zeros[::-1], 0.3),
+        "repeated points": (repeated, rng.permutation(repeated), 0.3),
+        "magnitudes": (mags, rng.permutation(mags), 0.3),
+        "tiny lengthscale": (mags, rng.permutation(mags), 1e-3),
+        "infinite lengthscale": (wide[:50], wide[50:90], np.inf),
+        "empty left": (wide[:0], wide[:5], 0.3),
+        "empty right": (wide[:5], wide[:0], 0.3),
+        "wide": (wide[:700], wide, 0.3),
+    }
+    return {k: (x[:, None], x2[:, None], ls) for k, (x, x2, ls) in cases.items()}
+
+
+def one_dimensional_mismatches():
+    """The checks the 1-D kernel fails against its reference, by case name.
+
+    Both the cross-kernel and each self-kernel must equal the reference bit
+    for bit; a self-kernel must also be bitwise symmetric with a diagonal of
+    exactly signal_variance.
+    """
+    failed = []
+    for name, (x, x2, ls) in one_dimensional_cases().items():
+        for sf2 in (1.0, 1.7):
+            hp, tag = Hyperparams(sf2, [ls], 0.1), f"{name}, sf2={sf2}"
+            for a, b in ((x, x2), (x, x), (x2, x2)):
+                k, ref = kernel_matrix(a, b, hp), outer_difference_kernel(a, b, hp)
+                if k.shape != ref.shape or not k.flags.c_contiguous:
+                    failed.append(f"{tag}: shape or order")
+                elif k.tobytes() != ref.tobytes():
+                    failed.append(f"{tag}: differs from the reference")
+                elif a is b and (k.tobytes() != k.T.copy().tobytes()
+                                 or np.any(np.diagonal(k) != sf2)):
+                    failed.append(f"{tag}: self-kernel asymmetric or off its diagonal")
+    return failed
+
+
+def test_one_dimensional_kernel_equals_the_outer_difference_bitwise():
+    # The K = 2 GEMM of [u, -1] and [1; v] rounds u - v once, so it must
+    # match the outer difference bit for bit, at sf2 = 1 (no final scaling)
+    # and away from it, through signed zeros, subnormals and squares of up
+    # to 4e303.
+    assert one_dimensional_mismatches() == []
+
+
+def test_one_dimensional_kernel_is_exact_at_one_and_two_blas_threads():
+    src = str(Path(gpexperts.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    child = ("import json, test_kernels; "
+             "print(json.dumps(test_kernels.one_dimensional_mismatches()))")
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, check=True, env=env)
+        assert json.loads(proc.stdout) == [], threads
+
+
 def test_matrix_far_points_decay_to_zero():
     hp = Hyperparams(1.0, [1.0], 0.0)
     k = kernel_matrix(np.array([[0.0]]), np.array([[1e4]]), hp)
@@ -204,6 +286,17 @@ def test_dimension_mismatch_rejected():
         kernel_matrix(np.zeros((3, 2)), np.zeros((3, 1)), hp)
     with pytest.raises(ValueError):
         kernel_grad(np.zeros((3, 1)), hp)
+
+
+def test_inputs_of_three_dimensions_are_rejected_by_shape():
+    # (2, 3, 1) is not two rows of three inputs: the error names its shape.
+    hp = Hyperparams(1.0, [1.0], 0.1)
+    cube = np.zeros((2, 3, 1))
+    for x, x2 in ((cube, np.zeros((2, 1))), (np.zeros(2), cube)):
+        with pytest.raises(ValueError, match=r"1-D or 2-D array, got shape \(2, 3, 1\)"):
+            kernel_matrix(x, x2, hp)
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        kernel_matrix(0.5, np.zeros(2), hp)
 
 
 def test_one_dimensional_arrays_are_points_of_one_input():
