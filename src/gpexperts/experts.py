@@ -56,6 +56,9 @@ class ExpertEnsemble:
         if subset is None:
             return np.arange(self.n_experts)
         subset = np.asarray(subset)
+        if subset.ndim != 1:
+            raise ValueError(
+                f"expert subset must be a 1-D array, got shape {subset.shape}")
         if subset.size == 0:
             raise ValueError("expert subset is empty")
         if subset.dtype.kind not in "iu":

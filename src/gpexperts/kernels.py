@@ -111,7 +111,8 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
         np.multiply(x[:, 0], scale, out=a[:, 0])
         np.multiply(x2[:, 0], scale, out=b[1])
         k = a @ b
-        k *= k
+        with np.errstate(over="ignore"):  # inf beyond ~1.3e154 apart; exp(-inf) = 0
+            k *= k
         k *= -0.5
         np.exp(k, out=k)
         if hp.signal_variance != 1.0:

@@ -14,11 +14,11 @@ LLOYD_MAX_ITER = 100  # Lloyd-iteration budget of k-means
 class Partitioning:
     """Assignment of every training point to exactly one expert.
 
-    assignments[t] is the owning expert index in [0, n_parts); every expert
-    owns at least one point.  ``iterations`` counts k-means' Lloyd
-    iterations and ``converged`` says whether the last one moved no point;
-    a random split runs none and leaves ``converged`` None.  The strategy
-    and seed that made the split stay with the caller.
+    assignments[t] is the owning expert index in [0, n_parts), kept as a 1-D
+    integer array; every expert owns at least one point.  ``iterations``
+    counts k-means' Lloyd iterations and ``converged`` says whether the last
+    one moved no point; a random split runs none and leaves ``converged``
+    None.  The strategy and seed that made the split stay with the caller.
     """
 
     assignments: np.ndarray
@@ -27,7 +27,9 @@ class Partitioning:
     converged: bool | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.assignments)
+        self.assignments = a = np.asarray(self.assignments)
+        if a.ndim != 1:
+            raise ValueError(f"assignments must be a 1-D array, got shape {a.shape}")
         if a.dtype.kind not in "iu":
             raise ValueError(f"assignments must be integers, not {a.dtype}")
         if a.min(initial=0) < 0 or a.max(initial=-1) >= self.n_parts:

@@ -12,10 +12,10 @@ graph |S_ij| > lam, found by squaring its reachability matrix in NumPy, and
 solves each by sign-consistent Newton steps until its KKT gate passes (see
 :func:`graphical_lasso`).
 
-With one BLAS thread, :func:`expert_graph` costs 42% of a full NPAE on the
-benchmark's ``synth-1k-m10-all`` (5.2 ms against 12.4 ms), 10% on
-``synth-3k-m40-select`` (17 ms against 164 ms) and 24% on ``table-8d-m10``
-(0.15 s against 0.63 s).  At m = 10 most of it is fixed per-call cost, so
+With one BLAS thread, :func:`expert_graph` costs 41% of a full NPAE on the
+benchmark's ``synth-1k-m10-all`` (5.05 ms against 12.3 ms), 10% on
+``synth-3k-m40-select`` (16.5 ms against 164 ms) and 24% on ``table-8d-m10``
+(0.152 s against 0.625 s).  At m = 10 most of it is fixed per-call cost, so
 the solver's small reductions avoid NumPy's function wrappers.
 """
 
@@ -136,8 +136,8 @@ def _newton(s, lam, thresh, budget):
     such a step, so a backtracking line search on the exact objective takes
     the first length at which dpotrf factors the iterate and the objective
     rises by a share of its slope, or no move at all below a length of 2^-40.
-    Returns ``(iterates, converged)``: the iterate after each step, until the
-    KKT residual is at most ``thresh`` (converged) or ``budget`` steps are taken.
+    Returns ``(omega, values, converged)``: the last iterate, the objective
+    after each step, and whether the KKT residual met ``thresh`` in ``budget`` steps.
     """
     pen = lam * (1.0 - np.eye(len(s)))  # the diagonal is not penalized
     penalized = pen > 0
@@ -145,13 +145,13 @@ def _newton(s, lam, thresh, budget):
     value = _objective(s, omega, lam, np.sqrt(omega))  # a diagonal's factor
     index = np.arange(len(s))
     rows, cols = np.nonzero(index[:, None] <= index)  # the pairs i <= j
-    iterates = []
+    values = []
     while True:
         grad, nonzero, orthant = s - w, omega != 0, np.sign(omega)
         # KKT residual: |g + lam sign O| on the support, |g| - lam off it
         met = (np.abs(grad + pen * orthant) - pen * ~nonzero <= thresh).all()
-        if met or len(iterates) >= budget:
-            return iterates, bool(met)
+        if met or len(values) >= budget:
+            return omega, values, bool(met)
         z = np.where(nonzero, orthant, -np.sign(grad)) * penalized
         free = (nonzero | (np.abs(grad) > pen))[rows, cols]
         i, j = rows[free], cols[free]
@@ -172,11 +172,11 @@ def _newton(s, lam, thresh, budget):
             low, info = dpotrf(trial, lower=1, clean=1)
             new = _objective(s, trial, lam, low) if info == 0 else -np.inf
             if new >= value + 1e-4 * t * rise:
-                w = dpotri(low, lower=1)[0]  # lower triangle, zeros above
+                omega, w = trial, dpotri(low, lower=1)[0]  # w: lower half, zeros above
                 w = w + w.T - np.diag(w.diagonal())
-                omega, value = trial, new
                 break
-        iterates.append(omega)
+        value = _penalized_objective(s, omega, lam)  # perfbench's counted sweep
+        values.append(value)
 
 
 def _components(adj):
@@ -217,9 +217,9 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     components; only the KKT gate says whether the run converged, and a run
     that did not returns its last iterate with a warning.
 
-    Returns ``(omega, objectives, components, converged)``: the estimate, the
-    whole-matrix objective after each accepted step (never falling), the
-    sorted components and the KKT gate's verdict on the estimate.
+    Returns ``(omega, objectives, components, converged)``: the estimate, whose
+    blocks hold each component's last step, the whole-matrix objective after
+    each accepted step (never falling), the sorted components and the verdict.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -240,13 +240,11 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
     components = _components(np.abs(s) > lam)
     for comp in [c for c in components if c.size > 1]:
         block = np.ix_(comp, comp)
-        sub = s[block]
         rest = (objectives[-1] if objectives else alone.sum()) - alone[comp].sum()
-        iterates, met = _newton(sub, lam, thresh, max_iter - len(objectives))
+        omega[block], values, met = _newton(
+            s[block], lam, thresh, max_iter - len(objectives))
         converged &= met
-        for iterate in iterates:
-            omega[block] = iterate
-            objectives.append(rest + _penalized_objective(sub, iterate, lam))
+        objectives.extend(rest + value for value in values)
     if not converged:
         message = f"graphical lasso did not converge in {max_iter} Newton steps"
         warnings.warn(message, RuntimeWarning, stacklevel=2)

@@ -267,6 +267,14 @@ def test_disabling_timing_makes_reports_reproducible():
     assert all(r["train_seconds"] == 0.0 for r in payload["results"])
 
 
+def assert_same_seed_reports_match(config):
+    """Two runs of ``config`` fit every method and render the same bytes."""
+    first, second = (run_experiment(ExperimentConfig(**config)) for _ in range(2))
+    assert [r.error for r in first.results] == [None] * len(METHOD_NAMES)
+    for fmt in ("json", "csv"):
+        assert render_report(first, fmt) == render_report(second, fmt)
+
+
 def test_same_seed_reports_are_byte_identical_on_a_random_8d_table(tmp_path):
     # Beyond criterion 10: the D >= 2 kernel, random parts, the restart RNG,
     # bcm, rbcm and gpoe, and grbcm's seeded base.
@@ -277,10 +285,29 @@ def test_same_seed_reports_are_byte_identical_on_a_random_8d_table(tmp_path):
     np.savetxt(path, np.column_stack([x, y]), delimiter=",")
     config = dict(data=str(path), train_fraction=0.75, n_experts=4, partition="random",
                   restarts=2, methods=METHOD_NAMES, alpha=0.5, seed=2, measure_time=False)
-    first, second = (run_experiment(ExperimentConfig(**config)) for _ in range(2))
-    assert [r.error for r in first.results] == [None] * len(METHOD_NAMES)
-    for fmt in ("json", "csv"):
-        assert render_report(first, fmt) == render_report(second, fmt)
+    assert_same_seed_reports_match(config)
+
+
+@pytest.mark.parametrize(
+    "dim, partition", [(2, "kmeans"), (2, "random"), (1, "random")],
+    ids=["2d-table-kmeans", "2d-table-random", "1d-synthetic-random"])
+def test_same_seed_reports_are_byte_identical_in_the_other_regimes(
+    dim, partition, tmp_path
+):
+    # The regimes that neither the 8-D table above nor criterion 10 runs,
+    # with every method and two restarts.
+    config = dict(n_experts=4, partition=partition, restarts=2, methods=METHOD_NAMES,
+                  alpha=0.5, seed=2, measure_time=False)
+    if dim == 1:
+        config.update(n=150, n_test=30)
+    else:
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=(120, dim))
+        y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.normal(size=120)
+        path = tmp_path / "table2d.csv"
+        np.savetxt(path, np.column_stack([x, y]), delimiter=",")
+        config.update(data=str(path), train_fraction=0.75)
+    assert_same_seed_reports_match(config)
 
 
 def test_report_carries_the_expert_graph(monkeypatch):

@@ -1,5 +1,7 @@
 """Local expert training on a shared set of hyperparameters."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -155,7 +157,7 @@ def test_weights_vanish_far_away(small_ensemble):
     assert np.abs(w).max() == 0.0
 
 
-def test_subset_validation(small_ensemble):
+def test_subset_validation(small_ensemble, small_grid):
     np.testing.assert_array_equal(small_ensemble.subset_or_all(None), [0, 1, 2])
     np.testing.assert_array_equal(small_ensemble.subset_or_all([2, 0]), [2, 0])
     with pytest.raises(ValueError):
@@ -168,6 +170,26 @@ def test_subset_validation(small_ensemble):
         small_ensemble.subset_or_all([0.9, 1.7])  # would truncate to [0, 1]
     with pytest.raises(ValueError, match="integers"):
         small_ensemble.subset_or_all([True, False, True])
+    for subset, shape in ((2, "()"), (np.int64(1), "()"), ([[0, 1], [2, 3]], "(2, 2)")):
+        message = re.escape(f"expert subset must be a 1-D array, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            small_ensemble.subset_or_all(subset)
+    for rule in (npae_aggregate, poe_aggregate):
+        with pytest.raises(ValueError, match="expert subset must be a 1-D array"):
+            rule(small_ensemble, small_grid, subset=2)
+
+
+def test_a_list_built_partition_trains_the_same_ensemble_as_an_array_built_one():
+    x, y = sample_problem(30, seed=5)
+    assign = [0, 1, 2] * 10
+    xs = np.linspace(-0.1, 1.1, 9)[:, None]
+    listed, arrayed = (train_ensemble(x, y, Partitioning(a, 3), restarts=1, seed=0)
+                       for a in (assign, np.array(assign)))
+    assert listed.hp == arrayed.hp
+    for el, ea in zip(listed.experts, arrayed.experts):
+        assert el.x.tobytes() == ea.x.tobytes()
+        assert el.alpha.tobytes() == ea.alpha.tobytes()
+    assert listed.moments(xs)[0].tobytes() == arrayed.moments(xs)[0].tobytes()
 
 
 def test_partition_must_cover_training_set():

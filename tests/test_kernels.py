@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,8 @@ def outer_difference_kernel(x, x2, hp):
     """The 1-D kernel as np.subtract.outer built it: the bitwise reference."""
     s = 1.0 / np.sqrt(hp.lengthscales)
     k = np.subtract.outer(x[:, 0] * s, x2[:, 0] * s)
-    k *= k
+    with np.errstate(over="ignore"):  # squares past the float range are inf
+        k *= k
     k *= -0.5
     np.exp(k, out=k)
     k *= hp.signal_variance
@@ -176,6 +178,7 @@ def one_dimensional_cases():
         "repeated points": (repeated, rng.permutation(repeated), 0.3),
         "magnitudes": (mags, rng.permutation(mags), 0.3),
         "tiny lengthscale": (mags, rng.permutation(mags), 1e-3),
+        "overflowing squares": (mags, rng.permutation(mags), 1e-20),
         "infinite lengthscale": (wide[:50], wide[50:90], np.inf),
         "empty left": (wide[:0], wide[:5], 0.3),
         "empty right": (wide[:5], wide[:0], 0.3),
@@ -210,8 +213,8 @@ def one_dimensional_mismatches():
 def test_one_dimensional_kernel_equals_the_outer_difference_bitwise():
     # The K = 2 GEMM of [u, -1] and [1; v] rounds u - v once, so it must
     # match the outer difference bit for bit, at sf2 = 1 (no final scaling)
-    # and away from it, through signed zeros, subnormals and squares of up
-    # to 4e303.
+    # and away from it, through signed zeros, subnormals, and squares up to
+    # 4e303 and past the float range (points up to 1e160 apart).
     assert one_dimensional_mismatches() == []
 
 
@@ -232,6 +235,11 @@ def test_matrix_far_points_decay_to_zero():
     hp = Hyperparams(1.0, [1.0], 0.0)
     k = kernel_matrix(np.array([[0.0]]), np.array([[1e4]]), hp)
     assert k[0, 0] == 0.0
+    # (1e160)^2 overflows to inf, and exp(-inf) = 0 is the right value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = kernel_matrix([0.0], [1e160], Hyperparams(1.0, 1.0, 0.1))
+    assert k.tobytes() == np.zeros((1, 1)).tobytes()
 
 
 def test_matrix_plus_noise_is_positive_definite():

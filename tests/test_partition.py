@@ -1,5 +1,7 @@
 """Partitioning strategies: seeded k-means and balanced random split."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,15 @@ def test_partitioning_validates_assignments():
         Partitioning(np.array([0.0, 1.0, 1.5]), 2)
     ok = Partitioning(np.array([1, 0, 1]), 2)
     np.testing.assert_array_equal(ok.indices(1), [0, 2])
+    for assignments in ([1, 0, 1], (1, 0, 1)):  # kept as the array validated
+        ok = Partitioning(assignments, 2)
+        assert isinstance(ok.assignments, np.ndarray)
+        np.testing.assert_array_equal(ok.indices(1), [0, 2])
+    for assignments, shape in ((np.zeros((2, 3), dtype=int), "(2, 3)"),
+                               ([[0, 1], [1, 0]], "(2, 2)"), (np.int64(0), "()")):
+        message = re.escape(f"assignments must be a 1-D array, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            Partitioning(assignments, 2)
 
 
 def test_kmeans_reports_lloyd_iterations(monkeypatch):
