@@ -69,6 +69,8 @@ def synth_dataset(
     """
     if n < 2:
         raise ValueError("need at least two training points")
+    if not (np.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if n_test is None:
         n_test = max(n // 10, 2)
     rng = np.random.default_rng(seed)

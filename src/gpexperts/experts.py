@@ -33,8 +33,8 @@ class ExpertEnsemble:
     ``experts`` holds one :class:`gpexperts.gp.GpModel` per part, with its
     part's rows; the partitioning itself stays with the caller.  ``training``
     describes the optimizer run that chose ``hp``.  ``_memo`` holds the last
-    test set, the means, c and, per expert, v_i^T, or w_i^T once
-    :meth:`npae_moments` has made it read-only (see :meth:`moments`).
+    test set and, for every expert, [mean, v_i^T, c_i], where
+    :meth:`npae_moments` swaps v_i^T for a read-only w_i^T (see :meth:`moments`).
 
     NPAE's covariance of the expert means is exact only when the parts are
     disjoint, as :func:`train_ensemble` builds them; an ensemble built by
@@ -74,25 +74,21 @@ class ExpertEnsemble:
 
         One column per expert of ``subset`` (None: all), in its order;
         :func:`gpexperts.gp._latent_variance` turns c_i into a variance.  The
-        last test set is kept as a private copy, compared by value, so each
-        expert is predicted at most once per test set; a new one replaces it
-        once its first member pass accepts it.  The memo keeps the means, c_i
-        and v_i^T = (L_i^{-1} k(X_i, xs))^T for :meth:`npae_moments`, even when
-        no NPAE follows: sum_i n_i * t floats until :meth:`forget` or new ``xs``.
+        last test set is kept as a private copy, compared by value; a new one
+        runs every expert's member pass, whatever ``subset`` asks, and replaces
+        the memo once all have accepted it.  Per expert the memo keeps the
+        mean, v_i^T = (L_i^{-1} k(X_i, xs))^T and c_i for :meth:`npae_moments`,
+        even when no NPAE follows: sum_i n_i * t floats until :meth:`forget`
+        or new ``xs``.
         """
         subset = self.subset_or_all(subset)
-        xs, memo = np.asarray(xs, dtype=float), self._memo
-        if memo is None or not np.array_equal(xs, memo[0]):
-            shape = (xs.shape[0], self.n_experts)
-            memo = (xs.copy(), np.empty(shape), np.empty(shape), [None] * shape[1])
-        xs, means, target_cov, vts = memo
-        for i in [i for i in subset if vts[i] is None]:
-            means[:, i], vts[i], target_cov[:, i] = _member_pass(self.experts[i], xs)
-            self._memo = memo
-        # Fancy-indexed columns come back Fortran-ordered; row sums over
-        # them would round differently from sums over stacked columns.
-        return (np.ascontiguousarray(means[:, subset]),
-                np.ascontiguousarray(target_cov[:, subset]))
+        xs = np.asarray(xs, dtype=float)
+        if self._memo is None or not np.array_equal(xs, self._memo[0]):
+            xs = xs.copy()
+            self._memo = (xs, [list(_member_pass(e, xs)) for e in self.experts])
+        members = self._memo[1]
+        return (np.column_stack([members[i][0] for i in subset]),
+                np.column_stack([members[i][2] for i in subset]))
 
     def npae_moments(self, xs, subset=None):
         """:meth:`moments` at ``xs`` and the memo's read-only
@@ -102,11 +98,11 @@ class ExpertEnsemble:
         NPAE for its subset, grbcm for its base expert.
         """
         means, target_cov = self.moments(xs, subset)
-        subset, vts = self.subset_or_all(subset), self._memo[3]
-        for i in [i for i in subset if vts[i].flags.writeable]:
-            w_t = _member_weights(self.experts[i], vts[i])
-            w_t.flags.writeable, vts[i] = False, w_t
-        return means, target_cov, [vts[i].T for i in subset]
+        subset, members = self.subset_or_all(subset), self._memo[1]
+        for i in [i for i in subset if members[i][1].flags.writeable]:
+            w_t = _member_weights(self.experts[i], members[i][1])
+            w_t.flags.writeable, members[i][1] = False, w_t
+        return means, target_cov, [members[i][1].T for i in subset]
 
     def forget(self):
         """Drop the memo and the sum_i n_i * t floats of its v_i and w_i."""

@@ -48,6 +48,9 @@ class Hyperparams:
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
+        if ls.ndim != 1 or ls.size == 0:
+            raise ValueError(
+                f"lengthscales must be a non-empty 1-D array, got shape {ls.shape}")
         object.__setattr__(self, "lengthscales", ls)
         # NaN passes every comparison below; infinities are left to them.
         for name, value in (
@@ -61,6 +64,18 @@ class Hyperparams:
             raise ValueError("signal variance must be > 0 and noise variance >= 0")
         if np.any(ls <= 0):
             raise ValueError("lengthscales must be > 0")
+
+    # By value; the generated methods would compare and hash the array itself.
+    def __eq__(self, other):
+        if not isinstance(other, Hyperparams):
+            return NotImplemented
+        return bool(self.signal_variance == other.signal_variance
+                    and self.noise_variance == other.noise_variance
+                    and np.array_equal(self.lengthscales, other.lengthscales))
+
+    def __hash__(self):
+        return hash((float(self.signal_variance), tuple(self.lengthscales.tolist()),
+                     float(self.noise_variance)))
 
     @property
     def dim(self) -> int:

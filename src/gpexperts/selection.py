@@ -12,11 +12,9 @@ graph |S_ij| > lam, found by squaring its reachability matrix in NumPy, and
 solves each by sign-consistent Newton steps until its KKT gate passes (see
 :func:`graphical_lasso`).
 
-With one BLAS thread, :func:`expert_graph` costs 41% of a full NPAE on the
-benchmark's ``synth-1k-m10-all`` (5.05 ms against 12.3 ms), 10% on
-``synth-3k-m40-select`` (16.5 ms against 164 ms) and 24% on ``table-8d-m10``
-(0.152 s against 0.625 s).  At m = 10 most of it is fixed per-call cost, so
-the solver's small reductions avoid NumPy's function wrappers.
+At m = 10 most of :func:`expert_graph`'s time is fixed per-call cost, so
+the solver's small reductions avoid NumPy's function wrappers.  README
+prices selection against NPAE on the benchmark workloads.
 """
 
 import math

@@ -398,6 +398,13 @@ def test_cli_rejects_a_nan_penalty(capsys):
     assert "penalty must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_negative_noise_level(capsys):
+    assert main([*SMALL_RUN, "--noise-sd", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: noise_sd must be finite and >= 0, got -1.0\n"
+
+
 def test_cli_rejects_missing_data_file(capsys):
     assert main(["--data", "/nonexistent/rows.csv", "--methods", "poe"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -75,6 +75,12 @@ def test_synth_dataset_needs_two_points():
         synth_dataset(n=1)
 
 
+@pytest.mark.parametrize("noise_sd", [-1.0, np.nan, np.inf])
+def test_synth_dataset_rejects_a_bad_noise_level_by_name(noise_sd):
+    with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+        synth_dataset(n=10, n_test=2, noise_sd=noise_sd)
+
+
 def write_csv(path, rows, header=None):
     lines = [header] if header else []
     lines += [",".join(f"{v!r}" for v in row) for row in rows]

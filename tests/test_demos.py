@@ -19,11 +19,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_child(argv, cwd):
-    # the child imports the package from where this process found it
+    # The child imports the package from where this process found it.  It
+    # fails on any RuntimeWarning: pyproject's warning filters stop at pytest.
     src = str(Path(gpexperts.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", *argv],
         capture_output=True,
         text=True,
         check=False,

@@ -271,9 +271,30 @@ def test_a_rejected_test_set_keeps_the_memo(
     assert len(calls) == before
     np.testing.assert_array_equal(again.means, first.means)
     np.testing.assert_array_equal(again.variances, first.variances)
-    # a new test set replaces the old memo after its first member pass
+    # a new test set replaces the old memo only after every member pass
     poe_aggregate(ens, good * 0.5)
-    assert calls[before:] == [False] + [True] * (ens.n_experts - 1)
+    assert calls[before:] == [False] * ens.n_experts
+
+
+def test_a_subset_request_predicts_every_member_once(
+    small_ensemble, small_data, monkeypatch
+):
+    ens = ExpertEnsemble(small_ensemble.experts, small_ensemble.hp)
+    calls = []
+    member_pass = gpexperts.experts._member_pass
+
+    def counted(model, xs):
+        calls.append(model)
+        return member_pass(model, xs)
+
+    monkeypatch.setattr(gpexperts.experts, "_member_pass", counted)
+    xs = small_data.x_test
+    means, c = ens.moments(xs, [1])
+    assert [id(m) for m in calls] == [id(e) for e in ens.experts]
+    all_means, all_c = ens.moments(xs)
+    assert len(calls) == ens.n_experts
+    np.testing.assert_array_equal(all_means[:, [1]], means)
+    np.testing.assert_array_equal(all_c[:, [1]], c)
 
 
 NON_FINITE_CALLS = {

@@ -327,6 +327,27 @@ def test_hyperparams_must_be_positive():
         Hyperparams(1.0, [1.0], -0.1)
     # zero noise is a legal (interpolating) model
     assert Hyperparams(1.0, [1.0], 0.0).noise_variance == 0.0
+    # lengthscales are a non-empty 1-D array; a scalar is one of them
+    for bad, shape in (([[0.5, 0.7]], r"\(1, 2\)"), ([[0.5], [0.7]], r"\(2, 1\)"),
+                       ([], r"\(0,\)")):
+        with pytest.raises(ValueError, match=f"lengthscales .* shape {shape}"):
+            Hyperparams(1.0, bad, 0.1)
+    assert Hyperparams(1.0, 0.5, 0.1).dim == 1
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_hyperparams_compare_and_hash_by_value(dim):
+    ls = np.linspace(0.5, 2.0, dim)
+    hp = Hyperparams(1.3, ls, 0.1)
+    same = Hyperparams(1.3, list(ls), 0.1)
+    assert hp == same and not hp != same
+    assert hash(hp) == hash(same) and len({hp, same}) == 1
+    moved = ls.copy()
+    moved[-1] *= 1.5
+    for other in (Hyperparams(1.4, ls, 0.1), Hyperparams(1.3, moved, 0.1),
+                  Hyperparams(1.3, ls, 0.2), Hyperparams(1.3, np.ones(dim + 1), 0.1)):
+        assert hp != other and not hp == other
+    assert hp != tuple(ls)
 
 
 @pytest.mark.parametrize("field", ["signal_variance", "lengthscales", "noise_variance"])
