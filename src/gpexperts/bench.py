@@ -12,8 +12,8 @@ JSON report's ``training`` block records, for the ensemble and for
 converged, how many restarts failed, the largest jitter its likelihood
 evaluations needed, and the final factorization jitter; the ensemble's block
 adds k-means' Lloyd iteration count and whether Lloyd converged.  Each JSON
-result row counts, as ``failed_points``, the test points its method flagged
-in ``PredictiveDist.failed``, and as ``deflated_points`` those flagged in
+result row counts, as ``failed_points``, the True entries of the (t,) mask
+``PredictiveDist.failed``, and as ``deflated_points`` those of the mask
 ``PredictiveDist.deflated`` (where NPAE dropped a redundant expert);
 ``max_jitter`` is the jitter grbcm's factorizations needed.  The last two
 read 0 for every other rule, and the CSV report leaves all three out.  The
@@ -226,10 +226,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 predict, model, dataset.x_test, subset, graph, config.seed + 3
             )
             row.max_jitter = pred.max_jitter
-            if pred.failed is not None:
-                row.failed_points = int(pred.failed.sum())
-            if pred.deflated is not None:
-                row.deflated_points = int(pred.deflated.sum())
+            row.failed_points = int(pred.failed.sum())
+            row.deflated_points = int(pred.deflated.sum())
             row.smse = metrics.smse(dataset.y_test, pred.means)
             row.msll = metrics.msll(
                 dataset.y_test,

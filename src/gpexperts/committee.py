@@ -68,7 +68,7 @@ def _fuse(means, variances, betas, prior_var, exact, base=None) -> PredictiveDis
     out_var = 1.0 / np.where(bad, 1.0 / prior_var, precision)
     out_mean = out_var * np.where(bad, 0.0, numer)
     out_mean[exact[0]], out_var[exact[0]], bad[exact[0]] = exact[1], 0.0, False
-    return PredictiveDist(out_mean, out_var, bad if bad.any() else None)
+    return PredictiveDist(out_mean, out_var, bad, np.zeros_like(bad))
 
 
 def poe_aggregate(
@@ -134,6 +134,8 @@ def grbcm_aggregate(
     subset = np.sort(ensemble.subset_or_all(subset))
     if subset.size < 2:
         raise ValueError("need at least two experts, one of which becomes the base")
+    if isinstance(base, bool) or not isinstance(base, (int, np.integer)):
+        raise ValueError(f"base must be an integer expert index, not {base!r}")
     if base not in subset:
         raise ValueError(f"base expert {base} is not in the subset")
 

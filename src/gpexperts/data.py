@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     x_train: np.ndarray
     y_train: np.ndarray

@@ -26,7 +26,7 @@ from .kernels import Hyperparams
 from .partition import Partitioning
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpertEnsemble:
     """All experts plus the shared hyperparameters.
 
@@ -45,7 +45,7 @@ class ExpertEnsemble:
     experts: list
     hp: Hyperparams
     training: TrainingInfo | None = None
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_experts(self) -> int:

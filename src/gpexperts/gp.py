@@ -82,21 +82,21 @@ GRAD_TOL = 1e-6
 FTOL = 1e-7
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictiveDist:
     """Gaussian predictive marginals: one mean and variance per test point.
 
-    ``failed`` is None unless the producer had to fall back to the prior at
-    some points, in which case it flags them.  ``deflated`` likewise flags
-    the points where NPAE dropped an expert that added nothing beyond the
-    others.  ``max_jitter`` is the largest jitter that grbcm's augmented
-    experts needed (0.0 for every other rule).
+    ``failed`` and ``deflated`` are (t,) boolean masks, all False where
+    nothing happened: ``failed`` flags the points where the producer fell
+    back to the prior, ``deflated`` those where NPAE dropped an expert that
+    added nothing beyond the others.  ``max_jitter`` is the largest jitter
+    that grbcm's augmented experts needed (0.0 for every other rule).
     """
 
     means: np.ndarray
     variances: np.ndarray
-    failed: np.ndarray | None = None
-    deflated: np.ndarray | None = None
+    failed: np.ndarray
+    deflated: np.ndarray
     max_jitter: float = 0.0
 
     def __post_init__(self):
@@ -131,7 +131,7 @@ class TrainingInfo:
     max_jitter: float
 
 
-@dataclass
+@dataclass(eq=False)
 class GpModel:
     """A trained GP: data, hyperparameters, and the factorized kernel matrix.
 
@@ -463,4 +463,5 @@ def gp_predict(model: GpModel, xs) -> PredictiveDist:
     observation-space prediction.
     """
     means, _, c = _member_pass(model, xs)
-    return PredictiveDist(means, _latent_variance(model.hp, c))
+    none = np.zeros(means.shape, dtype=bool)
+    return PredictiveDist(means, _latent_variance(model.hp, c), none, none.copy())

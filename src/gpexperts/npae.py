@@ -126,9 +126,4 @@ def npae_aggregate(ensemble, xs, subset=None) -> PredictiveDist:
     out_mean[failed] = 0.0
     out_var[failed] = prior_var
     out_var = np.clip(out_var, 0.0, prior_var)
-    return PredictiveDist(
-        out_mean,
-        out_var,
-        failed if failed.any() else None,
-        deflated if deflated.any() else None,
-    )
+    return PredictiveDist(out_mean, out_var, failed, deflated)

@@ -10,7 +10,7 @@ from .kernels import as_points
 LLOYD_MAX_ITER = 100  # Lloyd-iteration budget of k-means
 
 
-@dataclass
+@dataclass(eq=False)
 class Partitioning:
     """Assignment of every training point to exactly one expert.
 

@@ -36,7 +36,7 @@ GLASSO_MAX_ITER = 100
 _STEP_LENGTHS = 0.5 ** np.arange(41)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpertGraph:
     """Estimated dependency structure over experts.
 

@@ -145,7 +145,6 @@ def test_failed_points_reach_the_json_rows_only(basic_report, monkeypatch):
 
     def flag_two(*args, **kwargs):
         pred = original(*args, **kwargs)
-        pred.failed = np.zeros(pred.means.shape, dtype=bool)
         pred.failed[[1, 4]] = True
         return pred
 

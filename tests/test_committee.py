@@ -180,7 +180,7 @@ def test_zero_noise_rules_return_the_interpolant_at_training_inputs(rule):
     fused = ZERO_NOISE_RULES[rule](ens, xs)
     np.testing.assert_allclose(fused.means[:2], [1.0, -1.0], rtol=1e-12)
     np.testing.assert_array_equal(fused.variances[:2], 0.0)
-    assert fused.failed is None
+    assert not fused.failed.any()
     np.testing.assert_allclose(npae_aggregate(ens, xs[:2]).means, [1.0, -1.0])
     # the other points fuse as before
     alone = ZERO_NOISE_RULES[rule](ens, xs[2:])
@@ -250,7 +250,7 @@ def test_poe_diff_entropy_weights_are_normalised():
     ens = make_ensemble(seed=4)
     xs = np.linspace(-0.5, 1.5, 41)[:, None]
     fused = entropy_weighted_poe(ens, xs)
-    assert fused.failed is None
+    assert not fused.failed.any()
     means, variances = expert_moments(ens, xs)
     beta = _info_gain(variances, ens.hp.signal_variance)
     beta /= beta.sum(axis=1, keepdims=True)
@@ -389,6 +389,13 @@ def test_grbcm_argument_validation():
         grbcm_aggregate(ens, xs, 2, subset=[0, 1])
     with pytest.raises(ValueError, match="not in the subset"):
         grbcm_aggregate(ens, xs, 3)
+    # 0.0 == 0 and True == 1 pass the membership test: the base is checked first
+    for bad in (0.0, True):
+        with pytest.raises(ValueError, match="base must be an integer"):
+            grbcm_aggregate(ens, xs, bad)
+    np.testing.assert_array_equal(
+        grbcm_aggregate(ens, xs, np.int64(0)).means, grbcm_aggregate(ens, xs, 0).means
+    )
 
 
 def random_parts_8d(n=120, m=4, seed=14):

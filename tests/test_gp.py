@@ -526,15 +526,17 @@ def test_nested_data_never_increases_variance():
 
 
 def test_predictive_dist_validation():
+    none = np.zeros(2, dtype=bool)
     with pytest.raises(ValueError):
-        PredictiveDist(np.zeros(3), np.zeros(2))
+        PredictiveDist(np.zeros(3), np.zeros(2), none, none)
     with pytest.raises(ValueError):
-        PredictiveDist(np.zeros(2), np.array([0.1, -0.1]))
+        PredictiveDist(np.zeros(2), np.array([0.1, -0.1]), none, none)
 
 
 def test_predictive_dist_rejects_nan_variances():
+    none = np.zeros(2, dtype=bool)
     with pytest.raises(ValueError, match="NaN"):
-        PredictiveDist(np.zeros(2), np.array([0.1, np.nan]))
+        PredictiveDist(np.zeros(2), np.array([0.1, np.nan]), none, none)
 
 
 def test_training_data_must_be_finite():

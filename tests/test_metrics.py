@@ -86,3 +86,25 @@ def test_empty_inputs_rejected():
     for metric in (smse, mae):
         with pytest.raises(ValueError, match="metric inputs are empty"):
             metric([], [])
+
+
+def test_non_finite_inputs_rejected_by_name():
+    # each used to return a NaN or inf score instead of raising
+    with pytest.raises(ValueError, match="y_true must be finite"):
+        smse([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="means must be finite"):
+        smse([1.0, 2.0, 3.0], [1.0, -np.inf, 3.0])
+    with pytest.raises(ValueError, match="y_true must be finite"):
+        mae([1.0, np.inf], [1.0, 2.0])
+    with pytest.raises(ValueError, match="means must be finite"):
+        mae([1.0, 2.0], [np.nan, 2.0])
+    with pytest.raises(ValueError, match="variances must be finite"):
+        msll([0.0, 1.0], [0.0, 1.0], [1.0, np.nan], 0.0, 1.0)
+    with pytest.raises(ValueError, match="variances must be finite"):
+        msll([0.0, 1.0], [0.0, 1.0], [1.0, np.inf], 0.0, 1.0)
+    with pytest.raises(ValueError, match="train_mean must be finite"):
+        msll([0.0], [0.0], [1.0], np.nan, 1.0)
+    with pytest.raises(ValueError, match="train_var must be finite"):
+        msll([0.0], [0.0], [1.0], 0.0, np.inf)
+    with pytest.raises(ValueError, match="train_var must be finite"):
+        msll([0.0], [0.0], [1.0], 0.0, np.nan)

@@ -144,7 +144,7 @@ def test_aggregate_duplicate_experts_equals_single_expert(monkeypatch):
     )
     a = npae_aggregate(single, xs)
     b = npae_aggregate(double, xs)
-    assert a.deflated is None and b.failed is None
+    assert not a.deflated.any() and not b.failed.any()
     assert b.deflated.all()
     np.testing.assert_allclose(b.means, a.means, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.variances, a.variances, rtol=0, atol=1e-12)
@@ -194,7 +194,7 @@ def test_variance_stays_within_prior_band():
     agg = npae_aggregate(ens, xs)
     assert np.all(agg.variances >= 0.0)
     assert np.all(agg.variances <= ens.hp.signal_variance + 1e-12)
-    assert agg.failed is None
+    assert not agg.failed.any()
 
 
 def test_far_from_everything_reverts_to_prior():
@@ -229,7 +229,7 @@ def test_batched_solve_matches_per_point_robust_solves():
     pieces = unpack(_assemble(ens, xs, np.arange(5)))
     mean, var = per_point_reference(*pieces, ens.hp.signal_variance)
     agg = npae_aggregate(ens, xs)
-    assert agg.failed is None
+    assert not agg.failed.any()
     np.testing.assert_allclose(agg.means, mean, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(agg.variances, var, rtol=1e-10, atol=1e-14)
 
@@ -269,7 +269,7 @@ def test_points_with_a_redundant_expert_deflate_it(monkeypatch):
     np.testing.assert_array_equal(agg.means[good], batched.means[good])
     np.testing.assert_array_equal(agg.variances[good], batched.variances[good])
     np.testing.assert_array_equal(agg.deflated, np.isin(np.arange(25), bad))
-    assert agg.failed is None and batched.failed is None and batched.deflated is None
+    assert not (agg.failed.any() or batched.failed.any() or batched.deflated.any())
 
 
 def test_an_expert_that_adds_little_is_kept(monkeypatch):
@@ -285,7 +285,7 @@ def test_an_expert_that_adds_little_is_kept(monkeypatch):
     mixed = (target_cov @ mix.T, mix @ mean_cov @ mix.T, means @ mix.T)
     monkeypatch.setattr(gpexperts.npae, "_assemble", lambda *a: pack(*mixed))
     agg = npae_aggregate(ens, xs)
-    assert agg.deflated is None and agg.failed is None
+    assert not agg.deflated.any() and not agg.failed.any()
     np.testing.assert_allclose(agg.means, ref.means, rtol=0, atol=1e-7)
     np.testing.assert_allclose(agg.variances, ref.variances, rtol=0, atol=1e-7)
 
@@ -311,7 +311,7 @@ def test_extrapolating_points_match_the_scaled_refined_solve():
     ens = train_ensemble(data.x_train, data.y_train, parts, restarts=1, seed=1002)
     xs = np.array([[1.8], [2.0], [2.5], [3.0]])
     agg = npae_aggregate(ens, xs)
-    assert agg.failed is None and agg.deflated is None
+    assert not agg.failed.any() and not agg.deflated.any()
     pieces = unpack(_assemble(ens, xs, np.arange(10)))
     assert np.linalg.cond(pieces[1][-1]) > 1e20
     for t in range(xs.shape[0]):

@@ -1,11 +1,23 @@
 """The package namespace: ``__all__`` is exactly what ``__init__`` imports,
-and the package depends on nothing beyond NumPy and SciPy."""
+the package depends on nothing beyond NumPy and SciPy, and its records that
+hold arrays compare by identity."""
 
 import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import gpexperts
+from gpexperts import (
+    ExpertEnsemble,
+    Hyperparams,
+    expert_graph,
+    partition_kmeans,
+    poe_aggregate,
+    synth_dataset,
+)
+from gpexperts.gp import factorize
 
 
 def imported_public_names():
@@ -109,3 +121,32 @@ def test_every_public_definition_is_used_outside_the_tests():
         if not any(p != path or not first <= line <= last for p, line in references.get(name, ()))
     ]
     assert not unused
+
+
+def array_records():
+    """One build of each record type that holds arrays, made from scratch."""
+    data = synth_dataset(n=60, n_test=12, seed=3)
+    parts = partition_kmeans(data.x_train, 3, seed=4)
+    experts = [
+        factorize(data.x_train[idx], data.y_train[idx], Hyperparams(1.0, [0.3], 0.01))
+        for idx in map(parts.indices, range(3))
+    ]
+    ensemble = ExpertEnsemble(experts, experts[0].hp)
+    return {
+        "Dataset": data,
+        "Partitioning": parts,
+        "GpModel": experts[0],
+        "ExpertEnsemble": ensemble,
+        "ExpertGraph": expert_graph(ensemble, data.x_test, lam=0.1, alpha=0.5),
+        "PredictiveDist": poe_aggregate(ensemble, data.x_test),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(array_records()))
+def test_array_records_compare_by_identity(name):
+    # A generated __eq__ would compare the arrays themselves and raise
+    # "truth value ... is ambiguous"; __hash__ would be None.
+    a, b = array_records()[name], array_records()[name]
+    assert type(a).__name__ == name
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and hash(a) != hash(b)
