@@ -29,6 +29,7 @@ import numpy as np
 
 from .experts import ExpertEnsemble
 from .gp import PredictiveDist, _augmented, _latent_variance
+from .kernels import check_integer
 
 
 def _info_gain(variances, prior_var):
@@ -134,8 +135,7 @@ def grbcm_aggregate(
     subset = np.sort(ensemble.subset_or_all(subset))
     if subset.size < 2:
         raise ValueError("need at least two experts, one of which becomes the base")
-    if isinstance(base, bool) or not isinstance(base, (int, np.integer)):
-        raise ValueError(f"base must be an integer expert index, not {base!r}")
+    check_integer(base, "base")
     if base not in subset:
         raise ValueError(f"base expert {base} is not in the subset")
 

@@ -8,9 +8,12 @@ it keeps no statistics (it has no ``norm``), so nothing maps predictions
 back to the raw scale.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import check_integer
 
 
 @dataclass(eq=False)
@@ -67,6 +70,9 @@ def synth_dataset(
     test inputs are equispaced on [-0.2, 1.2] (so both ends extrapolate) with
     noise-free targets.
     """
+    check_integer(n, "n")
+    if n_test is not None:
+        check_integer(n_test, "n_test")
     if n < 2:
         raise ValueError("need at least two training points")
     if not (np.isfinite(noise_sd) and noise_sd >= 0):
@@ -81,47 +87,42 @@ def synth_dataset(
     return _normalize(x_train[:, None], y_train, x_test[:, None], y_test)
 
 
+PARSE_BLOCK = 512  # non-blank lines converted by one np.array call
+
+
 def _parse_table(path):
     """The numeric rows of the table at ``path``, as (n, columns) floats.
 
     A leading UTF-8 byte-order mark is dropped, so it cannot turn a numeric
-    first row into a header.  Errors name the file line.
+    first row into a header.  The file is read in blocks of at most
+    ``PARSE_BLOCK`` non-blank lines.  Each line is split in Python, and one
+    ``np.array(..., dtype=float)`` call converts a whole block: NumPy parses
+    each string as ``float()`` does.  Errors name the file line.  Only a
+    block that fails is walked, line by line, to name its first bad line.
+    Non-finite cells are reported only once every line has parsed.
     """
-    rows, linenos = [], []
-    delimiter, first_line = None, True
+    blocks, linenos, width = [], [], None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if first_line and "," in line:  # the header or first row decides
-                delimiter = ","
-            cells = line.split(delimiter)
-            values = []
-            for col, cell in enumerate(cells):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    if first_line:
-                        values = None  # header row
-                        break
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at line {lineno}, "
-                        f"column {col}"
-                    ) from None
-            first_line = False
-            if values is None:
-                continue
-            if rows and len(values) != len(rows[0]):
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(values)} columns, "
-                    f"expected {len(rows[0])}"
-                )
-            rows.append(values)
-            linenos.append(lineno)
-    if not rows:
+        stripped = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+        lines = ((lineno, line) for lineno, line in stripped if line)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        delimiter = "," if "," in first[1] else None  # the header or first row decides
+        if _to_floats(first[1].split(delimiter)) is not None:
+            lines = itertools.chain([first], lines)  # else it is a header
+        while block := list(itertools.islice(lines, PARSE_BLOCK)):
+            numbers = [lineno for lineno, _ in block]
+            cells = [line.split(delimiter) for _, line in block]
+            width = width or len(cells[0])
+            values = _to_floats(cells)
+            if values is None or values.shape[1] != width:
+                _raise_first_fault(path, numbers, cells, width)
+            blocks.append(values)
+            linenos.extend(numbers)
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
+    table = np.concatenate(blocks)
     bad = np.argwhere(~np.isfinite(table))  # float() accepts nan and inf
     if bad.size:
         row, col = bad[0]
@@ -130,6 +131,36 @@ def _parse_table(path):
             f"{linenos[row]}, column {col}"
         )
     return table
+
+
+def _to_floats(cells):
+    """``cells`` as a float array, or None if NumPy cannot convert them: a
+    cell does not parse, or the rows are ragged."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return None
+
+
+def _raise_first_fault(path, numbers, cells, width):
+    """Name the first bad line of a block that failed to convert: on one
+    line, a bad cell comes before a wrong column count."""
+    for lineno, row in zip(numbers, cells):
+        for col, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric value {cell!r} at line {lineno}, "
+                    f"column {col}"
+                ) from None
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
+            )
+    raise ValueError(  # float() took every cell NumPy refused
+        f"{path}: lines {numbers[0]}-{numbers[-1]} do not convert to floats"
+    )
 
 
 def load_delimited(
@@ -146,6 +177,7 @@ def load_delimited(
     """
     if not 0.0 < train_fraction < 1.0:  # NaN fails this too
         raise ValueError("train_fraction must be in (0, 1)")
+    check_integer(target_column, "target_column")
     table = _parse_table(path)
     n, n_cols = table.shape
     if n_cols < 2:

@@ -103,6 +103,13 @@ def as_points(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
+def check_integer(value, name):
+    """Reject by name a ``value`` that is not an integer: Python and NumPy
+    integers pass, bools and floats (even integral ones) do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
     """Cross-kernel matrix of shape (n, m), C-ordered, for row sets ``x`` and ``x2``.
 

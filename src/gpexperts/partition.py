@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .kernels import as_points
+from .kernels import as_points, check_integer
 
 LLOYD_MAX_ITER = 100  # Lloyd-iteration budget of k-means
 
@@ -94,6 +94,7 @@ def _lloyd(x, centers, max_iter):
 def partition_kmeans(x, n_parts: int, seed=0) -> Partitioning:
     """Cluster inputs into ``n_parts`` local regions with seeded K-means."""
     x = as_points(x)
+    check_integer(n_parts, "n_parts")
     if not 1 <= n_parts <= x.shape[0]:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={x.shape[0]}")
     rng = np.random.default_rng(seed)
@@ -104,6 +105,8 @@ def partition_kmeans(x, n_parts: int, seed=0) -> Partitioning:
 
 def partition_random(n: int, n_parts: int, seed=0) -> Partitioning:
     """Shuffle points into ``n_parts`` groups whose sizes differ by at most 1."""
+    check_integer(n, "n")
+    check_integer(n_parts, "n_parts")
     if not 1 <= n_parts <= n:
         raise ValueError(f"need 1 <= n_parts <= n, got {n_parts} for n={n}")
     order = np.random.default_rng(seed).permutation(n)

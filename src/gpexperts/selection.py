@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .experts import ExpertEnsemble
+from .kernels import check_integer
 
 # Newton-step budget of the graphical lasso, over all components.  The S of
 # the benchmark workloads, their random-parts variant and the rank-deficient
@@ -232,6 +233,11 @@ def graphical_lasso(s, lam: float, tol=1e-3, max_iter=GLASSO_MAX_ITER):
         raise ValueError("S must have a positive diagonal")
     if not lam >= 0:  # NaN fails this too
         raise ValueError("penalty must be >= 0")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    check_integer(max_iter, "max_iter")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     omega, objectives, converged = np.diag(1.0 / diag), [], True
     thresh = tol * (lam if lam > 0 else float(np.max(np.abs(s))))
     alone = -np.log(diag) - 1.0  # objective of each expert at O_ii = 1/S_ii

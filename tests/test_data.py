@@ -73,6 +73,12 @@ def test_synth_dataset_deterministic_and_seed_sensitive():
 def test_synth_dataset_needs_two_points():
     with pytest.raises(ValueError):
         synth_dataset(n=1)
+    for n in (10.5, 10.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            synth_dataset(n=n)
+    with pytest.raises(ValueError, match="n_test must be an integer"):
+        synth_dataset(n=10, n_test=2.0)
+    assert synth_dataset(n=np.int64(10), n_test=np.int32(3)).n_test == 3
 
 
 @pytest.mark.parametrize("noise_sd", [-1.0, np.nan, np.inf])
@@ -199,6 +205,13 @@ def test_load_target_column_selection(tmp_path):
     assert not np.allclose(raw[:, 2], raw[:, 0])
     with pytest.raises(ValueError):
         load_delimited(path, target_column=5)
+    same = load_delimited(path, target_column=np.int64(0), seed=0)
+    np.testing.assert_array_equal(same.y_train, first.y_train)
+    for column in (1.0, 2.5, True, np.float64(0.0)):
+        with pytest.raises(ValueError, match="target_column must be an integer"):
+            load_delimited(path, target_column=column)
+        with pytest.raises(ValueError, match="target_column must be an integer"):
+            load_delimited(tmp_path / "missing.csv", target_column=column)
 
 
 def test_load_split_is_deterministic_and_loses_nothing(tmp_path):
@@ -270,3 +283,156 @@ def test_constant_targets_fail_training_at_any_value(tmp_path, value):
     assert np.all(ds.y_train == 0.0)
     with pytest.raises(ValueError, match="training targets are all zero"):
         fit(ds.x_train, ds.y_train)
+
+
+def per_cell_parse(path):
+    """The table parser as a float() call per cell: the reference the block
+    parser must match, bit for bit and message for message."""
+    rows, linenos = [], []
+    delimiter, first_line = None, True
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if first_line and "," in line:
+                delimiter = ","
+            cells = line.split(delimiter)
+            values = []
+            for col, cell in enumerate(cells):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if first_line:
+                        values = None
+                        break
+                    raise ValueError(
+                        f"{path}: non-numeric value {cell!r} at line {lineno}, "
+                        f"column {col}"
+                    ) from None
+            first_line = False
+            if values is None:
+                continue
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(values)} columns, "
+                    f"expected {len(rows[0])}"
+                )
+            rows.append(values)
+            linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    table = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(table[row, col])!r} at line "
+            f"{linenos[row]}, column {col}"
+        )
+    return table
+
+
+def parse_outcome(parse, path):
+    """The table's bytes and shape, or the error message."""
+    try:
+        table = parse(path)
+    except ValueError as err:
+        return str(err)
+    return table.shape, table.tobytes()
+
+
+def assert_parses_as_reference(path):
+    outcome = parse_outcome(_parse_table, path)
+    assert outcome == parse_outcome(per_cell_parse, path)
+    return outcome
+
+
+def numeric_lines(n_rows, n_cols=3, sep=","):
+    rng = np.random.default_rng(n_rows)
+    table = rng.normal(size=(n_rows, n_cols))
+    return [sep.join(repr(float(v)) for v in row) for row in table]
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({700: "1.0,oops,2.0"}, "non-numeric value 'oops' at line 701, column 1"),
+        ({10: "1.0,2.0", 20: "1.0,2.0,x"}, "line 11 has 2 columns, expected 3"),
+        ({10: "1.0,2.0,x", 20: "1.0,2.0"}, "non-numeric value 'x' at line 11, column 2"),
+        ({10: "1.0,x"}, "non-numeric value 'x' at line 11, column 1"),
+        ({2: "1.0,nan,2.0", 30: "1,2,3,4"}, "line 31 has 4 columns, expected 3"),
+        ({2: "1.0,nan,2.0", 900: "1,2,3,4"}, "line 901 has 4 columns, expected 3"),
+    ],
+    ids=["past the first block", "ragged first", "bad cell first",
+         "bad cell before count on one line", "ragged after nan",
+         "ragged after nan in a later block"],
+)
+def test_the_first_fault_in_file_order_is_reported(tmp_path, faults, message):
+    # Blocks hold 512 lines; a nan waits until every line has parsed.
+    lines = numeric_lines(1000)
+    for at, line in faults.items():
+        lines[at] = line
+    path = write_lines(tmp_path / "faults.csv", lines)
+    assert assert_parses_as_reference(path).endswith(message)
+
+
+# Spellings float() accepts and rejects; NumPy must treat each str the same.
+ACCEPTED = [
+    "1_0", "１２", "\xa01", "2.4e-324", "4.9406564584124654e-324",
+    "1.5e-400", "+1", "-0", ".5", "5.", "0001", "1.e3", "1E5", "1e+5",
+    "٣", "1 ", " 2 ",
+]
+REJECTED = ["0x1p3", "1e", "1__0", "_1", "1_", "e3", ".", "+", "0b1", "1j", "true", ""]
+NON_FINITE = ["Infinity", "iNf", "-infinity", "1e999", "nan", "-NaN"]
+
+
+@pytest.mark.parametrize("cell", ACCEPTED)
+def test_an_accepted_spelling_parses_as_float_does(tmp_path, cell):
+    path = write_lines(tmp_path / "t.csv", ["1,2", f"3,{cell}", "5,6"])
+    assert assert_parses_as_reference(path)[0] == (3, 2)
+    assert _parse_table(path)[1, 1] == float(cell)
+
+
+@pytest.mark.parametrize("cell", REJECTED)
+def test_a_rejected_spelling_is_a_bad_cell(tmp_path, cell):
+    path = write_lines(tmp_path / "t.csv", ["1,2", f"3,{cell}", "5,6"])
+    assert assert_parses_as_reference(path).endswith(
+        f"non-numeric value {cell!r} at line 2, column 1")
+
+
+@pytest.mark.parametrize("cell", NON_FINITE)
+def test_a_non_finite_spelling_is_rejected_as_non_finite(tmp_path, cell):
+    path = write_lines(tmp_path / "t.csv", ["1,2", f"3,{cell}", "5,6"])
+    assert assert_parses_as_reference(path).endswith(
+        f"non-finite value {float(cell)!r} at line 2, column 1")
+
+
+def test_a_savetxt_table_parses_byte_identical_to_the_reference(tmp_path):
+    rng = np.random.default_rng(0)
+    table = rng.normal(size=(6600, 9)) * np.logspace(-300, 300, 9)
+    path = tmp_path / "big.csv"
+    header = ",".join(f"x{i}" for i in range(9))
+    np.savetxt(path, table, fmt="%.18e", delimiter=",", header=header, comments="")
+    outcome = assert_parses_as_reference(path)
+    assert outcome == ((6600, 9), table.tobytes())  # '%.18e' round-trips
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_faults_are_reported_as_the_reference_reports_them(tmp_path, seed):
+    # Blank lines, a header or not, whitespace or commas, and a few faults
+    # (bad cells, ragged lines, non-finite cells) anywhere in 1300 lines.
+    rng = np.random.default_rng(seed)
+    sep = "," if seed % 2 else "\t"
+    lines = numeric_lines(1300, sep=sep)
+    if seed % 3:
+        lines[0] = sep.join(["a", "b", "c"])
+    for at in rng.integers(0, len(lines), size=int(rng.integers(0, 4))):
+        lines[at] = ["", "   ", f"1{sep}2", f"1{sep}2{sep}3{sep}4", f"1{sep}x{sep}3",
+                     f"nan{sep}2{sep}3", f"1{sep}2{sep}-inf"][rng.integers(7)]
+    assert_parses_as_reference(write_lines(tmp_path / "t.txt", lines))

@@ -110,6 +110,15 @@ def test_part_count_bounds_rejected():
         partition_random(3, 4, seed=0)
     with pytest.raises(ValueError):
         partition_random(3, 0, seed=0)
+    for n_parts in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match="n_parts must be an integer"):
+            partition_kmeans(x, n_parts, seed=0)
+        with pytest.raises(ValueError, match="n_parts must be an integer"):
+            partition_random(3, n_parts, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        partition_random(3.0, 2, seed=0)
+    assert partition_kmeans(x, np.int64(2), seed=0).n_parts == 2
+    assert partition_random(np.int64(3), np.int32(2), seed=0).n_parts == 2
 
 
 def test_partitioning_validates_assignments():

@@ -162,6 +162,16 @@ def test_glasso_input_validation():
         graphical_lasso(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.1)
     with pytest.raises(ValueError):
         graphical_lasso(np.eye(2), -0.1)
+    s = random_correlation(3, 0)
+    for tol in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            graphical_lasso(s, 0.1, tol=tol)
+    for max_iter in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            graphical_lasso(s, 0.1, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be >= 0, got -3"):
+        graphical_lasso(s, 0.1, max_iter=-3)
+    assert graphical_lasso(s, 0.1, max_iter=np.int64(100))[3]
 
 
 def test_glasso_rejects_a_nan_in_s():
