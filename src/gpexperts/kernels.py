@@ -127,27 +127,52 @@ def kernel_matrix(x, x2, hp: Hyperparams) -> np.ndarray:
         raise ValueError(f"input dims differ: {x.shape[1]} vs {x2.shape[1]}")
     if x.shape[1] != hp.dim:
         raise ValueError(f"inputs have dim {x.shape[1]}, hyperparams have {hp.dim}")
+    shift = x.mean(axis=0) if hp.dim > 1 else None  # x's mean bounds the cancellation
+    k = _operand(x, hp, shift, right=False) @ _operand(x2, hp, shift, right=True)
+    with np.errstate(over="ignore"):  # see _finish
+        return _finish(k, hp)
+
+
+def _operand(x, hp: Hyperparams, shift, right):
+    """One side of :func:`kernel_matrix`'s GEMM for the rows of ``x`` (n, D).
+
+    In 1-D, with u the scaled points, the left side is [u, -1] (n x 2) and
+    the right side [1; u] (2 x n); ``shift`` is unused.  With D >= 2, with a
+    the rows less ``shift`` over sqrt(l), the left side is
+    [a, log sf2 - |a|^2/2, 1] and the right side [a, 1, -|a|^2/2]^T; both
+    sides of one product take the left rows' mean as ``shift``.  The left
+    side of x times the right side of x2 is the product that :func:`_finish`
+    turns into K(x, x2).
+    """
     scale = 1.0 / np.sqrt(hp.lengthscales)
-    if x.shape[1] == 1:  # [u, -1] @ [1; v]: two exact products, one rounding
-        a, b = np.full((x.shape[0], 2), -1.0), np.ones((2, x2.shape[0]))
-        np.multiply(x[:, 0], scale, out=a[:, 0])
-        np.multiply(x2[:, 0], scale, out=b[1])
-        k = a @ b
-        with np.errstate(over="ignore"):  # inf beyond ~1.3e154 apart; exp(-inf) = 0
-            k *= k
+    if hp.dim == 1:  # [u, -1] @ [1; v]: two exact products, one rounding
+        op = np.ones((2, x.shape[0])) if right else np.full((x.shape[0], 2), -1.0)
+        np.multiply(x[:, 0], scale, out=op[1] if right else op[:, 0])
+        return op
+    op = np.ones((x.shape[0], hp.dim + 2))
+    s = np.multiply(x - shift, scale, out=op[:, :-2])
+    op[:, -1 if right else -2] = -0.5 * np.einsum("ij,ij->i", s, s)
+    if right:
+        return op.T
+    op[:, -2] += np.log(hp.signal_variance)
+    return op
+
+
+def _finish(k, hp: Hyperparams):
+    """Turn the product of two :func:`_operand` sides into the kernel, in place.
+
+    In 1-D ``k`` holds u - v, squared here; points more than ~1.3e154 apart
+    square to inf, and exp(-inf) gives the right 0, so the caller holds
+    ``np.errstate(over="ignore")``.  With D >= 2 ``k`` holds log K.
+    """
+    if hp.dim == 1:
+        k *= k
         k *= -0.5
         np.exp(k, out=k)
         if hp.signal_variance != 1.0:
             k *= hp.signal_variance
         return k
-    log_sf2, shift, lifted = np.log(hp.signal_variance), x.mean(axis=0), []
-    for pts, col in ((x, -2), (x2, -1)):  # x's mean bounds the cancellation
-        lifted.append(np.ones((pts.shape[0], hp.dim + 2)))
-        s = np.multiply(pts - shift, scale, out=lifted[-1][:, :-2])
-        lifted[-1][:, col] = -0.5 * np.einsum("ij,ij->i", s, s)
-    lifted[0][:, -2] += log_sf2
-    k = lifted[0] @ lifted[1].T
-    np.exp(np.minimum(k, log_sf2, out=k), out=k)
+    np.exp(np.minimum(k, np.log(hp.signal_variance), out=k), out=k)
     return k
 
 

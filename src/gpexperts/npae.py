@@ -43,7 +43,7 @@ exact c[i] keep their weight even when the raw condition number of M reaches
 import numpy as np
 
 from .gp import PredictiveDist
-from .kernels import kernel_matrix
+from .kernels import _finish, _operand
 
 
 def _assemble(ensemble, xs, subset):
@@ -52,22 +52,30 @@ def _assemble(ensemble, xs, subset):
     ``g[j, i, t]`` is M[j, i] at point t for j >= i; the strict upper
     triangle stays zero.  ``g[m]`` holds the expert means and ``g[m + 1]``
     the c_i.  Means, c_i and w_i come from the ensemble's member pass; the
-    cross-kernels between parts are formed once per pair, and everything
-    per-point is pure products.
+    cross-kernels between parts are formed once per pair, with
+    ``kernel_matrix``'s bits, and everything per-point is pure products.  In
+    1-D each part's GEMM operands are built once per call; with D >= 2 the
+    right one is centred on the left part's mean, so it is built per pair.
     """
     means, target_cov, ws = ensemble.npae_moments(xs, subset)
     hp = ensemble.hp
-    experts = [ensemble.experts[i] for i in subset]
-    m = len(experts)
+    parts = [ensemble.experts[i].x for i in subset]
+    m = len(parts)
+    one_d = hp.dim == 1
+    rights = [_operand(x, hp, None, right=True) for x in parts] if one_d else None
 
     g = np.zeros((m + 2, m, target_cov.shape[0]))
     g[m], g[m + 1] = means.T, target_cov.T
-    for i in range(m):
-        # w_i (K_i + noise I) w_i^T collapses to w_i^T k(X_i, x*).
-        g[i, i] = g[m + 1, i]
-        for j in range(i + 1, m):
-            kij = kernel_matrix(experts[i].x, experts[j].x, hp)
-            g[j, i] = np.einsum("ij,ij->j", kij.T @ ws[i], ws[j])
+    with np.errstate(over="ignore"):  # see kernels._finish
+        for i in range(m):
+            # w_i (K_i + noise I) w_i^T collapses to w_i^T k(X_i, x*).
+            g[i, i] = g[m + 1, i]
+            shift = None if one_d else parts[i].mean(axis=0)
+            left = _operand(parts[i], hp, shift, right=False)
+            for j in range(i + 1, m):
+                right = rights[j] if one_d else _operand(parts[j], hp, shift, right=True)
+                kij = _finish(left @ right, hp)
+                np.einsum("ij,ij->j", kij.T @ ws[i], ws[j], out=g[j, i])
     return g
 
 

@@ -1,5 +1,7 @@
 """Dependent-expert aggregation through the joint covariance of expert means."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from gpexperts import (
     synth_dataset,
     train_ensemble,
 )
+from gpexperts.kernels import _finish, _operand
 from gpexperts.linalg import solve_psd_robust
 from gpexperts.npae import _assemble
 
@@ -88,6 +91,56 @@ def test_assembled_cov_matches_dense_construction():
     ka, big = dense_cov_oracle(ens, x_star, False)
     np.testing.assert_allclose(target_cov[0], ka, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(mean_cov[0], big, rtol=1e-9, atol=1e-12)
+
+
+def pairwise_reference(ensemble, xs, subset):
+    """``_assemble``'s buffer g with one ``kernel_matrix`` call per pair."""
+    means, target_cov, ws = ensemble.npae_moments(xs, subset)
+    parts = [ensemble.experts[i].x for i in subset]
+    m = len(parts)
+    g = np.zeros((m + 2, m, len(xs)))
+    g[m], g[m + 1] = means.T, target_cov.T
+    for i in range(m):
+        g[i, i] = g[m + 1, i]
+        for j in range(i + 1, m):
+            kij = kernel_matrix(parts[i], parts[j], ensemble.hp)
+            g[j, i] = np.einsum("ij,ij->j", kij.T @ ws[i], ws[j])
+    return g
+
+
+def test_assembly_equals_per_pair_kernels_bitwise():
+    # The pair loop builds each part's operands once and finishes each GEMM
+    # in place; every block must keep kernel_matrix's bits, in 1-D and 8-D.
+    rng = np.random.default_rng(12)
+    one_d = make_ensemble(80, 6, seed=3)
+    x = rng.uniform(size=(120, 8))
+    y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2
+    parts = np.split(np.argsort(x[:, 0]), [13, 40, 61, 95])
+    hp = Hyperparams(1.7, np.linspace(0.2, 3.0, 8), 0.05)
+    eight_d = manual_ensemble([(x[p], y[p]) for p in parts], hp)
+    for ens, xs in ((one_d, np.linspace(-0.2, 1.2, 23)[:, None]),
+                    (eight_d, rng.uniform(size=(17, 8)))):
+        for subset in (np.arange(ens.n_experts), np.array([4, 0, 2])):
+            got = _assemble(ens, xs, subset)
+            assert got.tobytes() == pairwise_reference(ens, xs, subset).tobytes()
+
+
+def test_assembly_with_overflowing_squares_is_exact_and_silent():
+    # At lengthscale 1e-20 points up to 1e160 apart in scaled units square
+    # past the float range; exp(-inf) = 0 is the right kernel value.  The one
+    # errstate around the pair loop must cover every pair.
+    rng = np.random.default_rng(0)
+    mags = np.geomspace(1e-300, 1e150, 46)
+    pts = rng.permutation(np.concatenate([mags, -mags]))[:, None]
+    hp = Hyperparams(1.0, [1e-20], 0.1)
+    ens = manual_ensemble([(p, np.sign(p[:, 0])) for p in np.split(pts, 4)], hp)
+    assert np.abs(np.subtract.outer(pts[:23, 0], pts[23:, 0])).max() * 1e10 > 1e155
+    xs = pts[::7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for subset in (np.arange(4), np.array([3, 1])):
+            got = _assemble(ens, xs, subset)
+            assert got.tobytes() == pairwise_reference(ens, xs, subset).tobytes()
 
 
 def test_single_expert_cov_collapses_to_scalar_identity():
@@ -371,25 +424,41 @@ def test_the_strict_upper_triangle_of_m_is_never_read(monkeypatch):
 
 
 def test_after_selection_npae_forms_only_part_by_part_kernels(monkeypatch):
+    # NPAE builds GEMM operands from whole parts only and finishes one
+    # product per pair, of that pair's shape; the member pass is memoized,
+    # so no kernel with the test points is formed.
     ens = make_ensemble(60, 5, seed=4)
     xs = np.linspace(-0.1, 1.1, 25)[:, None]
     graph = expert_graph(ens, xs, lam=0.05, alpha=0.6)
-    calls = []
+    operands, finished, kernels = [], [], []
 
-    def counted(x, x2, hp):
-        calls.append((x, x2))
+    def counted_operand(x, *args, **kwargs):
+        operands.append(x)
+        return _operand(x, *args, **kwargs)
+
+    def counted_finish(k, hp):
+        finished.append(k.shape)
+        return _finish(k, hp)
+
+    def counted_kernel(x, x2, hp):
+        kernels.append((x, x2))
         return kernel_matrix(x, x2, hp)
 
-    monkeypatch.setattr(gpexperts.npae, "kernel_matrix", counted)
-    monkeypatch.setattr(gpexperts.gp, "kernel_matrix", counted)
+    monkeypatch.setattr(gpexperts.npae, "_operand", counted_operand)
+    monkeypatch.setattr(gpexperts.npae, "_finish", counted_finish)
+    monkeypatch.setattr(gpexperts.gp, "kernel_matrix", counted_kernel)
     npae_aggregate(ens, xs)
     npae_aggregate(ens, xs, subset=graph.selected)
     parts = [e.x for e in ens.experts]
-    for x, x2 in calls:
-        assert any(x is p for p in parts) and any(x2 is p for p in parts)
-        assert x is not x2
+    assert operands and all(any(x is p for p in parts) for x in operands)
+    expected = []
+    for subset in (range(5), graph.selected):
+        sizes = [len(parts[i]) for i in subset]
+        expected += [(a, b) for i, a in enumerate(sizes) for b in sizes[i + 1:]]
     k = graph.selected.size
-    assert len(calls) == 5 * 4 // 2 + k * (k - 1) // 2
+    assert len(finished) == 5 * 4 // 2 + k * (k - 1) // 2
+    assert finished == expected
+    assert kernels == []
 
 
 def test_member_pass_weights_match_dense_solve():
